@@ -7,6 +7,7 @@ lines; any assertion failure marks the criterion failed.
 import math
 import random
 import time
+from pathlib import Path
 
 from zdrlab.families import (
     closed_form_dims,
@@ -39,6 +40,8 @@ from zdrlab.verify import SuiteConfig, run_suite, verify_theorem
 import oracles
 
 TABLE1_GRID = (4, 8, 9, 25, 49, 121, 15, 21, 35, 77)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(num: int, message: str) -> None:
@@ -297,6 +300,11 @@ def test_acceptance_11_full_suite():
     assert report_a.exit_code == 0
     assert report_a.to_json(deterministic=True) == report_b.to_json(deterministic=True)
     assert report_a.to_text(deterministic=True) == report_b.to_text(deterministic=True)
+    # `zdrlab verify run [--json] --deterministic` prints exactly these reports
+    golden_json = (GOLDEN / "verify_run.json").read_text(encoding="utf-8")
+    golden_text = (GOLDEN / "verify_run.txt").read_text(encoding="utf-8")
+    assert report_a.to_json(deterministic=True) == golden_json
+    assert report_a.to_text(deterministic=True) == golden_text
     _report(11, f"default run: {report_a.summary['PASS']} PASS, "
                 f"{report_a.summary['ERRATUM']} ERRATUM (exactly E1..E6), 0 FAIL, "
-                f"byte-identical across two deterministic runs")
+                f"byte-identical across two deterministic runs and to the golden reports")

@@ -1,10 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from zdrlab.cli import main
 from zdrlab import verify as verify_mod
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.fixture()
@@ -63,6 +70,14 @@ def test_dims_solve_json_deterministic(runner):
     assert doc["ddim"]["elapsed_ms"] == 0.0
     assert doc["gamma"]["value"] == 1
     assert doc["dim"]["value"] == 3
+    # the checks counters pin the twin partition and the search order
+    for name, args in [
+        ("dims_Zn60_dim.json", ["Zn:60", "--which", "dim"]),
+        ("dims_Zn42.json", ["Zn:42"]),
+    ]:
+        result = runner.invoke(main, ["dims", "solve", *args, "--json", "--deterministic"])
+        assert result.exit_code == 0
+        assert result.output == golden(name), name
 
 
 def test_dims_solve_graph_file(runner, tmp_path):
@@ -161,12 +176,25 @@ def test_table_emit_table1(runner):
     assert "ERRATUM E1" in result.output
     result = runner.invoke(main, ["table", "emit", "table1", "--n", "25", "--format", "csv"])
     assert result.output.splitlines()[0].startswith("n,V,E")
+    all_n = ",".join(str(n) for n in range(2, 201))
+    for name, args in [
+        ("table1.txt", []),
+        ("table1.csv", ["--format", "csv"]),
+        ("table1_n2-200.csv", ["--format", "csv", "--n", all_n]),
+    ]:
+        result = runner.invoke(main, ["table", "emit", "table1", *args])
+        assert result.exit_code == 0
+        assert result.output == golden(name), name
 
 
 def test_table_emit_table2(runner):
     result = runner.invoke(main, ["table", "emit", "table2"])
     assert result.exit_code == 0
     assert "Zn:49" in result.output
+    assert result.output == golden("table2.txt")
+    result = runner.invoke(main, ["table", "emit", "table2", "--format", "csv"])
+    assert result.exit_code == 0
+    assert result.output == golden("table2.csv")
 
 
 def test_table_emit_rejects_n_for_table2(runner):
