@@ -12,11 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 DEFAULT_ORDER_CAP = 4096
+
+# Op tables are stored as uint16, so no cap may admit a larger order.
+MAX_TABLE_ORDER = 1 << 16
 
 # Exhaustive axiom checking is cubic in the order; above this we fall back to
 # a seeded random sample of triples.
@@ -135,21 +138,30 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
     return int(text[pos:end]), end
 
 
+def factorize(n: int) -> Iterator[tuple[int, int]]:
+    """Prime factorization of n as (prime, exponent) pairs, smallest first.
+
+    Lazy trial division: a caller that stops after the first pair pays only
+    for finding the least prime factor. Yields nothing for n < 2.
+    """
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            yield p, k
+        p += 1
+    if n > 1:
+        yield n, 1
+
+
 def _prime_power(q: int) -> tuple[int, int] | None:
     """Factor q as p**k with p prime, else None."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (q, 1)
+    for p, k in factorize(q):
+        return (p, k) if p**k == q else None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +226,9 @@ def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> Fini
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
     order = spec_order(spec)
-    if order > max_order:
-        raise OrderCapError(
-            f"{spec.to_text()} has order {order}, above the cap {max_order}"
-        )
+    cap = min(max_order, MAX_TABLE_ORDER)
+    if order > cap:
+        raise OrderCapError(f"{spec.to_text()} has order {order}, above the cap {cap}")
     if spec.family is Family.ZN:
         labels, add, mul, one = _build_zn(spec.n)
     elif spec.family is Family.ZN_GAUSS:
@@ -501,8 +512,7 @@ def _resolve_catalog(entry_id: str) -> CatalogEntry | None:
         tail = entry_id[len(_PARAM_PREFIX):]
         if tail.isdigit():
             p = int(tail)
-            pk = _prime_power(p)
-            if pk is not None and pk[1] == 1:
+            if _prime_power(p) == (p, 1):
                 return CatalogEntry(entry_id, (p, p), ("1", "r"), {(1, 1): _z(2)},
                                     note=f"Z{p} adjoin r with r^2 = 0")
     return None
@@ -625,10 +635,9 @@ def ring_axiom_failures(ring: FiniteRing) -> list[str]:
 
 @dataclass
 class ZeroDivisorSet:
-    """Nonzero zero divisors of a ring, with annihilators of each member."""
+    """Nonzero zero divisors of a ring; :func:`annihilator` gives their partners."""
 
     members: tuple[int, ...]
-    annihilators: dict[int, tuple[int, ...]]
 
 
 def zero_divisors(ring: FiniteRing) -> ZeroDivisorSet:
@@ -636,8 +645,7 @@ def zero_divisors(ring: FiniteRing) -> ZeroDivisorSet:
     zero_prod = ring.mul == 0
     nonzero_partner = zero_prod[:, 1:].any(axis=1)
     members = tuple(int(x) for x in np.flatnonzero(nonzero_partner) if x != 0)
-    ann = {x: annihilator(ring, x) for x in members}
-    return ZeroDivisorSet(members=members, annihilators=ann)
+    return ZeroDivisorSet(members=members)
 
 
 def annihilator(ring: FiniteRing, x: int) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -44,11 +43,6 @@ class Budget:
 
     max_ms: float | None = None
     max_checks: int | None = None
-
-    @staticmethod
-    def from_env() -> "Budget":
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        return Budget(max_ms=float(raw)) if raw else Budget()
 
 
 class _Clock:
@@ -153,24 +147,24 @@ def are_twins(g: ZDGraph, u: int, v: int) -> bool:
 
 
 def twin_classes(g: ZDGraph) -> TwinPartition:
-    n = g.order
-    assigned = [False] * n
-    classes: list[tuple[int, ...]] = []
-    for v in range(n):
-        if assigned[v]:
-            continue
-        cls = [v]
-        assigned[v] = True
-        for w in range(v + 1, n):
-            if not assigned[w] and are_twins(g, v, w):
-                cls.append(w)
-                assigned[w] = True
-        # the twin relation is transitive; verify pairwise to be safe
-        for a, b in itertools.combinations(cls, 2):
-            if not are_twins(g, a, b):  # pragma: no cover - defensive
-                raise AssertionError(f"twin classes not transitive at ({a},{b})")
-        classes.append(tuple(cls))
-    return TwinPartition(tuple(classes))
+    """Twin classes keyed by neighbourhood, in one pass.
+
+    u and v are twins exactly when N(u) = N(v) or N[u] = N[v] (Hernando,
+    Mora, Pelayo, Seara and Wood, EJC 17, 2010), so each vertex joins the
+    class whose founder has its open or its closed neighbourhood. N(w) =
+    N[v] is impossible (v in N(w) puts w in N(v), so w in N(w)), so one
+    dict holds both keys. Classes come out ordered by least member.
+    """
+    by_key: dict[int, list[int]] = {}
+    classes: list[list[int]] = []
+    for v in range(g.order):
+        open_key, closed_key = g.adj[v], g.adj[v] | 1 << v
+        cls = by_key.get(open_key) or by_key.get(closed_key)
+        if cls is None:
+            cls = by_key[open_key] = by_key[closed_key] = []
+            classes.append(cls)
+        cls.append(v)
+    return TwinPartition(tuple(tuple(c) for c in classes))
 
 
 # ---------------------------------------------------------------------------

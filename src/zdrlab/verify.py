@@ -33,6 +33,7 @@ from .rings import (
     FiniteRing,
     build_ring,
     cut_vertex_entry_ids,
+    factorize,
     ring_properties,
     zero_divisors,
 )
@@ -65,51 +66,31 @@ class TheoremVerdict:
 
 @dataclass(frozen=True)
 class ErrataEntry:
+    """A known erratum and the failed verdicts it explains.
+
+    A verdict matches when its theorem and aspect are listed, it carries
+    ``tag`` and its claimed and computed values equal ``claimed`` and
+    ``computed``; a field left as None matches anything.
+    """
+
     erratum_id: str
     printed_claim: str
     computed_truth: str
     explanation: str
-    matcher: Callable[[str, str, object, object, frozenset], bool]
+    theorems: frozenset[str]
+    aspects: frozenset[str]
+    tag: str | None = None
+    claimed: object = None
+    computed: object = None
 
-
-def _e1_match(theorem_id, aspect, claimed, computed, tags):
-    return (
-        theorem_id in {"P2.1", "T2.6", "T2.4", "TAB1", "TAB2"}
-        and aspect == "ddim"
-        and "path3" in tags
-        and claimed == 1
-        and computed == 2
-    )
-
-
-def _e2_match(theorem_id, aspect, claimed, computed, tags):
-    return theorem_id == "T6" and aspect == "ddim" and "P1" in tags and computed == 0
-
-
-def _e3_match(theorem_id, aspect, claimed, computed, tags):
-    return theorem_id == "T2122" and aspect == "shape"
-
-
-def _e4_match(theorem_id, aspect, claimed, computed, tags):
-    return theorem_id == "T2123" and aspect == "ddim" and "case2" in tags
-
-
-def _e5_match(theorem_id, aspect, claimed, computed, tags):
-    return (
-        theorem_id == "T2123"
-        and aspect == "girth"
-        and "case3" in tags
-        and claimed == 2
-        and computed == 4
-    )
-
-
-def _e6_match(theorem_id, aspect, claimed, computed, tags):
-    return (
-        theorem_id in {"T2.6", "TAB1"}
-        and aspect in {"ddim", "girth"}
-        and "even-pq" in tags
-    )
+    def matches(self, theorem_id: str, aspect: str, claimed, computed, tags) -> bool:
+        return (
+            theorem_id in self.theorems
+            and aspect in self.aspects
+            and (self.tag is None or self.tag in tags)
+            and (self.claimed is None or claimed == self.claimed)
+            and (self.computed is None or computed == self.computed)
+        )
 
 
 ERRATA: dict[str, ErrataEntry] = {
@@ -119,42 +100,43 @@ ERRATA: dict[str, ErrataEntry] = {
         "exhaustive search gives 2: no single vertex both resolves and dominates P3",
         "affects the P3-shaped rings of P2.1, the 2^3 row of T2.6 and TAB1, "
         "the first row of TAB2, and the local-acyclic clause of T2.4",
-        _e1_match,
+        frozenset({"P2.1", "T2.6", "T2.4", "TAB1", "TAB2"}), frozenset({"ddim"}),
+        tag="path3", claimed=1, computed=2,
     ),
     "E2": ErrataEntry(
         "E2",
         "paths with 1 or 2 vertices are exactly the graphs with dominant metric dimension 1",
         "the single-vertex graph has dominant metric dimension 0 by the stated convention",
         "the printed range n = 1, 2 of T6 conflicts with the single-vertex-zero convention",
-        _e2_match,
+        frozenset({"T6"}), frozenset({"ddim"}), tag="P1", computed=0,
     ),
     "E3": ErrataEntry(
         "E3",
         "for a reduced ring with ideals I1, I2 the graph is K_{|I1|,|I2|}",
         "the graph is K_{|I1|-1,|I2|-1}: the zero elements of the ideals are not vertices",
         "shape claim of T2122; the accompanying value formula |I1|+|I2|-2w is correct",
-        _e3_match,
+        frozenset({"T2122"}), frozenset({"shape"}),
     ),
     "E4": ErrataEntry(
         "E4",
         "Gaussian case p1*p2 (both 3 mod 4): Dim_d = p1^2 - p2^2 - 2w",
         "Dim_d = p1^2 + p2^2 - 4 (sign and omega-term errors in the printed formula)",
         "value claim of T2123 case 2",
-        _e4_match,
+        frozenset({"T2123"}), frozenset({"ddim"}), tag="case2",
     ),
     "E5": ErrataEntry(
         "E5",
         "the girth of a complete bipartite graph is 2",
         "girth 4: shortest cycles in K_{m,n} with m,n >= 2 are 4-cycles",
         "girth claim of T2123 case 3; the value 2p - gr evaluates correctly with gr = 4",
-        _e5_match,
+        frozenset({"T2123"}), frozenset({"girth"}), tag="case3", claimed=2, computed=4,
     ),
     "E6": ErrataEntry(
         "E6",
         "the pq row formulas apply to every pair of distinct primes",
         "for p = 2 the graph is a star: Dim_d is q-1 (not q-2) and the girth is undefined",
         "restriction of T2.6 / TAB1 pq rows to odd primes",
-        _e6_match,
+        frozenset({"T2.6", "TAB1"}), frozenset({"ddim", "girth"}), tag="even-pq",
     ),
 }
 
@@ -181,7 +163,7 @@ def _verdict(
         hits = [
             e.erratum_id
             for e in ERRATA.values()
-            if e.matcher(theorem_id, aspect, claimed, computed, tagset)
+            if e.matches(theorem_id, aspect, claimed, computed, tagset)
         ]
         if hits:
             status, erratum_id = ERRATUM, sorted(hits)[0]
@@ -300,39 +282,9 @@ def _is_star_centered(g: ZDGraph) -> tuple[bool, int]:
     return ok, center
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _is_prime(n: int) -> bool:
-    f = _factorize(n)
-    return len(f) == 1 and f[0][1] == 1 and n >= 2
-
-
 # ---------------------------------------------------------------------------
 # checks: prior family results T1-T6
 # ---------------------------------------------------------------------------
-
-_SPOT_SIZES = {
-    "T1": (21, 33, 45, 60),
-    "T2": (25, 40, 60),
-    "T3": ((2, 28), (10, 20)),
-    "T4": (25, 40, 60),
-    "T5": (20, 40, 60),
-}
-
 
 def _family_ddim_check(
     theorem_id: str,
@@ -341,6 +293,7 @@ def _family_ddim_check(
     claim: Callable[[int], int],
     claim_text: Callable[[int], str],
     solver_sizes: Iterable[int],
+    spot_sizes: Iterable[int],
 ) -> list[TheoremVerdict]:
     out = []
     for n in solver_sizes:
@@ -358,9 +311,7 @@ def _family_ddim_check(
                 note="exact solver",
             )
         )
-    for n in _SPOT_SIZES.get(theorem_id, ()):
-        if isinstance(n, tuple):
-            continue
+    for n in spot_sizes:
         fid = make(n)
         cf = fam.closed_form_dims(fid)
         if cf.ddim is None:
@@ -388,6 +339,7 @@ def _check_t1(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         lambda n: math.ceil(n / 3),
         lambda n: f"gamma(C_{n}) = {math.ceil(n / 3)}",
         sizes,
+        (21, 33, 45, 60),
     )
 
 
@@ -400,7 +352,37 @@ def _check_t2(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         lambda n: n - 1,
         lambda n: f"n - 1 = {n - 1}",
         sizes,
+        (25, 40, 60),
     )
+
+
+def _dim_equals_ddim_check(
+    theorem_id: str,
+    wb: _Workbench,
+    solved: Iterable[tuple[fam.FamilyId, int, str]],
+    spots: Iterable[fam.FamilyId],
+) -> list[TheoremVerdict]:
+    """Claimed dim (exact solver) and dim = ddim (solver, then closed forms)."""
+    out = []
+    for fid, claimed, formula in solved:
+        g = fam.generate_family(fid)
+        dim = wb.solve_graph(g, "dim").value
+        ddim = wb.solve_graph(g, "ddim").value
+        out.append(
+            _verdict(theorem_id, fid.describe(), "dim", claimed, dim,
+                     claimed_text=f"{formula} = {claimed}", note="exact solver")
+        )
+        out.append(
+            _verdict(theorem_id, fid.describe(), "ddim", dim, ddim,
+                     claimed_text=f"dim = {dim}", note="exact solver")
+        )
+    for fid in spots:
+        cf = fam.closed_form_dims(fid)
+        out.append(
+            _verdict(theorem_id, fid.describe(), "ddim", cf.dim, cf.ddim,
+                     claimed_text=f"dim = {cf.dim}", note="closed_form")
+        )
+    return out
 
 
 def _check_t3(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
@@ -408,28 +390,12 @@ def _check_t3(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         "pairs",
         [(m, n) for m in range(2, 8) for n in range(m, 15 - m) if m + n <= 14],
     )
-    out = []
-    for m, n in pairs:
-        fid = fam.complete_bipartite(m, n)
-        g = fam.generate_family(fid)
-        dim = wb.solve_graph(g, "dim").value
-        ddim = wb.solve_graph(g, "ddim").value
-        out.append(
-            _verdict("T3", fid.describe(), "dim", m + n - 2, dim,
-                     claimed_text=f"m + n - 2 = {m + n - 2}", note="exact solver")
-        )
-        out.append(
-            _verdict("T3", fid.describe(), "ddim", dim, ddim,
-                     claimed_text=f"dim = {dim}", note="exact solver")
-        )
-    for m, n in [p for p in _SPOT_SIZES["T3"] if isinstance(p, tuple)]:
-        fid = fam.complete_bipartite(m, n)
-        cf = fam.closed_form_dims(fid)
-        out.append(
-            _verdict("T3", fid.describe(), "ddim", cf.dim, cf.ddim,
-                     claimed_text=f"dim = {cf.dim}", note="closed_form")
-        )
-    return out
+    return _dim_equals_ddim_check(
+        "T3",
+        wb,
+        [(fam.complete_bipartite(m, n), m + n - 2, "m + n - 2") for m, n in pairs],
+        [fam.complete_bipartite(2, 28), fam.complete_bipartite(10, 20)],
+    )
 
 
 def _check_t4(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
@@ -441,32 +407,18 @@ def _check_t4(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         lambda n: math.ceil(n / 3),
         lambda n: f"gamma(P_{n}) = {math.ceil(n / 3)}",
         sizes,
+        (25, 40, 60),
     )
 
 
 def _check_t5(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
     sizes = params.get("sizes", range(2, 13))
-    out = []
-    for n in sizes:
-        fid = fam.complete(n)
-        g = fam.generate_family(fid)
-        dim = wb.solve_graph(g, "dim").value
-        ddim = wb.solve_graph(g, "ddim").value
-        out.append(
-            _verdict("T5", fid.describe(), "dim", n - 1, dim,
-                     claimed_text=f"n - 1 = {n - 1}", note="exact solver")
-        )
-        out.append(
-            _verdict("T5", fid.describe(), "ddim", dim, ddim,
-                     claimed_text=f"dim = {dim}", note="exact solver")
-        )
-    for n in _SPOT_SIZES["T5"]:
-        cf = fam.closed_form_dims(fam.complete(n))
-        out.append(
-            _verdict("T5", f"K{n}", "ddim", cf.dim, cf.ddim,
-                     claimed_text=f"dim = {cf.dim}", note="closed_form")
-        )
-    return out
+    return _dim_equals_ddim_check(
+        "T5",
+        wb,
+        [(fam.complete(n), n - 1, "n - 1") for n in sizes],
+        [fam.complete(n) for n in (20, 40, 60)],
+    )
 
 
 def _check_t6(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
@@ -594,45 +546,40 @@ def _check_t21(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
 
 def _check_t22(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
     out = []
-    for spec in params.get("rings_a", T22A_RINGS):
-        ring = wb.ring(spec)
-        members = zero_divisors(ring).members
-        nilp = set(ring_properties(ring).nilpotents)
-        if not all(x in nilp for x in members):
-            out.append(_skip("T2.2", spec, "part-a", "not every zero divisor is nilpotent"))
-            continue
-        square_zero = all(
-            ring.mul_of(x, y) == 0 for x in members for y in members
-        )
-        if not square_zero:
-            out.append(_skip("T2.2", spec, "part-a", "L(R)^2 != 0"))
-            continue
-        g = wb.graph(spec)
-        complete_shape = g.size == g.order * (g.order - 1) // 2
-        note = "" if len(members) >= 3 else f"|L(R)| = {len(members)} below the stated 3"
-        out.append(
-            _verdict("T2.2", spec, "shape", "complete", _shape_label(g),
-                     ok=complete_shape, note=note)
-        )
-        out.append(
-            _verdict("T2.2", spec, "ddim", len(members) - 1, wb.solve(spec, "ddim").value,
-                     claimed_text=f"|L(R)| - 1 = {len(members) - 1}", note=note)
-        )
-    for spec in params.get("rings_b", T22B_RINGS):
-        ring = wb.ring(spec)
-        members = zero_divisors(ring).members
-        nilp = set(ring_properties(ring).nilpotents)
-        if not all(x in nilp for x in members):
-            out.append(_skip("T2.2", spec, "part-b", "not every zero divisor is nilpotent"))
-            continue
-        if all(ring.mul_of(x, y) == 0 for x in members for y in members):
-            out.append(_skip("T2.2", spec, "part-b", "L(R)^2 = 0, belongs to part (a)"))
-            continue
-        value = wb.solve(spec, "ddim").value
-        out.append(
-            _verdict("T2.2", spec, "finite", "finite", f"finite ({value})", ok=True,
-                     note="sanity check only; finiteness is immediate for finite graphs")
-        )
+    for part, specs in [("a", params.get("rings_a", T22A_RINGS)),
+                        ("b", params.get("rings_b", T22B_RINGS))]:
+        for spec in specs:
+            ring = wb.ring(spec)
+            members = zero_divisors(ring).members
+            nilp = set(ring_properties(ring).nilpotents)
+            if not all(x in nilp for x in members):
+                reason = "not every zero divisor is nilpotent"
+            # part (a) covers L(R)^2 = 0, part (b) the rest
+            elif all(ring.mul_of(x, y) == 0 for x in members for y in members):
+                reason = None if part == "a" else "L(R)^2 = 0, belongs to part (a)"
+            else:
+                reason = "L(R)^2 != 0" if part == "a" else None
+            if reason:
+                out.append(_skip("T2.2", spec, f"part-{part}", reason))
+            elif part == "a":
+                g = wb.graph(spec)
+                complete_shape = g.size == g.order * (g.order - 1) // 2
+                note = "" if len(members) >= 3 else f"|L(R)| = {len(members)} below the stated 3"
+                out.append(
+                    _verdict("T2.2", spec, "shape", "complete", _shape_label(g),
+                             ok=complete_shape, note=note)
+                )
+                out.append(
+                    _verdict("T2.2", spec, "ddim", len(members) - 1,
+                             wb.solve(spec, "ddim").value,
+                             claimed_text=f"|L(R)| - 1 = {len(members) - 1}", note=note)
+                )
+            else:
+                value = wb.solve(spec, "ddim").value
+                out.append(
+                    _verdict("T2.2", spec, "finite", "finite", f"finite ({value})", ok=True,
+                             note="sanity check only; finiteness is immediate for finite graphs")
+                )
     return out
 
 
@@ -702,21 +649,36 @@ def _check_t24(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
     return out
 
 
-def _t26_covered(n: int) -> tuple[str, dict] | None:
-    f = _factorize(n)
+def _t26_covered(n: int) -> tuple[str, int, int] | None:
+    """Shape of n covered by T2.6 as (kind, p, q), with p < q and q = 0 for
+    prime powers; None for any other n."""
+    f = list(factorize(n))
     if len(f) == 1:
         p, e = f[0]
         if e == 1:
-            return "prime", {"p": p}
+            return "prime", p, 0
         if e == 2:
-            return "p2", {"p": p}
+            return "p2", p, 0
         if e == 3 and p == 2:
-            return "eight", {}
+            return "eight", p, 0
         return None
     if len(f) == 2 and f[0][1] == 1 and f[1][1] == 1:
         p, q = f[0][0], f[1][0]
-        return ("pq_even" if p == 2 else "pq"), {"p": p, "q": q}
+        return ("pq_even" if p == 2 else "pq"), p, q
     return None
+
+
+def _zn_ddim_claim(kind: str, p: int, q: int) -> tuple[int, str, set[str], str]:
+    """Printed ddim of Zn for a covered n that is not prime, as used by T2.6
+    and TAB1: (value, claim text, erratum tags, note)."""
+    if kind == "eight":
+        return 1, "1", {"path3"}, ""
+    if kind == "p2":
+        return p - 2, f"p - 2 = {p - 2}", set(), ""
+    text = f"p + q - 4 = {p + q - 4}"
+    if kind == "pq":
+        return p + q - 4, text, set(), ""
+    return p + q - 4, text, {"even-pq"}, "printed pq formula applied at p = 2"
 
 
 def _check_t26(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
@@ -731,7 +693,7 @@ def _check_t26(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         if cov is None:
             out.append(_skip("T2.6", instance, "ddim", "n is not of a covered shape"))
             continue
-        kind, info = cov
+        kind, p, q = cov
         if kind == "prime":
             try:
                 wb.graph(f"Zn:{n}")
@@ -742,31 +704,11 @@ def _check_t26(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
                              "undefined (empty graph)", ok=True)
                 )
             continue
-        computed = wb.solve(f"Zn:{n}", "ddim").value
-        if kind == "eight":
-            out.append(
-                _verdict("T2.6", instance, "ddim", 1, computed, tags={"path3"})
-            )
-        elif kind == "p2":
-            p = info["p"]
-            out.append(
-                _verdict("T2.6", instance, "ddim", p - 2, computed,
-                         claimed_text=f"p - 2 = {p - 2}")
-            )
-        elif kind == "pq":
-            p, q = info["p"], info["q"]
-            out.append(
-                _verdict("T2.6", instance, "ddim", p + q - 4, computed,
-                         claimed_text=f"p + q - 4 = {p + q - 4}")
-            )
-        else:  # pq_even
-            p, q = info["p"], info["q"]
-            out.append(
-                _verdict("T2.6", instance, "ddim", p + q - 4, computed,
-                         claimed_text=f"p + q - 4 = {p + q - 4}",
-                         tags={"even-pq"},
-                         note="printed pq formula applied at p = 2")
-            )
+        claimed, text, tags, note = _zn_ddim_claim(kind, p, q)
+        out.append(
+            _verdict("T2.6", instance, "ddim", claimed, wb.solve(f"Zn:{n}", "ddim").value,
+                     claimed_text=text, tags=tags, note=note)
+        )
     return out
 
 
@@ -832,10 +774,14 @@ def _check_l2121(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
 
 
 def _check_t2123(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
+    def prime_mod4(p: int, r: int) -> bool:
+        # p is prime iff its least prime factor is p itself, once
+        return next(factorize(p), None) == (p, 1) and p % 4 == r
+
     out = []
     for p in params.get("case1", wb.config.gauss_case1):
         instance = f"case=1,p={p}"
-        if not (_is_prime(p) and p % 4 == 3):
+        if not prime_mod4(p, 3):
             out.append(_skip("T2123", instance, "ddim", "p must be a prime with p = 3 mod 4"))
             continue
         spec = f"Zni:{p * p}"
@@ -849,10 +795,7 @@ def _check_t2123(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         )
     for p1, p2 in params.get("case2", wb.config.gauss_case2):
         instance = f"case=2,p1={p1},p2={p2}"
-        if not (
-            _is_prime(p1) and _is_prime(p2) and p1 != p2
-            and p1 % 4 == 3 and p2 % 4 == 3
-        ):
+        if not (prime_mod4(p1, 3) and prime_mod4(p2, 3) and p1 != p2):
             out.append(_skip("T2123", instance, "ddim",
                              "p1, p2 must be distinct primes with p = 3 mod 4"))
             continue
@@ -870,7 +813,7 @@ def _check_t2123(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
         )
     for p in params.get("case3", wb.config.gauss_case3):
         instance = f"case=3,p={p}"
-        if not (_is_prime(p) and p % 4 == 1):
+        if not prime_mod4(p, 1):
             out.append(_skip("T2123", instance, "ddim", "p must be a prime with p = 1 mod 4"))
             continue
         spec = f"Zni:{p}"
@@ -929,6 +872,20 @@ def _fmt_inv(value) -> str:
     return "undefined" if value == INF else str(int(value))
 
 
+def _row_status(verdicts: Iterable[TheoremVerdict]) -> str:
+    """Worst status of a table row's verdicts, with the id of the last
+    erratum met before any FAIL."""
+    worst = PASS
+    erratum = ""
+    for v in verdicts:
+        if v.status == FAIL:
+            worst = FAIL
+        elif v.status == ERRATUM and worst != FAIL:
+            worst = ERRATUM
+            erratum = v.erratum_id or ""
+    return worst if not erratum else f"{worst} {erratum}"
+
+
 def _table1_entries(wb: _Workbench, n_list: Iterable[int]):
     """Per-n table rows plus their verdicts."""
     entries = []
@@ -939,7 +896,7 @@ def _table1_entries(wb: _Workbench, n_list: Iterable[int]):
             entries.append(((str(n),) + ("",) * 7 + ("UNSUPPORTED",),
                             [_skip("TAB1", instance, "row", "n is not of a covered shape")]))
             continue
-        kind, info = cov
+        kind, p, q = cov
         if kind == "prime":
             try:
                 wb.graph(f"Zn:{n}")
@@ -955,30 +912,23 @@ def _table1_entries(wb: _Workbench, n_list: Iterable[int]):
         shape = _shape_label(g)
         # printed structure columns per row shape
         if kind == "p2":
-            p = info["p"]
             if p == 2:
-                expected = (1, 0, 0, INF, "K1", 0)
+                expected = (1, 0, 0, INF, "K1")
             elif p == 3:
-                expected = (2, 1, 1, INF, "K2", 1)
+                expected = (2, 1, 1, INF, "K2")
             else:
-                expected = (p - 1, (p - 1) * (p - 2) // 2, 1, 3, f"K{p - 1}", p - 2)
+                expected = (p - 1, (p - 1) * (p - 2) // 2, 1, 3, f"K{p - 1}")
         elif kind == "eight":
-            expected = (3, 2, 2, INF, "P3", 1)
+            expected = (3, 2, 2, INF, "P3")
         elif kind == "pq":
-            p, q = info["p"], info["q"]
-            expected = (p + q - 2, (p - 1) * (q - 1), 2, 4,
-                        f"K{min(p, q) - 1},{max(p, q) - 1}", p + q - 4)
+            expected = (p + q - 2, (p - 1) * (q - 1), 2, 4, f"K{p - 1},{q - 1}")
         else:  # pq_even
-            p, q = info["p"], info["q"]
             # the printed K_{q-1,p-1} shape degenerates to a star at p = 2
             star_label = fam.recognize_family(fam.generate_family(fam.star(q))).describe()
-            expected = (q, q - 1, 2, 4, star_label, q - 2)
-        ev, ee, ed, eg, eshape, eddim = expected
-        tags = set()
-        if kind == "eight":
-            tags.add("path3")
-        if kind == "pq_even":
-            tags.add("even-pq")
+            expected = (q, q - 1, 2, 4, star_label)
+        ev, ee, ed, eg, eshape = expected
+        eddim, _, tags, _ = _zn_ddim_claim(kind, p, q)
+        computed = wb.solve(f"Zn:{n}", "ddim").value
         verdicts = [
             _verdict("TAB1", instance, "V", ev, inv.order),
             _verdict("TAB1", instance, "E", ee, inv.size),
@@ -990,18 +940,8 @@ def _table1_entries(wb: _Workbench, n_list: Iterable[int]):
                      claimed_text=_fmt_inv(eg), computed_text=_fmt_inv(inv.girth),
                      tags=tags),
             _verdict("TAB1", instance, "shape", eshape, shape),
-            _verdict("TAB1", instance, "ddim", eddim, wb.solve(f"Zn:{n}", "ddim").value,
-                     tags=tags),
+            _verdict("TAB1", instance, "ddim", eddim, computed, tags=tags),
         ]
-        worst = PASS
-        erratum = ""
-        for v in verdicts:
-            if v.status == FAIL:
-                worst = FAIL
-            elif v.status == ERRATUM and worst != FAIL:
-                worst = ERRATUM
-                erratum = v.erratum_id or ""
-        status = worst if not erratum else f"{worst} {erratum}"
         row = (
             str(n),
             str(inv.order),
@@ -1009,9 +949,9 @@ def _table1_entries(wb: _Workbench, n_list: Iterable[int]):
             _fmt_inv(inv.diameter),
             _fmt_inv(inv.girth),
             shape,
-            _fmt_inv(eddim) if isinstance(eddim, (int, float)) else str(eddim),
-            str(wb.solve(f"Zn:{n}", "ddim").value),
-            status,
+            str(eddim),
+            str(computed),
+            _row_status(verdicts),
         )
         entries.append((row, verdicts))
     return entries
@@ -1041,19 +981,12 @@ def _table2_entries(wb: _Workbench):
     def add(spec: str, claimed: int, tags=()):
         dim = wb.solve(spec, "dim").value
         ddim = wb.solve(spec, "ddim").value
-        v_dim = _verdict("TAB2", spec, "dim", claimed, dim)
-        v_ddim = _verdict("TAB2", spec, "ddim", claimed, ddim, tags=tags)
-        worst = PASS
-        erratum = ""
-        for v in (v_dim, v_ddim):
-            if v.status == FAIL:
-                worst = FAIL
-            elif v.status == ERRATUM and worst != FAIL:
-                worst = ERRATUM
-                erratum = v.erratum_id or ""
-        status = worst if not erratum else f"{worst} {erratum}"
-        row = (spec, f"dim = Dim_d = {claimed}", str(dim), str(ddim), status)
-        entries.append((row, [v_dim, v_ddim]))
+        verdicts = [
+            _verdict("TAB2", spec, "dim", claimed, dim),
+            _verdict("TAB2", spec, "ddim", claimed, ddim, tags=tags),
+        ]
+        row = (spec, f"dim = Dim_d = {claimed}", str(dim), str(ddim), _row_status(verdicts))
+        entries.append((row, verdicts))
 
     for spec in P21_RINGS:
         tags = {"path3"} if _is_path3(wb.graph(spec)) else set()

@@ -267,10 +267,11 @@ def test_acceptance_10_property_suite():
         gamma = domination_number(g)
         dim = metric_dimension(g)
         ddim = dominant_metric_dimension(g)
-        # (a) twin-reduced solver equals unpruned brute force
-        assert gamma.value == oracles.brute_gamma(g)[0]
-        assert dim.value == oracles.brute_dim(g)[0]
-        assert ddim.value == oracles.brute_ddim(g)[0]
+        # (a) twin-reduced solver equals unpruned brute force, value and
+        # lex-least witness
+        assert (gamma.value, gamma.witness) == oracles.brute_gamma(g)
+        assert (dim.value, dim.witness) == oracles.brute_dim(g)
+        assert (ddim.value, ddim.witness) == oracles.brute_ddim(g)
         # (b) sandwich bound
         assert max(dim.value, gamma.value) <= ddim.value <= dim.value + gamma.value
         # (c) witness re-verification

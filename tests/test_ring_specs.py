@@ -77,3 +77,6 @@ def test_order_cap():
     assert build_ring("Zn:100", max_order=100).order == 100
     with pytest.raises(OrderCapError):
         build_ring("Zn:101", max_order=100)
+    # tables are uint16, so a raised cap still stops at 65536, before allocating
+    with pytest.raises(OrderCapError, match="above the cap 65536"):
+        build_ring("Zn:65537", max_order=100000)
