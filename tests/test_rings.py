@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from zdrlab.rings import (
@@ -39,12 +43,52 @@ AXIOM_CORPUS = [
     "cat:Zpr.r2:13",
 ] + [f"cat:{i}" for i in catalog_ids()]
 
+# Specs whose op tables are pinned in golden/ring_tables.json: the axiom corpus
+# plus large Zn/Zni tables, GF orders whose modulus comes from the fallback
+# search, and a catalog ring above EXHAUSTIVE_AXIOM_LIMIT (sampled axiom check).
+TABLE_SPECS = AXIOM_CORPUS + [
+    "Zn:2048",
+    "Zni:45",
+    "Zni:49",
+    "GF:121",
+    "GF:125",
+    "GF:169",
+    "GF:343",
+    "GF:1331",
+    "cat:Zpr.r2:17",
+]
+
+GOLDEN_TABLES = Path(__file__).parent / "golden" / "ring_tables.json"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def table_digest(ring) -> dict:
+    """Order, unity and sha256 of the add/mul table bytes and the labels."""
+    return {
+        "order": ring.order,
+        "one": ring.one,
+        "add": _sha(ring.add.tobytes()),
+        "mul": _sha(ring.mul.tobytes()),
+        "labels": _sha("\n".join(ring.labels).encode()),
+    }
+
 
 @pytest.mark.parametrize("spec", AXIOM_CORPUS)
 def test_ring_axioms_exhaustive(spec):
     ring = build_ring(spec)
     assert ring.order <= 256
     assert ring_axiom_failures(ring) == []
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_ring_tables_match_golden(spec):
+    golden = json.loads(GOLDEN_TABLES.read_text(encoding="utf-8"))
+    ring = build_ring(spec)
+    assert ring.add.dtype == ring.mul.dtype == "uint16"
+    assert table_digest(ring) == golden[spec]
 
 
 def test_cut_vertex_entries_present():
