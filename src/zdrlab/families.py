@@ -126,22 +126,11 @@ def recognize_family(g: ZDGraph) -> FamilyId | None:
 
 
 def _bipartition(g: ZDGraph) -> tuple[list[int], list[int]] | None:
-    color = [-1] * g.order
-    color[0] = 0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in g.neighbors(u):
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    return [v for v in range(g.order) if color[v] == 0], [
-        v for v in range(g.order) if color[v] == 1
-    ]
+    """Sides by BFS distance parity from vertex 0; g must be connected."""
+    odd = [d % 2 for d in g.dist[0]]
+    if any(odd[u] == odd[v] for u, v in g.edges()):
+        return None
+    return [v for v in range(g.order) if not odd[v]], [v for v in range(g.order) if odd[v]]
 
 
 @dataclass(frozen=True)

@@ -169,13 +169,10 @@ def graph_invariants(g: ZDGraph) -> GraphInvariants:
     degrees = [g.degree(v) for v in range(n)]
     if n == 0:
         return GraphInvariants(0, 0, 0, INF, 0, 0, (), ())
-    finite = [d for row in g.dist for d in row if d >= 0]
-    disconnected = any(d < 0 for row in g.dist for d in row)
-    diameter = INF if disconnected else float(max(finite))
     return GraphInvariants(
         order=n,
         size=g.size,
-        diameter=diameter if diameter == INF else int(diameter),
+        diameter=INF if not g.is_connected else max(map(max, g.dist)),
         girth=_girth(g),
         clique_number=_clique_number(g),
         max_degree=max(degrees),

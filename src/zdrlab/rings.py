@@ -9,9 +9,11 @@ graph construction) is an exact table scan.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -101,6 +103,7 @@ def _parse_spec(text: str, pos: int) -> tuple[RingSpec, int]:
         return RingSpec(Family.ZN, n=n), pos
     if text.startswith("GF:", pos):
         q, pos = _parse_int(text, pos + 3)
+        _check_order(f"GF:{q}", q)
         pk = _prime_power(q)
         if pk is None:
             raise SpecSyntaxError(text, pos, f"GF base {q} is not a prime power")
@@ -155,6 +158,13 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
         p += 1
     if n > 1:
         yield n, 1
+
+
+def _check_order(name: str, order: int, cap: int = MAX_TABLE_ORDER) -> None:
+    # Spec parsing calls this before factoring, so a huge GF or Zpr.r2 base
+    # fails here instead of in trial division.
+    if order > cap:
+        raise OrderCapError(f"{name} has order {order}, above the cap {cap}")
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -212,13 +222,7 @@ def spec_order(spec: RingSpec) -> int:
         return spec.n
     if spec.family is Family.PRODUCT:
         return spec_order(spec.children[0]) * spec_order(spec.children[1])
-    entry = _resolve_catalog(spec.catalog_id)
-    if entry is None:
-        raise CatalogError(f"unknown catalog id {spec.catalog_id!r}")
-    order = 1
-    for m in entry.moduli:
-        order *= m
-    return order
+    return math.prod(_structure_entry(spec).moduli)
 
 
 def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -226,19 +230,11 @@ def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> Fini
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
     order = spec_order(spec)
-    cap = min(max_order, MAX_TABLE_ORDER)
-    if order > cap:
-        raise OrderCapError(f"{spec.to_text()} has order {order}, above the cap {cap}")
-    if spec.family is Family.ZN:
-        labels, add, mul, one = _build_zn(spec.n)
-    elif spec.family is Family.ZN_GAUSS:
-        labels, add, mul, one = _build_gauss(spec.n)
-    elif spec.family is Family.GF:
-        labels, add, mul, one = _build_gf(spec.n)
-    elif spec.family is Family.PRODUCT:
+    _check_order(spec.to_text(), order, min(max_order, MAX_TABLE_ORDER))
+    if spec.family is Family.PRODUCT:
         labels, add, mul, one = _build_product(spec, max_order)
     else:
-        labels, add, mul, one = _build_catalog(spec.catalog_id)
+        labels, add, mul, one = _build_structure(_structure_entry(spec))
     ring = FiniteRing(
         spec=spec,
         order=order,
@@ -256,120 +252,17 @@ def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> Fini
     return ring
 
 
-def _build_zn(n: int):
-    idx = np.arange(n, dtype=np.int32)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
-    return [str(i) for i in range(n)], add, mul, 1
-
-
-def _build_gauss(n: int):
-    # element a + b*i at index a + b*n; i**2 = -1
-    # int32 throughout: n <= 64 keeps every intermediate below 2**31
-    idx = np.arange(n * n, dtype=np.int32)
-    a = idx % n
-    b = idx // n
-    real = (a[:, None] * a[None, :] - b[:, None] * b[None, :]) % n
-    imag = (a[:, None] * b[None, :] + b[:, None] * a[None, :]) % n
-    mul = real + n * imag
-    add = ((a[:, None] + a[None, :]) % n) + n * ((b[:, None] + b[None, :]) % n)
-    # index = a + b*n, so iterate b outer, a inner
-    labels = [_gauss_label(aa, bb) for bb in range(n) for aa in range(n)]
-    return labels, add, mul, 1
-
-
-def _gauss_label(a: int, b: int) -> str:
-    if b == 0:
-        return str(a)
-    imag = "i" if b == 1 else f"{b}i"
-    if a == 0:
-        return imag
-    return f"{a}+{imag}"
-
-
-# Fixed irreducible polynomials (coefficients little-endian, monic, the x**k
-# coefficient omitted): f(x) = x**k + sum(c_i x**i).
-_GF_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1),      # x^2 + x + 1
-    (2, 3): (1, 1, 0),   # x^3 + x + 1
-    (3, 2): (1, 0),      # x^2 + 1
-    (3, 3): (1, 2, 0),   # x^3 + 2x + 1
-    (5, 2): (2, 0),      # x^2 + 2
-    (7, 2): (1, 0),      # x^2 + 1
-}
-
-
 def _gf_modulus(p: int, k: int) -> tuple[int, ...]:
-    poly = _GF_POLYS.get((p, k))
-    if poly is not None:
-        if _poly_has_root(poly, p, k):
-            raise RingError(f"fixed GF({p}^{k}) modulus is reducible")  # pragma: no cover
-        return poly
-    # Deterministic fallback: smallest coefficient tuple with no root.
-    # For k <= 3 rootlessness is equivalent to irreducibility.
+    """Low coefficients of the GF(p^k) modulus x**k + sum(c_i x**i), k in 2..3.
+
+    The smallest coefficient tuple (little-endian) with no root; for k <= 3
+    rootlessness is equivalent to irreducibility.
+    """
     for code in range(p**k):
-        cand = tuple((code // p**i) % p for i in range(k))
-        if not _poly_has_root(cand, p, k):
-            return cand
+        low = tuple((code // p**i) % p for i in range(k))
+        if all((a**k + sum(c * a**i for i, c in enumerate(low))) % p != 0 for a in range(p)):
+            return low
     raise RingError(f"no irreducible polynomial found for GF({p}^{k})")  # pragma: no cover
-
-
-def _poly_has_root(low: tuple[int, ...], p: int, k: int) -> bool:
-    for a in range(p):
-        acc = pow(a, k, p)
-        for i, c in enumerate(low):
-            acc = (acc + c * pow(a, i, p)) % p
-        if acc == 0:
-            return True
-    return False
-
-
-def _build_gf(q: int):
-    p, k = _prime_power(q)  # validated at parse time
-    if k == 1:
-        labels, add, mul, one = _build_zn(p)
-        return labels, add, mul, one
-    low = _gf_modulus(p, k)
-    # reduction of x^d for d = k .. 2k-2
-    red: dict[int, list[int]] = {k: [(-c) % p for c in low]}
-    for d in range(k + 1, 2 * k - 1):
-        prev = red[d - 1]
-        shifted = [0] + prev[:-1]
-        carry = prev[-1]
-        red[d] = [(shifted[i] + carry * red[k][i]) % p for i in range(k)]
-
-    def decode(x: int) -> list[int]:
-        return [(x // p**i) % p for i in range(k)]
-
-    def encode(c: list[int]) -> int:
-        return sum(ci * p**i for i, ci in enumerate(c))
-
-    n = q
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    coeffs = [decode(x) for x in range(n)]
-    for x in range(n):
-        cx = coeffs[x]
-        for y in range(x, n):
-            cy = coeffs[y]
-            s = [(cx[i] + cy[i]) % p for i in range(k)]
-            add[x, y] = add[y, x] = encode(s)
-            conv = [0] * (2 * k - 1)
-            for i in range(k):
-                if cx[i] == 0:
-                    continue
-                for j in range(k):
-                    conv[i + j] += cx[i] * cy[j]
-            res = [conv[i] % p for i in range(k)]
-            for d in range(k, 2 * k - 1):
-                c = conv[d] % p
-                if c:
-                    rd = red[d]
-                    res = [(res[i] + c * rd[i]) % p for i in range(k)]
-            mul[x, y] = mul[y, x] = encode(res)
-    basis = ["1", "w", "w^2"][:k]
-    labels = [_term_label(coeffs[x], basis) for x in range(n)]
-    return labels, add, mul, 1
 
 
 def _term_label(coeffs: Iterable[int], basis: tuple[str, ...] | list[str]) -> str:
@@ -418,6 +311,7 @@ class CatalogEntry:
     coefficient tuple.  Entries flagged ``cut_vertex_claim`` additionally
     promise a zero-divisor graph with a cut vertex and no degree-1 vertex;
     that promise is validated by the verification suite, not at build time.
+    Zn, Zni and GF specs are described by entries too (``_structure_entry``).
     """
 
     entry_id: str
@@ -512,72 +406,90 @@ def _resolve_catalog(entry_id: str) -> CatalogEntry | None:
         tail = entry_id[len(_PARAM_PREFIX):]
         if tail.isdigit():
             p = int(tail)
+            _check_order(f"cat:{entry_id}", p * p)
             if _prime_power(p) == (p, 1):
                 return CatalogEntry(entry_id, (p, p), ("1", "r"), {(1, 1): _z(2)},
                                     note=f"Z{p} adjoin r with r^2 = 0")
     return None
 
 
-def _build_catalog(entry_id: str):
-    entry = _resolve_catalog(entry_id)
+def _structure_entry(spec: RingSpec) -> CatalogEntry:
+    """A non-product spec as coefficients over a basis with fixed products."""
+    name = spec.to_text()
+    if spec.family is Family.ZN:
+        return CatalogEntry(name, (spec.n,), ("1",), {})
+    if spec.family is Family.ZN_GAUSS:
+        n = spec.n
+        return CatalogEntry(name, (n, n), ("1", "i"), {(1, 1): (n - 1, 0)})
+    if spec.family is Family.GF:
+        return _gf_entry(spec.n)
+    entry = _resolve_catalog(spec.catalog_id)
     if entry is None:
-        raise CatalogError(f"unknown catalog id {entry_id!r}")
+        raise CatalogError(f"unknown catalog id {spec.catalog_id!r}")
+    return entry
+
+
+def _gf_entry(q: int) -> CatalogEntry:
+    """GF(p^k) as Z_p adjoin a root w of the modulus; GF(p) is Z_p."""
+    p, k = _prime_power(q)  # validated at parse time
+    low = _gf_modulus(p, k) if k > 1 else ()
+    # powers[d] = w**d, reduced by w**k = -sum(c_i w**i) for d >= k
+    powers = [tuple(int(i == d) for i in range(k)) for d in range(k)]
+    for _ in range(k, 2 * k - 1):
+        prev = powers[-1]
+        powers.append(tuple((s - prev[-1] * c) % p for s, c in zip((0,) + prev[:-1], low)))
+    table = {(i, j): powers[i + j] for i in range(1, k) for j in range(i, k)}
+    return CatalogEntry(f"GF:{q}", (p,) * k, ("1", "w", "w^2")[:k], table)
+
+
+def _build_structure(entry: CatalogEntry):
+    """Op tables of the ring an entry describes, one outer product per term.
+
+    Element x has coefficient (x // prod(moduli[:t])) % moduli[t] on basis[t],
+    so index 1 is the unity. Coordinate t of x*y is the sum over basis pairs
+    (i, j) of w_t * c_i(x) * c_j(y), reduced mod moduli[t], where
+    basis[i] * basis[j] = sum_t w_t basis[t].
+    """
     moduli = entry.moduli
     k = len(moduli)
-    order = 1
-    for m in moduli:
-        order *= m
-
-    def decode(x: int) -> tuple[int, ...]:
-        out = []
-        for m in moduli:
-            out.append(x % m)
-            x //= m
-        return tuple(out)
-
-    def encode(c: Iterable[int]) -> int:
-        x = 0
-        scale = 1
-        for ci, m in zip(c, moduli):
-            x += (ci % m) * scale
-            scale *= m
-        return x
-
-    elements = [decode(x) for x in range(order)]
-
-    def mul_coeffs(cx, cy) -> tuple[int, ...]:
-        res = [0] * k
-        for i in range(k):
-            if cx[i] == 0:
-                continue
-            for j in range(k):
-                s = cx[i] * cy[j]
-                if s == 0:
-                    continue
-                if i == 0 and j == 0:
-                    res[0] += s
-                elif i == 0:
-                    res[j] += s
-                elif j == 0:
-                    res[i] += s
-                else:
-                    prod = entry.table[(min(i, j), max(i, j))]
-                    for t in range(k):
-                        res[t] += s * prod[t]
-        return tuple(res[t] % moduli[t] for t in range(k))
-
-    add = np.zeros((order, order), dtype=np.int64)
-    mul = np.zeros((order, order), dtype=np.int64)
-    for x in range(order):
-        cx = elements[x]
-        for y in range(x, order):
-            cy = elements[y]
-            s = encode(tuple((cx[t] + cy[t]) % moduli[t] for t in range(k)))
-            add[x, y] = add[y, x] = s
-            m = encode(mul_coeffs(cx, cy))
-            mul[x, y] = mul[y, x] = m
-    labels = [_term_label(elements[x], entry.basis) for x in range(order)]
+    unit = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+    consts = {
+        (i, j): unit[i + j] if i == 0 or j == 0 else entry.table[min(i, j), max(i, j)]
+        for i in range(k)
+        for j in range(k)
+    }
+    # int32 unless a coordinate sum before reduction can reach 2**31
+    bound = max(
+        sum(abs(w[t]) * (moduli[i] - 1) * (moduli[j] - 1) for (i, j), w in consts.items())
+        for t in range(k)
+    )
+    dtype = np.int32 if bound < 2**31 else np.int64
+    scales = [math.prod(moduli[:t]) for t in range(k)]
+    idx = np.arange(math.prod(moduli), dtype=dtype)
+    coeffs = [idx // s % m for s, m in zip(scales, moduli)]
+    add = _sum_in_place(
+        _coordinate([np.add.outer(c, c)], m, s) for c, s, m in zip(coeffs, scales, moduli)
+    )
+    mul = _sum_in_place(
+        _coordinate((np.multiply.outer(w[t] * coeffs[i], coeffs[j])
+                     for (i, j), w in consts.items() if w[t]), m, s)
+        for t, (s, m) in enumerate(zip(scales, moduli))
+    )
+    labels = [_term_label(c, entry.basis) for c in zip(*(c.tolist() for c in coeffs))]
     return labels, add, mul, 1
+
+
+def _sum_in_place(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of arrays, accumulated in the first one's buffer."""
+    return reduce(lambda total, a: np.add(total, a, out=total), arrays)
+
+
+def _coordinate(terms: Iterable[np.ndarray], m: int, scale: int) -> np.ndarray:
+    """One coordinate's share of the element index: scale * (sum(terms) mod m)."""
+    total = _sum_in_place(terms)
+    total %= m
+    total *= scale
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -658,16 +570,19 @@ def annihilator(ring: FiniteRing, x: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class RingProps:
     is_field: bool
-    is_integral_domain: bool
     is_local: bool
     is_reduced: bool
     nilpotents: tuple[int, ...]
+
+    @property
+    def is_integral_domain(self) -> bool:
+        """A finite integral domain is a field, so this is ``is_field``."""
+        return self.is_field
 
 
 def ring_properties(ring: FiniteRing) -> RingProps:
     """Algebraic predicates, computed exhaustively from the tables."""
     zds = zero_divisors(ring)
-    is_domain = not zds.members
     # In a finite commutative ring every element is 0, a unit, or a zero
     # divisor, so non-units are exactly {0} together with L(R).
     nonunits = np.zeros(ring.order, dtype=bool)
@@ -684,8 +599,7 @@ def ring_properties(ring: FiniteRing) -> RingProps:
     nilpotents = tuple(int(x) for x in np.flatnonzero(power == 0))
 
     return RingProps(
-        is_field=is_domain,
-        is_integral_domain=is_domain,
+        is_field=not zds.members,
         is_local=closed,
         is_reduced=nilpotents == (0,),
         nilpotents=nilpotents,

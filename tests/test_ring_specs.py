@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import zdrlab
 from zdrlab.rings import (
     Family,
     OrderCapError,
@@ -80,3 +86,18 @@ def test_order_cap():
     # tables are uint16, so a raised cap still stops at 65536, before allocating
     with pytest.raises(OrderCapError, match="above the cap 65536"):
         build_ring("Zn:65537", max_order=100000)
+
+
+@pytest.mark.parametrize(
+    "text", ["GF:1000000000000000003", "cat:Zpr.r2:1000000000000000003"]
+)
+def test_huge_prime_base_rejected_before_factoring(text):
+    # Trial division on a prime near 1e18 would run for minutes, so the CLI
+    # runs in a subprocess whose timeout fails the test instead of hanging it.
+    env = dict(os.environ, PYTHONPATH=str(Path(zdrlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdrlab.cli", "ring", "describe", text],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "above the cap 65536" in proc.stderr
