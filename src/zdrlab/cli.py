@@ -152,7 +152,8 @@ def dims() -> None:
 @click.option("--budget-ms", type=float, default=None,
               help=f"time cap in milliseconds (default: {BUDGET_ENV_VAR} env var)")
 @click.option("--budget-checks", type=int, default=None,
-              help="cap on candidate-set checks")
+              help="cap on checks: nodes of the search tree, one per partial "
+                   "or full candidate set visited")
 def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budget_checks):
     """Solve gamma, dim, and ddim with witnesses on a ring spec or graph file."""
     if (spec is None) == (graph_file is None):

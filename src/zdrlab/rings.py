@@ -133,12 +133,17 @@ def _parse_spec(text: str, pos: int) -> tuple[RingSpec, int]:
 
 
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
+    # ASCII digits only: str.isdigit also accepts superscripts and other
+    # scripts' digits, which int() rejects or reads as ASCII.
     end = pos
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and "0" <= text[end] <= "9":
         end += 1
     if end == pos:
         raise SpecSyntaxError(text, pos, "expected an integer")
-    return int(text[pos:end]), end
+    try:
+        return int(text[pos:end]), end
+    except ValueError:  # more digits than int() converts
+        raise SpecSyntaxError(text, pos, f"integer of {end - pos} digits is too long") from None
 
 
 def factorize(n: int) -> Iterator[tuple[int, int]]:
@@ -404,8 +409,8 @@ def _resolve_catalog(entry_id: str) -> CatalogEntry | None:
         return entry
     if entry_id.startswith(_PARAM_PREFIX):
         tail = entry_id[len(_PARAM_PREFIX):]
-        if tail.isdigit():
-            p = int(tail)
+        if tail.isascii() and tail.isdigit():
+            p = _parse_int(tail, 0)[0]
             _check_order(f"cat:{entry_id}", p * p)
             if _prime_power(p) == (p, 1):
                 return CatalogEntry(entry_id, (p, p), ("1", "r"), {(1, 1): _z(2)},

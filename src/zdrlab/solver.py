@@ -1,18 +1,21 @@
 """Exact solvers for domination number, metric dimension, and dominant
 metric dimension.
 
-All three searches enumerate candidate vertex sets in increasing cardinality
-and lexicographic order, so the first hit is a minimum-cardinality witness
-and, among those, the lexicographically least. Resolving-set searches prune
-with distance-twin classes: any resolving set must contain all but at most
-one vertex of each twin class, which both raises the starting cardinality
-and filters candidates. No heuristic answer is ever returned; if the
+All three run one search kernel, ``_search``: for each cardinality in
+increasing order, a depth-first search that picks vertices in increasing
+index order, so the first hit is a minimum-cardinality witness and, among
+those, the lexicographically least. Resolving-set searches work over the
+distance-twin quotient: a resolving set misses at most one vertex of each
+twin class, and swapping twins is an automorphism, so the lex-least witness
+holds every class member but the largest (the base) and the search only
+picks among the classes' largest members (the tops). Searches for
+dominating sets cut branches that can no longer dominate. One check is one
+node of the search tree. No heuristic answer is ever returned; if the
 configured budget runs out the search raises instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -52,6 +55,14 @@ class _Clock:
         self.checks = 0
         self.start = time.monotonic()
         self.cardinality = 0
+
+    def begin(self, cardinality: int) -> None:
+        """Start a cardinality; the time cap is checked here as well as
+        every 1024 ticks, so short searches honour it too."""
+        self.cardinality = cardinality
+        b = self.budget
+        if b.max_ms is not None and self.elapsed_ms > b.max_ms:
+            raise BudgetExceededError(self.quantity, cardinality, self.checks)
 
     def tick(self) -> None:
         self.checks += 1
@@ -174,28 +185,92 @@ def twin_classes(g: ZDGraph) -> TwinPartition:
 
 def _search(
     g: ZDGraph,
-    quantity: str,
-    k_start: int,
-    accept,
     clock: _Clock,
-    class_masks: list[int] | None = None,
+    tops: tuple[int, ...],
+    base: tuple[int, ...] = (),
+    resolve: bool = False,
+    dominate: bool = False,
 ) -> tuple[int, tuple[int, ...]]:
-    """Increasing-cardinality lexicographic subset search."""
+    """Least set of ``base`` plus some ``tops`` that resolves and/or dominates.
+
+    Cardinalities k start at the bounds the set must meet: 1, |base| and,
+    for a dominating set, n / (max degree + 1). For each k a depth-first
+    search picks k - |base| of ``tops`` in increasing order, so full-size
+    leaves come in the order of ``combinations(tops, k - |base|)`` and the
+    first accepted leaf is the lex-least witness of the least size. Each
+    node visited, root included, is one check. When the set must
+    dominate, a node's children stop at the first top from which on some
+    undominated vertex lies outside the closed neighbourhoods of every top
+    still available (``beyond``, the complement of their suffix OR), and a
+    node is cut when more vertices are undominated than the picks left can
+    cover. The resolving test runs at full-size leaves only. The stack is
+    explicit, so the depth is not bounded by Python's recursion limit.
+    """
     n = g.order
-    for k in range(max(k_start, 0), n + 1):
-        clock.cardinality = k
-        for cand in itertools.combinations(range(n), k):
+    closed = [g.adj[v] | 1 << v for v in range(n)]
+    m = len(tops)
+    beyond = [-1] * (m + 1)  # beyond[i]: vertices no top in tops[i:] covers
+    for i in range(m - 1, -1, -1):
+        beyond[i] = beyond[i + 1] & ~closed[tops[i]]
+    spread = max(map(int.bit_count, closed))  # max degree + 1
+    # vertices still undominated; nothing needs dominating for dim alone
+    open_base = 0
+    if dominate:
+        open_base = (1 << n) - 1
+        for v in base:
+            open_base &= ~closed[v]
+
+    # each vertex's distance vector to the base, numbered; a leaf resolves
+    # when these numbers and the distances to its picks tell all n apart
+    ids: dict[tuple[int, ...], int] = {}
+    base_ids = [ids.setdefault(vec, len(ids)) for vec in zip(*(g.dist[v] for v in base))]
+    base_ids = base_ids or [0] * n
+    top_rows = [g.dist[t] for t in tops]
+
+    def accepted(picks: list[int]) -> tuple[int, ...] | None:
+        if resolve and len(set(zip(base_ids, *(top_rows[i] for i in picks)))) < n:
+            return None
+        return tuple(sorted(base + tuple(tops[i] for i in picks)))
+
+    k_start = max(1, len(base), math.ceil(n / spread) if dominate else 0)
+    for k in range(k_start, n + 1):
+        clock.begin(k)
+        need = k - len(base)
+        clock.tick()
+        if open_base.bit_count() > need * spread:
+            continue
+        if need == 0:
+            if (witness := accepted([])) is not None:
+                return k, witness
+            continue
+        picks: list[int] = []
+        opens = [open_base]
+        nexts = [0]  # nexts[d]: the next top index to try as pick d
+        while nexts:
+            d = len(nexts) - 1
+            i = nexts[d]
+            open_ = opens[d]
+            if i > m - (need - d) or open_ & beyond[i]:
+                nexts.pop()
+                opens.pop()
+                if picks:
+                    picks.pop()
+                continue
+            nexts[d] = i + 1
             clock.tick()
-            if class_masks is not None:
-                smask = 0
-                for v in cand:
-                    smask |= 1 << v
-                # a resolving set misses at most one vertex per twin class
-                if any((cm & ~smask).bit_count() > 1 for cm in class_masks):
-                    continue
-            if accept(cand):
-                return k, cand
-    raise AssertionError(f"{quantity} search failed on the full vertex set")  # pragma: no cover
+            open_ &= ~closed[tops[i]]
+            left = need - d - 1
+            if open_.bit_count() > left * spread:
+                continue
+            picks.append(i)
+            if left == 0:
+                if (witness := accepted(picks)) is not None:
+                    return k, witness
+                picks.pop()
+                continue
+            opens.append(open_)
+            nexts.append(i + 1)
+    raise AssertionError(f"{clock.quantity} search failed on the full vertex set")  # pragma: no cover
 
 
 def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
@@ -203,11 +278,7 @@ def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResul
     if g.order == 0:
         raise ValueError("domination number of the empty graph is undefined")
     clock = _Clock("gamma", budget)
-    max_degree = max(g.degree(v) for v in range(g.order))
-    k_start = max(1, math.ceil(g.order / (max_degree + 1)))
-    value, witness = _search(
-        g, "gamma", k_start, lambda s: is_dominating(g, s), clock
-    )
+    value, witness = _search(g, clock, tuple(range(g.order)), dominate=True)
     return QuantityResult(value, witness, "exhaustive", clock.elapsed_ms, clock.checks)
 
 
@@ -218,17 +289,13 @@ def _require_connected(g: ZDGraph, what: str) -> None:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
-def _twin_setup(g: ZDGraph) -> tuple[TwinPartition, list[int], str]:
-    part = twin_classes(g)
-    masks = []
-    for cls in part.classes:
-        if len(cls) >= 2:
-            m = 0
-            for v in cls:
-                m |= 1 << v
-            masks.append(m)
-    method = "twin_reduced" if masks else "exhaustive"
-    return part, masks, method
+def _twin_setup(g: ZDGraph) -> tuple[tuple[int, ...], tuple[int, ...], str]:
+    """The base (every twin class but its largest member), the tops (each
+    class's largest member) and the method label."""
+    classes = twin_classes(g).classes
+    base = tuple(sorted(v for cls in classes for v in cls[:-1]))
+    tops = tuple(sorted(cls[-1] for cls in classes))
+    return base, tops, "twin_reduced" if base else "exhaustive"
 
 
 def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
@@ -237,11 +304,8 @@ def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult
     clock = _Clock("dim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "exhaustive", clock.elapsed_ms, 0)
-    part, masks, method = _twin_setup(g)
-    k_start = max(1, part.lower_bound())
-    value, witness = _search(
-        g, "dim", k_start, lambda s: is_resolving(g, s), clock, masks
-    )
+    base, tops, method = _twin_setup(g)
+    value, witness = _search(g, clock, tops, base, resolve=True)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
@@ -255,17 +319,8 @@ def dominant_metric_dimension(g: ZDGraph, budget: Budget | None = None) -> Quant
     clock = _Clock("ddim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "convention", clock.elapsed_ms, 0)
-    part, masks, method = _twin_setup(g)
-    max_degree = max(g.degree(v) for v in range(g.order))
-    k_start = max(1, part.lower_bound(), math.ceil(g.order / (max_degree + 1)))
-    value, witness = _search(
-        g,
-        "ddim",
-        k_start,
-        lambda s: is_resolving(g, s) and is_dominating(g, s),
-        clock,
-        masks,
-    )
+    base, tops, method = _twin_setup(g)
+    value, witness = _search(g, clock, tops, base, resolve=True, dominate=True)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 

@@ -39,6 +39,22 @@ def test_ring_describe_invalid(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "Zn:" + "9" * 5000,  # more digits than int() converts
+        "cat:Zpr.r2:" + "9" * 5000,
+        "Zn:²",  # superscript two: str.isdigit accepts it, int() does not
+        "Zn:١٢",  # Arabic-Indic 12, which int() would read as 12
+    ],
+    ids=["5000-digits", "catalog-5000-digits", "superscript", "arabic-indic"],
+)
+def test_ring_describe_rejects_non_ascii_or_huge_integers(runner, spec):
+    result = runner.invoke(main, ["ring", "describe", spec])
+    assert result.exit_code == 2
+    assert "bad ring spec" in result.output
+
+
 def test_graph_build_edgelist(runner):
     result = runner.invoke(main, ["graph", "build", "Zn:6", "--format", "edgelist"])
     assert result.exit_code == 0

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from zdrlab.families import (
@@ -8,7 +10,7 @@ from zdrlab.families import (
     path,
     star,
 )
-from zdrlab.graphs import build_zdgraph, graph_from_edges
+from zdrlab.graphs import ZDGraph, build_zdgraph, graph_from_edges
 from zdrlab.rings import build_ring
 from zdrlab.solver import (
     Budget,
@@ -182,3 +184,71 @@ def test_large_bipartite_twin_reduction():
     assert res.checks < 100_000
     res = dominant_metric_dimension(g)
     assert res.value == 54
+
+
+def test_deep_gamma_on_edgeless_graph():
+    # every vertex is its own pick: a 3000-deep search path
+    g = graph_from_edges(3000, [])
+    res = domination_number(g, Budget(max_checks=10_000))
+    assert (res.value, res.witness) == (3000, tuple(range(3000)))
+    assert res.checks == 3001
+
+
+def _long_path(n: int) -> ZDGraph:
+    # distances from the formula: all-pairs BFS on a long path is slow
+    return ZDGraph(
+        order=n,
+        labels=tuple(map(str, range(n))),
+        external_ids=tuple(range(n)),
+        adj=tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n)),
+        dist=tuple(tuple(range(v, 0, -1)) + tuple(range(n - v)) for v in range(n)),
+    )
+
+
+def test_deep_ddim_on_long_path():
+    # P_3003 has no twins, so all 1001 picks are tops; any two vertices
+    # resolve a path, so ddim = gamma = n / 3 and the bound k = n / (Δ+1)
+    # is met by the first leaf the reach and count cuts let through
+    g = _long_path(3003)
+    res = dominant_metric_dimension(g, Budget(max_checks=20_000))
+    assert (res.value, res.witness) == (1001, tuple(range(1, 3003, 3)))
+    assert res.method == "exhaustive"
+
+
+@functools.cache
+def _ring_graph(spec: str) -> ZDGraph:
+    return build_zdgraph(build_ring(spec))
+
+
+# (quantity, spec, value, size the previous exhaustive search reached
+# without a hit, check budget). The sizes come from budget-outs of the
+# combinations search, which had ruled out every smaller size; the values
+# lie past that frontier.
+LARGE_RING_CASES = [
+    ("gamma", "Zn:210", 4, 4, 1_000_000),
+    ("dim", "Zn:128", 57, 57, 1_000),
+    ("dim", "Zni:25", 217, 217, 1_000),
+    ("ddim", "Zn:60", 34, 33, 1_000),
+    ("ddim", "prod:(Zn:8,Zn:27)", 130, 129, 1_000),
+    ("ddim", "Zn:1024", 503, 502, 1_000),
+    ("dim", "Zn:2310", 1799, 1799, 1_000),
+    ("ddim", "Zn:2310", 1800, 1799, 1_000),
+]
+
+
+@pytest.mark.parametrize(
+    "quantity, spec, value, reached, max_checks",
+    LARGE_RING_CASES,
+    ids=[f"{q}-{s}" for q, s, *_ in LARGE_RING_CASES],
+)
+def test_large_ring_values(quantity, spec, value, reached, max_checks):
+    g = _ring_graph(spec)
+    res = getattr(solve_dimensions(g, quantity, Budget(max_checks=max_checks)), quantity)
+    assert res.value == value >= reached
+    assert len(res.witness) == value
+    if quantity != "dim":
+        assert oracles.dominating_def(oracles.neighbor_sets(g), g.order, res.witness)
+    if quantity != "gamma":
+        assert oracles.resolving_def(g.dist, g.order, res.witness)
+    if quantity == "gamma":
+        assert res.witness == (22, 31, 53, 80)

@@ -37,9 +37,24 @@ def gnp_graphs(draw, max_n=12):
     return graph_from_edges(n, edges)
 
 
-@SETTINGS
-@given(g=connected_graphs())
-def test_solver_matches_brute_force(g):
+@st.composite
+def blown_up_graphs(draw):
+    """A connected graph of order 2-4 with each vertex blown up into a
+    clique or an independent set of 1-3 twins, labels shuffled: order at
+    most 12, with twin classes of two or more vertices."""
+    base = draw(connected_graphs(max_n=4))
+    groups, n = [], 0
+    for _ in range(base.order):
+        size = draw(st.integers(min_value=1, max_value=3))
+        groups.append((range(n, n + size), draw(st.booleans())))
+        n += size
+    edges = [(u, v) for vs, clique in groups if clique for u in vs for v in vs if u < v]
+    edges += [(u, v) for a, b in base.edges() for u in groups[a][0] for v in groups[b][0]]
+    perm = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _assert_matches_brute_force(g):
     # same value and the same lex-least witness
     for solve, brute in [
         (domination_number, oracles.brute_gamma),
@@ -48,6 +63,18 @@ def test_solver_matches_brute_force(g):
     ]:
         res = solve(g)
         assert (res.value, res.witness) == brute(g)
+
+
+@SETTINGS
+@given(g=connected_graphs())
+def test_solver_matches_brute_force(g):
+    _assert_matches_brute_force(g)
+
+
+@SETTINGS
+@given(g=blown_up_graphs())
+def test_solver_matches_brute_force_on_twin_rich_graphs(g):
+    _assert_matches_brute_force(g)
 
 
 @SETTINGS
