@@ -1,9 +1,11 @@
 """Zero-divisor graphs and their classical invariants.
 
 A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
-bitsets and a full BFS distance matrix (-1 marks unreachable pairs). Graphs
-come from three sources: zero-divisor graphs of rings, generated named
-families, and parsed edge-list files.
+bitsets and a full distance matrix (-1 marks unreachable pairs). The matrix
+takes one bitset BFS per distance-twin class, not one per vertex: twins have
+equal rows outside their own class. Graphs come from three sources:
+zero-divisor graphs of rings, generated named families, and parsed
+edge-list files.
 """
 
 from __future__ import annotations
@@ -74,25 +76,67 @@ def _bits(mask: int):
         mask ^= low
 
 
+def neighbourhood_twin_classes(adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Distance-twin classes keyed by neighbourhood, in one pass.
+
+    u and v are twins exactly when N(u) = N(v) or N[u] = N[v] (Hernando,
+    Mora, Pelayo, Seara and Wood, EJC 17, 2010), so each vertex joins the
+    class whose founder has its open or its closed neighbourhood. N(w) =
+    N[v] is impossible (v in N(w) puts w in N(v), so w in N(w)), so one
+    dict holds both keys. Classes come out ordered by least member.
+    """
+    by_key: dict[int, list[int]] = {}
+    classes: list[list[int]] = []
+    for v, nbrs in enumerate(adj):
+        open_key, closed_key = nbrs, nbrs | 1 << v
+        cls = by_key.get(open_key) or by_key.get(closed_key)
+        if cls is None:
+            cls = by_key[open_key] = by_key[closed_key] = []
+            classes.append(cls)
+        cls.append(v)
+    return tuple(tuple(c) for c in classes)
+
+
+def _bfs_row(order: int, adj: Sequence[int], s: int) -> list[int]:
+    """Distances from ``s`` by a bitset BFS, -1 where unreachable."""
+    dist = [-1] * order
+    dist[s] = 0
+    seen = 1 << s
+    frontier = 1 << s
+    d = 0
+    while frontier:
+        d += 1
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= adj[v]
+        nxt &= ~seen
+        for v in _bits(nxt):
+            dist[v] = d
+        seen |= nxt
+        frontier = nxt
+    return dist
+
+
 def _all_pairs_bfs(order: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for s in range(order):
-        dist = [-1] * order
-        dist[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            nxt &= ~seen
-            for v in _bits(nxt):
-                dist[v] = d
-            seen |= nxt
-            frontier = nxt
-        rows.append(tuple(dist))
+    """All distance rows from one BFS per twin class, run from its least member.
+
+    Twins have equal distances to every vertex outside their class, and any
+    two members of a class lie at one common distance: 1 in a clique class,
+    2 for open twins with a neighbour, -1 for isolated vertices. The BFS row
+    of the least member s already holds that distance at every other member,
+    so each member's row is s's row with that distance at s and 0 at itself.
+    """
+    rows: list[tuple[int, ...]] = [()] * order
+    for cls in neighbourhood_twin_classes(adj):
+        s = cls[0]
+        row = _bfs_row(order, adj, s)
+        rows[s] = tuple(row)
+        if len(cls) > 1:
+            row[s] = row[cls[1]]
+            for v in cls[1:]:
+                row[v] = 0
+                rows[v] = tuple(row)
+                row[v] = row[s]
     return tuple(rows)
 
 
@@ -186,6 +230,8 @@ def _girth(g: ZDGraph) -> float:
     best = INF
     n = g.order
     for s in range(n):
+        if best == 3:  # no simple graph has a shorter cycle
+            break
         dist = [-1] * n
         parent = [-1] * n
         dist[s] = 0
@@ -354,8 +400,28 @@ def _export_json(g: ZDGraph) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _ascii_int(token: str) -> int | None:
+    """The value of an optionally signed ASCII decimal token, else None.
+
+    str.isdigit alone also passes superscripts and other scripts' digits,
+    which int() rejects or reads as ASCII; on ASCII text it means ``0-9``.
+    """
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_edgelist(text: str) -> ZDGraph:
-    """Parse the module's own edge-list format back into a graph."""
+    """Parse the module's own edge-list format back into a graph.
+
+    Edge lines hold two non-negative ids; a ``# vertex <id> [label]`` line
+    declares a vertex, and other ``#`` lines are comments. A malformed line
+    raises ValueError naming its line number.
+    """
     declared: dict[int, str] = {}
     raw_edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -364,13 +430,19 @@ def parse_edgelist(text: str) -> ZDGraph:
             continue
         if line.startswith("#"):
             parts = line[1:].split(maxsplit=2)
-            if len(parts) >= 2 and parts[0] == "vertex" and parts[1].lstrip("-").isdigit():
-                declared[int(parts[1])] = parts[2] if len(parts) > 2 else parts[1]
+            if parts[:1] == ["vertex"]:
+                ext = _ascii_int(parts[1]) if len(parts) > 1 else None
+                if ext is None:
+                    raise ValueError(
+                        f"line {lineno}: expected '# vertex <id> [label]' with an "
+                        f"integer id, got {line!r}"
+                    )
+                declared[ext] = parts[2] if len(parts) > 2 else parts[1]
             continue
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        uv = [_ascii_int(p) for p in line.split()]
+        if len(uv) != 2 or None in uv or min(uv) < 0:
             raise ValueError(f"line {lineno}: expected 'u v' with integer ids, got {line!r}")
-        raw_edges.append((int(parts[0]), int(parts[1])))
+        raw_edges.append((uv[0], uv[1]))
     ids = sorted(set(declared) | {u for e in raw_edges for u in e})
     index = {ext: i for i, ext in enumerate(ids)}
     return graph_from_edges(

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .graphs import ZDGraph
+from .graphs import ZDGraph, neighbourhood_twin_classes
 
 BUDGET_ENV_VAR = "ZDRLAB_BUDGET_MS"
 
@@ -158,24 +158,9 @@ def are_twins(g: ZDGraph, u: int, v: int) -> bool:
 
 
 def twin_classes(g: ZDGraph) -> TwinPartition:
-    """Twin classes keyed by neighbourhood, in one pass.
-
-    u and v are twins exactly when N(u) = N(v) or N[u] = N[v] (Hernando,
-    Mora, Pelayo, Seara and Wood, EJC 17, 2010), so each vertex joins the
-    class whose founder has its open or its closed neighbourhood. N(w) =
-    N[v] is impossible (v in N(w) puts w in N(v), so w in N(w)), so one
-    dict holds both keys. Classes come out ordered by least member.
-    """
-    by_key: dict[int, list[int]] = {}
-    classes: list[list[int]] = []
-    for v in range(g.order):
-        open_key, closed_key = g.adj[v], g.adj[v] | 1 << v
-        cls = by_key.get(open_key) or by_key.get(closed_key)
-        if cls is None:
-            cls = by_key[open_key] = by_key[closed_key] = []
-            classes.append(cls)
-        cls.append(v)
-    return TwinPartition(tuple(tuple(c) for c in classes))
+    """Twin classes keyed by open and closed neighbourhood, ordered by least
+    member; the same classes the distance build in ``graphs`` uses."""
+    return TwinPartition(neighbourhood_twin_classes(g.adj))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,17 @@ def test_dims_solve_graph_file(runner, tmp_path):
     assert "ddim: 2" in result.output
 
 
+@pytest.mark.parametrize("text,lineno", [
+    ("0 1\n1 \u0662\n", 2), ("0 1\n1 \u00b2\n", 2), ("# vertex \u00b2 x\n0 1\n", 1),
+])
+def test_dims_solve_graph_rejects_non_ascii_ids(runner, tmp_path, text, lineno):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["dims", "solve", "--graph", str(path)])
+    assert result.exit_code == 2
+    assert f"line {lineno}: expected " in result.output
+
+
 def test_dims_solve_requires_one_input(runner, tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n")

@@ -12,7 +12,9 @@ from zdrlab.graphs import (
     graph_invariants,
     parse_edgelist,
 )
+from zdrlab import graphs
 from zdrlab.rings import build_ring, catalog_ids
+from zdrlab.solver import twin_classes
 
 import oracles
 
@@ -208,6 +210,16 @@ def test_parse_edgelist_errors():
         parse_edgelist("0 zero\n")
 
 
+# str.isdigit accepts these ids; int() reads the first as 2 and rejects the others
+NON_ASCII_ID_LINES = [("0 1\n1 \u0662\n", 2), ("0 1\n1 \u00b2\n", 2), ("# vertex \u00b2 x\n0 1\n", 1)]
+
+
+@pytest.mark.parametrize("text,lineno", NON_ASCII_ID_LINES)
+def test_parse_edgelist_rejects_non_ascii_ids(text, lineno):
+    with pytest.raises(ValueError, match=rf"^line {lineno}: expected "):
+        parse_edgelist(text)
+
+
 def test_graph_from_edges_rejects_loops():
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 0)])
@@ -221,8 +233,24 @@ def test_disconnected_distances():
 
 
 def test_distances_match_oracle_bfs():
-    for spec in ["Zn:30", "Zni:9", "cat:cvA3"]:
+    for spec in ["Zn:30", "Zni:9", "cat:cvA3", "prod:(Zn:4,Zn:9)"]:
         g = build_zdgraph(build_ring(spec))
         nbrs = oracles.neighbor_sets(g)
         for v in range(g.order):
             assert list(g.dist[v]) == oracles.bfs_distances(nbrs, v, g.order)
+
+
+@pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])
+def test_one_bfs_per_twin_class(spec, monkeypatch):
+    sources = []
+    bfs_row = graphs._bfs_row
+
+    def counting(order, adj, s):
+        sources.append(s)
+        return bfs_row(order, adj, s)
+
+    monkeypatch.setattr(graphs, "_bfs_row", counting)
+    g = build_zdgraph(build_ring(spec))
+    classes = twin_classes(g).classes
+    assert len(classes) < g.order
+    assert sorted(sources) == sorted(cls[0] for cls in classes)

@@ -107,6 +107,16 @@ def test_twin_partition_is_exact(g):
     assert twin_classes(g).classes == tuple(sorted(twin_sets))
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(gnp_graphs(max_n=14), blown_up_graphs()))
+def test_distances_match_oracle_bfs_on_random_graphs(g):
+    # rows are built once per twin class; the oracle runs BFS from every vertex
+    nbrs = oracles.neighbor_sets(g)
+    assert [list(row) for row in g.dist] == [
+        oracles.bfs_distances(nbrs, v, g.order) for v in range(g.order)
+    ]
+
+
 @SETTINGS
 @given(g=connected_graphs())
 def test_twin_bound_is_a_lower_bound(g):
