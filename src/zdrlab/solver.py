@@ -8,19 +8,31 @@ those, the lexicographically least. Resolving-set searches work over the
 distance-twin quotient: a resolving set misses at most one vertex of each
 twin class, and swapping twins is an automorphism, so the lex-least witness
 holds every class member but the largest (the base) and the search only
-picks among the classes' largest members (the tops). Searches for
-dominating sets cut branches that can no longer dominate. One check is one
-node of the search tree. No heuristic answer is ever returned; if the
-configured budget runs out the search raises instead.
+picks among the classes' largest members (the tops).
+
+Domination and resolution are both coverings: a set dominates when it hits
+every closed neighbourhood, and resolves when it hits every pair resolvent
+{w : d(w,u) != d(w,v)}. The kernel tracks, in one bitset, the vertices still
+undominated and the vertex pairs at distance 1 or 2 that the base leaves
+unresolved (at most 32 per vertex), and cuts a branch as soon as something
+open can no longer be covered by the tops still available. Hitting those
+pairs does not make a set resolving, so full-size leaves still get the full
+resolving test. With all three quantities asked for, ddim starts at
+max(gamma, dim). One check is one node of the search tree. No heuristic
+answer is ever returned; if the configured budget runs out the search
+raises instead.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 
-from .graphs import ZDGraph, neighbourhood_twin_classes
+import numpy as np
+
+from .graphs import ZDGraph, _bits, neighbourhood_twin_classes
 
 BUDGET_ENV_VAR = "ZDRLAB_BUDGET_MS"
 
@@ -33,7 +45,7 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, quantity: str, cardinality: int, checks: int):
         super().__init__(
             f"budget exceeded while solving {quantity} at cardinality {cardinality} "
-            f"after {checks} candidate checks"
+            f"after {checks} checks (nodes of the search tree)"
         )
         self.quantity = quantity
         self.cardinality = cardinality
@@ -168,6 +180,55 @@ def twin_classes(g: ZDGraph) -> TwinPartition:
 # ---------------------------------------------------------------------------
 
 
+# the pair universe holds at most this many pairs per vertex of the graph
+PAIRS_PER_VERTEX = 32
+
+
+def _near_pairs(g: ZDGraph, cell_of: list[int], cap: int) -> tuple[array, array]:
+    """Pairs u < v in one cell of ``cell_of``, as two arrays of u and v:
+    first those at distance 1, then those at distance 2, each in index
+    order, at most ``cap`` of them."""
+    cells: dict[int, int] = {}
+    for v, c in enumerate(cell_of):
+        cells[c] = cells.get(c, 0) | 1 << v
+    # each vertex's cell members above it
+    above = [cells[c] >> u + 1 << u + 1 for u, c in enumerate(cell_of)]
+    adj = g.adj
+    us, vs = array("q"), array("q")
+    for near in (
+        lambda u: adj[u] & above[u],
+        lambda u: _second_ring(adj, u) & above[u],
+    ):
+        for u in range(g.order):
+            if not above[u]:
+                continue
+            for v in _bits(near(u)):
+                us.append(u)
+                vs.append(v)
+                if len(us) == cap:
+                    return us, vs
+    return us, vs
+
+
+def _second_ring(adj, u: int) -> int:
+    """The vertices at distance exactly 2 from ``u``."""
+    reach = 0
+    for w in _bits(adj[u]):
+        reach |= adj[w]
+    return reach & ~(adj[u] | 1 << u)
+
+
+def _separated_pairs(g: ZDGraph, tops: tuple[int, ...], us: array, vs: array):
+    """Yield, top by top, the bitset of pairs (bit j for the pair us[j],
+    vs[j]) whose two vertices lie at different distances from the top.
+    Only one distance row is held as an array at a time."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    for t in tops:
+        row = np.fromiter(g.dist[t], dtype=np.int32, count=g.order)
+        bits = np.packbits(row[us] != row[vs], bitorder="little")
+        yield int.from_bytes(bits.tobytes(), "little")
+
+
 def _search(
     g: ZDGraph,
     clock: _Clock,
@@ -175,35 +236,46 @@ def _search(
     base: tuple[int, ...] = (),
     resolve: bool = False,
     dominate: bool = False,
+    lower: int = 1,
 ) -> tuple[int, tuple[int, ...]]:
     """Least set of ``base`` plus some ``tops`` that resolves and/or dominates.
 
-    Cardinalities k start at the bounds the set must meet: 1, |base| and,
-    for a dominating set, n / (max degree + 1). For each k a depth-first
-    search picks k - |base| of ``tops`` in increasing order, so full-size
-    leaves come in the order of ``combinations(tops, k - |base|)`` and the
-    first accepted leaf is the lex-least witness of the least size. Each
-    node visited, root included, is one check. When the set must
-    dominate, a node's children stop at the first top from which on some
-    undominated vertex lies outside the closed neighbourhoods of every top
-    still available (``beyond``, the complement of their suffix OR), and a
-    node is cut when more vertices are undominated than the picks left can
-    cover. The resolving test runs at full-size leaves only. The stack is
-    explicit, so the depth is not bounded by Python's recursion limit.
+    Cardinalities k start at the bounds the set must meet: ``lower``,
+    |base| and, for a dominating set, n / (max degree + 1). For each k a
+    depth-first search picks k - |base| of ``tops`` in increasing order, so
+    full-size leaves come in the order of ``combinations(tops, k - |base|)``
+    and the first accepted leaf is the lex-least witness of the least size.
+    Each node visited, root included, is one check.
+
+    Both constraints are coverings, tracked in one bitset ``open_`` of what
+    the picks so far leave uncovered. Bits below n are the vertices still
+    undominated; a top covers its closed neighbourhood. Bits from n on are
+    vertex pairs the base leaves unresolved; a top covers the pairs whose
+    two vertices lie at different distances from it. Only pairs in one cell
+    of the base's distance partition at distance 1 or 2 are tracked, at
+    most ``PAIRS_PER_VERTEX`` * n of them, nearest first, so the masks stay
+    O(n^2) bits; when the base leaves no pair open there are no pair bits.
+    A node's children stop at the first top from which on some open bit
+    lies outside the cover of every top still available (``beyond``, the
+    complement of their suffix OR). A node is cut when more vertices are
+    undominated than the picks left can cover; that count reads vertex bits
+    only. A full-size leaf needs ``open_`` empty and then the full resolving
+    test, since hitting every tracked pair does not make a set resolving.
+    The stack is explicit, so the depth is not bounded by Python's
+    recursion limit.
     """
     n = g.order
     closed = [g.adj[v] | 1 << v for v in range(n)]
-    m = len(tops)
-    beyond = [-1] * (m + 1)  # beyond[i]: vertices no top in tops[i:] covers
-    for i in range(m - 1, -1, -1):
-        beyond[i] = beyond[i + 1] & ~closed[tops[i]]
     spread = max(map(int.bit_count, closed))  # max degree + 1
+    # keep[i]: the bits picking tops[i] leaves open
+    keep = [~closed[t] if dominate else -1 for t in tops]
     # vertices still undominated; nothing needs dominating for dim alone
     open_base = 0
     if dominate:
         open_base = (1 << n) - 1
         for v in base:
             open_base &= ~closed[v]
+    count = int.bit_count
 
     # each vertex's distance vector to the base, numbered; a leaf resolves
     # when these numbers and the distances to its picks tell all n apart
@@ -211,21 +283,34 @@ def _search(
     base_ids = [ids.setdefault(vec, len(ids)) for vec in zip(*(g.dist[v] for v in base))]
     base_ids = base_ids or [0] * n
     top_rows = [g.dist[t] for t in tops]
+    # pair bits only where two vertices share a base cell
+    if resolve and len(set(base_ids)) < n:
+        us, vs = _near_pairs(g, base_ids, PAIRS_PER_VERTEX * n)
+        if us:
+            open_base |= (1 << len(us)) - 1 << n
+            keep = [k & ~(p << n) for k, p in zip(keep, _separated_pairs(g, tops, us, vs))]
+            vertices = (1 << n) - 1 if dominate else 0
+            count = lambda x: (x & vertices).bit_count()  # pair bits are not counted
+
+    m = len(tops)
+    beyond = [-1] * (m + 1)  # beyond[i]: bits no top in tops[i:] covers
+    for i in range(m - 1, -1, -1):
+        beyond[i] = beyond[i + 1] & keep[i]
 
     def accepted(picks: list[int]) -> tuple[int, ...] | None:
         if resolve and len(set(zip(base_ids, *(top_rows[i] for i in picks)))) < n:
             return None
         return tuple(sorted(base + tuple(tops[i] for i in picks)))
 
-    k_start = max(1, len(base), math.ceil(n / spread) if dominate else 0)
+    k_start = max(lower, len(base), math.ceil(n / spread) if dominate else 0)
     for k in range(k_start, n + 1):
         clock.begin(k)
         need = k - len(base)
         clock.tick()
-        if open_base.bit_count() > need * spread:
+        if count(open_base) > need * spread:
             continue
         if need == 0:
-            if (witness := accepted([])) is not None:
+            if not open_base and (witness := accepted([])) is not None:
                 return k, witness
             continue
         picks: list[int] = []
@@ -243,13 +328,13 @@ def _search(
                 continue
             nexts[d] = i + 1
             clock.tick()
-            open_ &= ~closed[tops[i]]
+            open_ &= keep[i]
             left = need - d - 1
-            if open_.bit_count() > left * spread:
+            if count(open_) > left * spread:
                 continue
             picks.append(i)
             if left == 0:
-                if (witness := accepted(picks)) is not None:
+                if not open_ and (witness := accepted(picks)) is not None:
                     return k, witness
                 picks.pop()
                 continue
@@ -294,30 +379,40 @@ def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
-def dominant_metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
+def dominant_metric_dimension(
+    g: ZDGraph, budget: Budget | None = None, *, _lower: int = 1
+) -> QuantityResult:
     """Minimum set that is simultaneously resolving and dominating.
 
     A single-vertex graph returns 0 by convention (with an empty witness,
     which by that same convention is exempt from the dominating check).
+    ``_lower`` is internal: ``solve_dimensions`` passes a size known to be
+    at most ddim, and the search starts there.
     """
     _require_connected(g, "dominant metric dimension")
     clock = _Clock("ddim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "convention", clock.elapsed_ms, 0)
     base, tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, base, resolve=True, dominate=True)
+    value, witness = _search(g, clock, tops, base, resolve=True, dominate=True, lower=_lower)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
 def solve_dimensions(
     g: ZDGraph, which: str = "all", budget: Budget | None = None
 ) -> DimensionReport:
-    """Solve the requested quantities; ``which`` is gamma, dim, ddim, or all."""
+    """Solve the requested quantities; ``which`` is gamma, dim, ddim, or all.
+
+    With ``all``, the ddim search starts at max(gamma, dim): a resolving
+    dominating set is both, so neither can exceed ddim.
+    """
     if which not in {"gamma", "dim", "ddim", "all"}:
         raise ValueError(f"unknown quantity {which!r}")
     wants = {"gamma", "dim", "ddim"} if which == "all" else {which}
-    return DimensionReport(
-        gamma=domination_number(g, budget) if "gamma" in wants else None,
-        dim=metric_dimension(g, budget) if "dim" in wants else None,
-        ddim=dominant_metric_dimension(g, budget) if "ddim" in wants else None,
-    )
+    gamma = domination_number(g, budget) if "gamma" in wants else None
+    dim = metric_dimension(g, budget) if "dim" in wants else None
+    ddim = None
+    if "ddim" in wants:
+        lower = max(gamma.value, dim.value) if which == "all" else 1
+        ddim = dominant_metric_dimension(g, budget, _lower=lower)
+    return DimensionReport(gamma, dim, ddim)

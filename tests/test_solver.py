@@ -1,4 +1,6 @@
 import functools
+import random
+import tracemalloc
 
 import pytest
 
@@ -107,6 +109,8 @@ def test_single_vertex_convention():
     single = generate_family(complete(1))
     res = dominant_metric_dimension(single)
     assert res.value == 0 and res.witness == () and res.method == "convention"
+    res = solve_dimensions(single, "all").ddim
+    assert res.value == 0 and res.witness == () and res.method == "convention"
 
 
 def test_witnesses_are_lex_least_and_valid():
@@ -121,6 +125,36 @@ def test_witnesses_are_lex_least_and_valid():
         got = dominant_metric_dimension(g)
         assert is_resolving(g, got.witness) and is_dominating(g, got.witness)
         assert got.witness == oracles.brute_ddim(g)[1]
+
+
+def test_leaf_keeps_the_full_resolving_test():
+    # the search tracks only pairs at distance 1 or 2, and hitting all of
+    # them does not resolve: here {5} separates every such pair but gives
+    # 3 and 4 the same distance 3, so a leaf needs the full test as well
+    g = graph_from_edges(8, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 5), (2, 7), (3, 6), (6, 7)])
+    assert not is_resolving(g, [5])
+    res = metric_dimension(g)
+    assert (res.value, res.witness) == (2, (1, 6)) == oracles.brute_dim(g)
+    res = dominant_metric_dimension(g)
+    assert (res.value, res.witness) == oracles.brute_ddim(g)
+
+
+def test_pair_masks_stay_small_on_dense_twin_free_graph():
+    # G(600, 0.5) is twin-free with ~90,000 adjacent pairs; the search
+    # tracks at most 32 per vertex, so its set-up peak is ~3.6 MB where
+    # all near pairs would take ~32 MB
+    rng = random.Random(600)
+    n = 600
+    g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    assert len(twin_classes(g).classes) == n
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            metric_dimension(g, Budget(max_checks=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_method_labels():
@@ -157,6 +191,7 @@ def test_budget_checks_cap():
     with pytest.raises(BudgetExceededError) as err:
         dominant_metric_dimension(g, Budget(max_checks=10))
     assert err.value.checks == 11
+    assert str(err.value).endswith("after 11 checks (nodes of the search tree)")
 
 
 def test_budget_allows_completion():

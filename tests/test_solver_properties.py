@@ -12,6 +12,7 @@ from zdrlab.solver import (
     is_dominating,
     is_resolving,
     metric_dimension,
+    solve_dimensions,
     twin_classes,
 )
 
@@ -25,6 +26,18 @@ def connected_graphs(draw, max_n=7):
     n = draw(st.integers(min_value=2, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     return oracles.random_connected_graph(random.Random(seed), n)
+
+
+@st.composite
+def sparse_connected_graphs(draw):
+    """A random tree on 8-11 vertices plus G(n, p) edges with p <= 0.35:
+    sparse enough that many vertex pairs lie at distance 3 or more."""
+    n = draw(st.integers(min_value=8, max_value=11))
+    p = draw(st.floats(min_value=0.0, max_value=0.35))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return graph_from_edges(n, sorted(edges))
 
 
 @st.composite
@@ -75,6 +88,22 @@ def test_solver_matches_brute_force(g):
 @given(g=blown_up_graphs())
 def test_solver_matches_brute_force_on_twin_rich_graphs(g):
     _assert_matches_brute_force(g)
+
+
+@SETTINGS
+@given(g=sparse_connected_graphs())
+def test_solver_matches_brute_force_on_sparse_graphs(g):
+    # pairs at distance 3 or more exist here, which the search leaves to
+    # the full resolving test at its leaves
+    _assert_matches_brute_force(g)
+
+
+@SETTINGS
+@given(g=st.one_of(connected_graphs(), sparse_connected_graphs(), blown_up_graphs()))
+def test_ddim_started_at_max_of_gamma_and_dim_is_unchanged(g):
+    alone = dominant_metric_dimension(g)
+    report = solve_dimensions(g, "all")
+    assert (report.ddim.value, report.ddim.witness) == (alone.value, alone.witness)
 
 
 @SETTINGS
