@@ -49,7 +49,6 @@ from .solver import (
     DisconnectedGraphError,
     QuantityResult,
     TwinPartition,
-    are_twins,
     domination_number,
     dominant_metric_dimension,
     is_dominating,

@@ -173,20 +173,25 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     """Zero-divisor graph: vertices L(R), edge x-y iff x != y and x*y = 0.
 
     A nilpotent x with x*x = 0 contributes no self-loop; the graph is simple.
+    Each adjacency bitset is one row of the zero-product submatrix, packed
+    little-endian so that bit v is column v.
     """
     members = zero_divisors(ring).members
     if not members:
         raise EmptyGraphError(
             f"{ring.name} is an integral domain; its zero-divisor graph is empty"
         )
+    n = len(members)
     sub = ring.mul[np.ix_(members, members)] == 0
     np.fill_diagonal(sub, False)
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(sub)))]
-    return graph_from_edges(
-        order=len(members),
-        edges=edges,
-        labels=[ring.labels[x] for x in members],
+    rows = np.packbits(sub, axis=1, bitorder="little")
+    adj = tuple(int.from_bytes(row, "little") for row in rows)
+    return ZDGraph(
+        order=n,
+        labels=tuple(ring.labels[x] for x in members),
         external_ids=members,
+        adj=adj,
+        dist=_all_pairs_bfs(n, adj),
         source=ring.name,
     )
 
@@ -216,13 +221,22 @@ def graph_invariants(g: ZDGraph) -> GraphInvariants:
     return GraphInvariants(
         order=n,
         size=g.size,
-        diameter=INF if not g.is_connected else max(map(max, g.dist)),
+        diameter=INF if not g.is_connected else _diameter(g),
         girth=_girth(g),
         clique_number=_clique_number(g),
         max_degree=max(degrees),
         cut_vertices=_cut_vertices(g),
         degree_one_vertices=tuple(v for v in range(n) if degrees[v] == 1),
     )
+
+
+def _diameter(g: ZDGraph) -> int:
+    """Largest eccentricity, read from one distance row per twin class.
+
+    Twins have equal distances to every other vertex and share the distance
+    between them, so their rows hold the same entries.
+    """
+    return max(max(g.dist[cls[0]]) for cls in neighbourhood_twin_classes(g.adj))
 
 
 def _girth(g: ZDGraph) -> float:

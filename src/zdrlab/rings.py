@@ -1,10 +1,11 @@
 """Finite commutative rings with unity.
 
 Rings are described by a small spec grammar (``Zn:6``, ``Zni:9``, ``GF:8``,
-``prod:(Zn:2,GF:3)``, ``cat:Z3r.r2``) and materialized as full addition and
-multiplication tables over a canonical element indexing, so that every
-downstream computation (zero divisors, annihilators, algebraic predicates,
-graph construction) is an exact table scan.
+``prod:(Zn:2,GF:3)``, ``cat:Z3r.r2``) and materialized as full multiplication
+tables over a mixed-radix element indexing, with the addition table built
+on first use, so that every downstream computation (zero divisors,
+annihilators, algebraic predicates, graph construction) is an exact table
+scan.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -184,21 +185,29 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteRing:
     """A finite commutative ring with unity, materialized as op tables.
 
     Elements are indices 0..order-1 with 0 the additive identity and
-    ``one`` the unity (index 1 whenever the encoding allows). Instances are
-    immutable after construction; do not mutate the tables.
+    ``one`` the unity (index 1 whenever the encoding allows). Element x has
+    mixed-radix digits (x // prod(moduli[:t])) % moduli[t], little-endian,
+    and addition is digit-wise modulo ``moduli``. Instances are immutable
+    after construction; do not mutate the tables. Equality and hashing are
+    by identity.
     """
 
     spec: RingSpec
     order: int
-    add: np.ndarray
     mul: np.ndarray
     one: int
     labels: tuple[str, ...]
+    moduli: tuple[int, ...]
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        """Addition table, built from ``moduli`` on first access."""
+        return _mixed_radix_add(self.moduli)
 
     @property
     def name(self) -> str:
@@ -237,16 +246,16 @@ def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> Fini
     order = spec_order(spec)
     _check_order(spec.to_text(), order, min(max_order, MAX_TABLE_ORDER))
     if spec.family is Family.PRODUCT:
-        labels, add, mul, one = _build_product(spec, max_order)
+        labels, mul, one, moduli = _build_product(spec, max_order)
     else:
-        labels, add, mul, one = _build_structure(_structure_entry(spec))
+        labels, mul, one, moduli = _build_structure(_structure_entry(spec))
     ring = FiniteRing(
         spec=spec,
         order=order,
-        add=add.astype(np.uint16),
-        mul=mul.astype(np.uint16),
+        mul=mul.astype(np.uint16, copy=False),
         one=one,
         labels=tuple(labels),
+        moduli=moduli,
     )
     if spec.family is Family.CATALOG:
         failures = ring_axiom_failures(ring)
@@ -285,21 +294,20 @@ def _term_label(coeffs: Iterable[int], basis: tuple[str, ...] | list[str]) -> st
 
 
 def _build_product(spec: RingSpec, max_order: int):
+    """Multiplication table of A x B with (a, b) at index a * |B| + b, so
+    the mixed-radix moduli are B's followed by A's.
+
+    The broadcast stays in uint16: every entry m_A * |B| + m_B is below the
+    order, which build_ring has capped at MAX_TABLE_ORDER.
+    """
     r1 = build_ring(spec.children[0], max_order)
     r2 = build_ring(spec.children[1], max_order)
-    o1, o2 = r1.order, r2.order
-    idx = np.arange(o1 * o2, dtype=np.int64)
-    i1 = idx // o2
-    i2 = idx % o2
-    a1 = r1.add.astype(np.int64)
-    a2 = r2.add.astype(np.int64)
-    m1 = r1.mul.astype(np.int64)
-    m2 = r2.mul.astype(np.int64)
-    add = a1[i1[:, None], i1[None, :]] * o2 + a2[i2[:, None], i2[None, :]]
-    mul = m1[i1[:, None], i1[None, :]] * o2 + m2[i2[:, None], i2[None, :]]
+    o2 = r2.order
+    order = r1.order * o2
+    mul = r1.mul[:, None, :, None] * np.uint16(o2) + r2.mul[None, :, None, :]
     one = r1.one * o2 + r2.one
-    labels = [f"({r1.labels[x]},{r2.labels[y]})" for x in range(o1) for y in range(o2)]
-    return labels, add, mul, one
+    labels = [f"({a},{b})" for a in r1.labels for b in r2.labels]
+    return labels, mul.reshape(order, order), one, r2.moduli + r1.moduli
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +456,8 @@ def _gf_entry(q: int) -> CatalogEntry:
 
 
 def _build_structure(entry: CatalogEntry):
-    """Op tables of the ring an entry describes, one outer product per term.
+    """Multiplication table of the ring an entry describes, one outer product
+    per term.
 
     Element x has coefficient (x // prod(moduli[:t])) % moduli[t] on basis[t],
     so index 1 is the unity. Coordinate t of x*y is the sum over basis pairs
@@ -468,20 +477,34 @@ def _build_structure(entry: CatalogEntry):
         sum(abs(w[t]) * (moduli[i] - 1) * (moduli[j] - 1) for (i, j), w in consts.items())
         for t in range(k)
     )
-    dtype = np.int32 if bound < 2**31 else np.int64
-    scales = [math.prod(moduli[:t]) for t in range(k)]
-    idx = np.arange(math.prod(moduli), dtype=dtype)
-    coeffs = [idx // s % m for s, m in zip(scales, moduli)]
-    add = _sum_in_place(
-        _coordinate([np.add.outer(c, c)], m, s) for c, s, m in zip(coeffs, scales, moduli)
-    )
+    scales, coeffs = _digits(moduli, np.int32 if bound < 2**31 else np.int64)
     mul = _sum_in_place(
         _coordinate((np.multiply.outer(w[t] * coeffs[i], coeffs[j])
                      for (i, j), w in consts.items() if w[t]), m, s)
         for t, (s, m) in enumerate(zip(scales, moduli))
     )
     labels = [_term_label(c, entry.basis) for c in zip(*(c.tolist() for c in coeffs))]
-    return labels, add, mul, 1
+    return labels, mul, 1, moduli
+
+
+def _digits(moduli: tuple[int, ...], dtype) -> tuple[list[int], list[np.ndarray]]:
+    """Place values of the mixed-radix digits and each element's digits."""
+    scales = [math.prod(moduli[:t]) for t in range(len(moduli))]
+    idx = np.arange(math.prod(moduli), dtype=dtype)
+    return scales, [idx // s % m for s, m in zip(scales, moduli)]
+
+
+def _mixed_radix_add(moduli: tuple[int, ...]) -> np.ndarray:
+    """Addition table of digit-wise sums modulo ``moduli``, as uint16.
+
+    int32 suffices: a digit sum is below 2 * 2**16 before reduction, and an
+    index below the order after it.
+    """
+    scales, digits = _digits(moduli, np.int32)
+    add = _sum_in_place(
+        _coordinate([np.add.outer(c, c)], m, s) for c, s, m in zip(digits, scales, moduli)
+    )
+    return add.astype(np.uint16)
 
 
 def _sum_in_place(arrays: Iterable[np.ndarray]) -> np.ndarray:
@@ -550,7 +573,7 @@ def ring_axiom_failures(ring: FiniteRing) -> list[str]:
     return failures
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroDivisorSet:
     """Nonzero zero divisors of a ring; :func:`annihilator` gives their partners."""
 

@@ -161,14 +161,6 @@ class TwinPartition:
         return sum(len(c) - 1 for c in self.classes)
 
 
-def are_twins(g: ZDGraph, u: int, v: int) -> bool:
-    """Twins: d(u,x) = d(v,x) for every x outside {u, v}."""
-    if u == v:
-        return True
-    du, dv = g.dist[u], g.dist[v]
-    return all(du[x] == dv[x] for x in range(g.order) if x != u and x != v)
-
-
 def twin_classes(g: ZDGraph) -> TwinPartition:
     """Twin classes keyed by open and closed neighbourhood, ordered by least
     member; the same classes the distance build in ``graphs`` uses."""

@@ -11,6 +11,8 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
+
 
 def neighbor_sets(g) -> dict[int, set[int]]:
     nbrs: dict[int, set[int]] = {v: set() for v in range(g.order)}
@@ -73,6 +75,28 @@ def brute_ddim(g) -> tuple[int, tuple[int, ...]]:
             ):
                 return k, subset
     raise AssertionError("unreachable")
+
+
+def are_twins(g, u: int, v: int) -> bool:
+    """Twins: d(u,x) = d(v,x) for every x outside {u, v}."""
+    if u == v:
+        return True
+    du, dv = g.dist[u], g.dist[v]
+    return all(du[x] == dv[x] for x in range(g.order) if x != u and x != v)
+
+
+def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
+    """Add and mul tables of r1 x r2, (a, b) at index a * |r2| + b, by
+    gathering each factor's table at every pair of coordinates in int64."""
+    o1, o2 = r1.order, r2.order
+    idx = np.arange(o1 * o2, dtype=np.int64)
+    i1, i2 = idx // o2, idx % o2
+
+    def combine(t1, t2):
+        t1, t2 = t1.astype(np.int64), t2.astype(np.int64)
+        return t1[i1[:, None], i1[None, :]] * o2 + t2[i2[:, None], i2[None, :]]
+
+    return combine(r1.add, r2.add), combine(r1.mul, r2.mul)
 
 
 def random_connected_graph(rng: random.Random, n: int):

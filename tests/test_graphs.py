@@ -13,7 +13,7 @@ from zdrlab.graphs import (
     parse_edgelist,
 )
 from zdrlab import graphs
-from zdrlab.rings import build_ring, catalog_ids
+from zdrlab.rings import build_ring, catalog_ids, zero_divisors
 from zdrlab.solver import twin_classes
 
 import oracles
@@ -254,3 +254,26 @@ def test_one_bfs_per_twin_class(spec, monkeypatch):
     classes = twin_classes(g).classes
     assert len(classes) < g.order
     assert sorted(sources) == sorted(cls[0] for cls in classes)
+
+
+# orders 3 to 67, only Zni:9 (8) a multiple of 8
+PACKED_ROW_SPECS = [
+    "Zn:6", "Zn:12", "Zn:16", "Zn:30", "Zn:128", "Zni:9", "Zni:10",
+    "prod:(Zn:2,GF:4)", "prod:(Zn:4,Zn:6)", "cat:cvA3", "cat:Z2r.r3",
+]
+
+
+@pytest.mark.parametrize("spec", PACKED_ROW_SPECS)
+def test_packed_rows_match_edge_list_build(spec):
+    ring = build_ring(spec)
+    members = zero_divisors(ring).members
+    edges = [
+        (i, j)
+        for i, x in enumerate(members)
+        for j, y in enumerate(members)
+        if i < j and ring.mul_of(x, y) == 0
+    ]
+    expected = graph_from_edges(
+        len(members), edges, [ring.labels[x] for x in members], members, ring.name
+    )
+    assert build_zdgraph(ring) == expected

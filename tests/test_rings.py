@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from zdrlab.graphs import build_zdgraph
 from zdrlab.rings import (
     CatalogEntry,
     CatalogError,
@@ -17,6 +20,8 @@ from zdrlab.rings import (
     unregister_catalog_entry,
     zero_divisors,
 )
+
+import oracles
 
 AXIOM_CORPUS = [
     "Zn:2",
@@ -227,3 +232,52 @@ def test_product_ring_componentwise():
     zero1 = ring.labels.index("(0,1)")
     assert ring.mul_of(one0, zero1) == 0
     assert ring.labels[ring.one] == "(1,1)"
+
+
+def test_ring_equality_and_hash_are_identity():
+    a, b = build_ring("Zn:6"), build_ring("Zn:6")
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_zero_divisor_set_is_frozen():
+    zds = zero_divisors(build_ring("Zn:6"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        zds.members = ()
+
+
+# factor pairs from small Zn, Zni, GF:4/8/9 and catalog entries, and products
+# with a product factor on either side
+PRODUCT_FACTORS = [
+    ("Zn:2", "Zn:3"),
+    ("Zn:4", "Zni:2"),
+    ("Zni:3", "GF:4"),
+    ("GF:8", "Zn:6"),
+    ("GF:9", "cat:Z3r.r2"),
+    ("cat:cvA2", "Zn:2"),
+    ("cat:F4r.r2", "GF:4"),
+    ("Zni:2", "cat:Z2rs.rs2"),
+    ("prod:(Zn:2,GF:4)", "Zn:3"),
+    ("Zn:3", "prod:(Zni:2,cat:Z3r.r2)"),
+]
+
+
+@pytest.mark.parametrize("a,b", PRODUCT_FACTORS)
+def test_product_tables_match_gather_oracle(a, b):
+    ring = build_ring(f"prod:({a},{b})")
+    add, mul = oracles.product_tables(build_ring(a), build_ring(b))
+    assert ring.mul.dtype == np.uint16
+    assert np.array_equal(ring.mul, mul)
+    assert "add" not in ring.__dict__
+    assert np.array_equal(ring.add, add)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Zn:12", "Zni:9", "prod:(Zn:4,Zn:4)", "prod:(Zn:2,prod:(Zn:2,Zn:2))"]
+)
+def test_graph_build_leaves_add_unbuilt(spec):
+    ring = build_ring(spec)
+    build_zdgraph(ring)
+    assert "add" not in ring.__dict__
+    golden = json.loads(GOLDEN_TABLES.read_text(encoding="utf-8"))
+    assert table_digest(ring) == golden[spec]

@@ -4,9 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from zdrlab.graphs import graph_from_edges
+from zdrlab.graphs import INF, graph_from_edges, graph_invariants
 from zdrlab.solver import (
-    are_twins,
     domination_number,
     dominant_metric_dimension,
     is_dominating,
@@ -131,7 +130,7 @@ def test_superset_monotonicity(g, seed):
 def test_twin_partition_is_exact(g):
     # reference: each vertex's twins by the distance definition alone
     n = g.order
-    twin_sets = {tuple(w for w in range(n) if are_twins(g, v, w)) for v in range(n)}
+    twin_sets = {tuple(w for w in range(n) if oracles.are_twins(g, v, w)) for v in range(n)}
     assert sorted(v for cls in twin_sets for v in cls) == list(range(n))
     assert twin_classes(g).classes == tuple(sorted(twin_sets))
 
@@ -144,6 +143,27 @@ def test_distances_match_oracle_bfs_on_random_graphs(g):
     assert [list(row) for row in g.dist] == [
         oracles.bfs_distances(nbrs, v, g.order) for v in range(g.order)
     ]
+
+
+@st.composite
+def disconnected_blown_up_graphs(draw):
+    """Two blown-up graphs side by side, labels shuffled."""
+    a, b = draw(blown_up_graphs()), draw(blown_up_graphs())
+    edges = list(a.edges()) + [(u + a.order, v + a.order) for u, v in b.edges()]
+    perm = draw(st.permutations(range(a.order + b.order)))
+    return graph_from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(
+    gnp_graphs(), blown_up_graphs(), disconnected_blown_up_graphs(),
+    st.just(graph_from_edges(1, [])),
+))
+def test_twin_class_diameter_matches_every_row(g):
+    # the diameter reads one row per twin class; the reference reads them all
+    entries = [d for row in g.dist for d in row]
+    expected = INF if -1 in entries else max(entries, default=0)
+    assert graph_invariants(g).diameter == expected
 
 
 @SETTINGS
