@@ -8,7 +8,12 @@ those, the lexicographically least. Resolving-set searches work over the
 distance-twin quotient: a resolving set misses at most one vertex of each
 twin class, and swapping twins is an automorphism, so the lex-least witness
 holds every class member but the largest (the base) and the search only
-picks among the classes' largest members (the tops).
+picks among the classes' largest members (the tops). The domination search
+uses the same classes another way. A minimum dominating set holds at most
+one member of a clique class and none, one or all members of an open class,
+and moving a pick to a smaller unpicked twin makes the witness lex-smaller.
+So a clique class offers only its least member, and an open class's members
+are picked only as a prefix in index order (see ``domination_number``).
 
 Domination and resolution are both coverings: a set dominates when it hits
 every closed neighbourhood, and resolves when it hits every pair resolvent
@@ -18,14 +23,16 @@ unresolved (at most 32 per vertex), and cuts a branch as soon as something
 open can no longer be covered by the tops still available. Hitting those
 pairs does not make a set resolving, so full-size leaves still get the full
 resolving test. With all three quantities asked for, ddim starts at
-max(gamma, dim). One check is one node of the search tree. No heuristic
-answer is ever returned; if the configured budget runs out the search
-raises instead.
+max(gamma, dim). One check is one node of the search tree; the kernel counts
+checks itself and hands the count to the clock only where a cap is due to
+be tested. No heuristic answer is ever returned; if the configured budget
+runs out the search raises instead.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from array import array
 from dataclasses import dataclass
@@ -70,20 +77,33 @@ class _Clock:
 
     def begin(self, cardinality: int) -> None:
         """Start a cardinality; the time cap is checked here as well as
-        every 1024 ticks, so short searches honour it too."""
+        every 1024 checks, so short searches honour it too."""
         self.cardinality = cardinality
         b = self.budget
         if b.max_ms is not None and self.elapsed_ms > b.max_ms:
             raise BudgetExceededError(self.quantity, cardinality, self.checks)
 
-    def tick(self) -> None:
-        self.checks += 1
+    def due(self) -> int:
+        """The next check count at which a cap must be tested: one past
+        ``max_checks``, or the next multiple of 1024 when ``max_ms`` is set.
+        The search counts checks itself and calls ``test`` only there."""
         b = self.budget
-        if b.max_checks is not None and self.checks > b.max_checks:
-            raise BudgetExceededError(self.quantity, self.cardinality, self.checks)
-        if b.max_ms is not None and self.checks % 1024 == 0:
-            if (time.monotonic() - self.start) * 1000.0 > b.max_ms:
-                raise BudgetExceededError(self.quantity, self.cardinality, self.checks)
+        due = sys.maxsize
+        if b.max_checks is not None:
+            due = b.max_checks + 1
+        if b.max_ms is not None:
+            due = min(due, (self.checks // 1024 + 1) * 1024)
+        return due
+
+    def test(self, checks: int) -> int:
+        """Record ``checks``, raise if a cap is exceeded, return the next due count."""
+        self.checks = checks
+        b = self.budget
+        if b.max_checks is not None and checks > b.max_checks:
+            raise BudgetExceededError(self.quantity, self.cardinality, checks)
+        if b.max_ms is not None and checks % 1024 == 0 and self.elapsed_ms > b.max_ms:
+            raise BudgetExceededError(self.quantity, self.cardinality, checks)
+        return self.due()
 
     @property
     def elapsed_ms(self) -> float:
@@ -229,6 +249,7 @@ def _search(
     resolve: bool = False,
     dominate: bool = False,
     lower: int = 1,
+    follows: dict[int, int] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Least set of ``base`` plus some ``tops`` that resolves and/or dominates.
 
@@ -237,7 +258,11 @@ def _search(
     depth-first search picks k - |base| of ``tops`` in increasing order, so
     full-size leaves come in the order of ``combinations(tops, k - |base|)``
     and the first accepted leaf is the lex-least witness of the least size.
-    Each node visited, root included, is one check.
+    ``follows`` maps a top to a smaller top it may only be picked after:
+    such a top stays locked until that one is picked, and a node steps
+    straight to the next unlocked top. Each node visited, root included, is
+    one check; the count is kept here and handed to the clock only when a
+    cap is due to be tested.
 
     Both constraints are coverings, tracked in one bitset ``open_`` of what
     the picks so far leave uncovered. Bits below n are the vertices still
@@ -249,12 +274,12 @@ def _search(
     O(n^2) bits; when the base leaves no pair open there are no pair bits.
     A node's children stop at the first top from which on some open bit
     lies outside the cover of every top still available (``beyond``, the
-    complement of their suffix OR). A node is cut when more vertices are
-    undominated than the picks left can cover; that count reads vertex bits
-    only. A full-size leaf needs ``open_`` empty and then the full resolving
-    test, since hitting every tracked pair does not make a set resolving.
-    The stack is explicit, so the depth is not bounded by Python's
-    recursion limit.
+    complement of their suffix OR, locked tops included). A node is cut
+    when more vertices are undominated than the picks left can cover; that
+    count reads vertex bits only. A full-size leaf needs ``open_`` empty
+    and then the full resolving test, since hitting every tracked pair does
+    not make a set resolving. The stack is explicit, so the depth is not
+    bounded by Python's recursion limit.
     """
     n = g.order
     closed = [g.adj[v] | 1 << v for v in range(n)]
@@ -285,6 +310,15 @@ def _search(
             count = lambda x: (x & vertices).bit_count()  # pair bits are not counted
 
     m = len(tops)
+    # bit i of ``locked``: tops[i] may not be picked below the current node;
+    # picking a top frees the one that follows it, backtracking locks it again
+    locked = 0
+    frees = [0] * m  # frees[i]: the top that picking tops[i] frees, as a bit
+    if follows:
+        index = {t: i for i, t in enumerate(tops)}
+        for t, first in follows.items():
+            locked |= 1 << index[t]
+            frees[index[first]] = 1 << index[t]
     beyond = [-1] * (m + 1)  # beyond[i]: bits no top in tops[i:] covers
     for i in range(m - 1, -1, -1):
         beyond[i] = beyond[i + 1] & keep[i]
@@ -294,15 +328,20 @@ def _search(
             return None
         return tuple(sorted(base + tuple(tops[i] for i in picks)))
 
+    checks, due = clock.checks, clock.due()
     k_start = max(lower, len(base), math.ceil(n / spread) if dominate else 0)
     for k in range(k_start, n + 1):
+        clock.checks = checks
         clock.begin(k)
         need = k - len(base)
-        clock.tick()
+        checks += 1
+        if checks >= due:
+            due = clock.test(checks)
         if count(open_base) > need * spread:
             continue
         if need == 0:
             if not open_base and (witness := accepted([])) is not None:
+                clock.checks = checks
                 return k, witness
             continue
         picks: list[int] = []
@@ -311,15 +350,22 @@ def _search(
         while nexts:
             d = len(nexts) - 1
             i = nexts[d]
+            if locked >> i & 1:
+                # step to the next unlocked top: rest ^ rest + 1 sets the
+                # bits of rest's trailing ones and of its lowest zero
+                rest = locked >> i
+                i += (rest ^ rest + 1).bit_length() - 1
             open_ = opens[d]
             if i > m - (need - d) or open_ & beyond[i]:
                 nexts.pop()
                 opens.pop()
                 if picks:
-                    picks.pop()
+                    locked ^= frees[picks.pop()]
                 continue
             nexts[d] = i + 1
-            clock.tick()
+            checks += 1
+            if checks >= due:
+                due = clock.test(checks)
             open_ &= keep[i]
             left = need - d - 1
             if count(open_) > left * spread:
@@ -327,20 +373,44 @@ def _search(
             picks.append(i)
             if left == 0:
                 if not open_ and (witness := accepted(picks)) is not None:
+                    clock.checks = checks
                     return k, witness
                 picks.pop()
                 continue
+            locked ^= frees[i]
             opens.append(open_)
             nexts.append(i + 1)
     raise AssertionError(f"{clock.quantity} search failed on the full vertex set")  # pragma: no cover
 
 
 def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
-    """Minimum dominating set; works on disconnected graphs too."""
+    """Minimum dominating set; works on disconnected graphs too.
+
+    The search picks only what a lex-least minimum dominating set can
+    hold, class by class of ``neighbourhood_twin_classes``. A minimum set
+    is minimal, so it holds at most one member of a clique class (N[u] =
+    N[v]: a second member is redundant), and none, one or all members of
+    an open class (N(u) = N(v)): with two members and a neighbour of the
+    class one member is redundant, and with no neighbour every member
+    must be in the set. Swapping twins is an automorphism, and moving a
+    pick to a smaller unpicked twin makes the sorted tuple smaller, so the
+    lex-least minimum set holds the least member of a clique class and a
+    prefix, in index order, of an open class. A clique class therefore
+    offers only its least member, and member j of an open class may be
+    picked only after member j - 1.
+    """
     if g.order == 0:
         raise ValueError("domination number of the empty graph is undefined")
     clock = _Clock("gamma", budget)
-    value, witness = _search(g, clock, tuple(range(g.order)), dominate=True)
+    tops: list[int] = []
+    follows: dict[int, int] = {}
+    for cls in neighbourhood_twin_classes(g.adj):
+        if len(cls) > 1 and g.adj[cls[0]] >> cls[1] & 1:  # a clique class
+            tops.append(cls[0])
+        else:
+            tops.extend(cls)
+            follows.update(zip(cls[1:], cls))
+    value, witness = _search(g, clock, tuple(sorted(tops)), dominate=True, follows=follows)
     return QuantityResult(value, witness, "exhaustive", clock.elapsed_ms, clock.checks)
 
 

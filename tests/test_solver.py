@@ -1,6 +1,7 @@
 import functools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from zdrlab.families import (
     star,
 )
 from zdrlab.graphs import ZDGraph, build_zdgraph, graph_from_edges
+from zdrlab import solver
 from zdrlab.rings import build_ring
 from zdrlab.solver import (
     Budget,
@@ -229,6 +231,64 @@ def test_deep_gamma_on_edgeless_graph():
     assert res.checks == 3001
 
 
+def test_gamma_picks_whole_open_classes():
+    # isolated vertices are open twins with no neighbour, so the lex-least
+    # witness holds every one of them: a rule offering only an open
+    # class's least member, as for a clique class, cannot find it
+    g = graph_from_edges(5, [])
+    res = domination_number(g)
+    assert (res.value, res.witness) == (5, (0, 1, 2, 3, 4))
+    # the pair {1, 4} beside the path 0-2-3-5-6
+    g = graph_from_edges(7, [(0, 2), (2, 3), (3, 5), (5, 6)])
+    res = domination_number(g)
+    assert (res.value, res.witness) == (4, (0, 1, 4, 5)) == oracles.brute_gamma(g)
+
+
+def _random_graph(seed: int) -> ZDGraph:
+    return oracles.random_connected_graph(random.Random(seed), 22)
+
+
+# (quantity, graph): searches of 15 to 7,448 nodes
+TICK_CASES = [
+    ("gamma", lambda: _random_graph(0)),
+    ("gamma", lambda: _ring_graph("Zn:210")),
+    ("dim", lambda: _random_graph(1)),
+    ("ddim", lambda: _random_graph(0)),
+    ("ddim", lambda: generate_family(cycle(16))),
+]
+
+
+@pytest.mark.parametrize("quantity, make", TICK_CASES, ids=[f"{q}-{i}" for i, (q, _) in enumerate(TICK_CASES)])
+def test_check_budget_is_exact(quantity, make):
+    # the search counts checks itself and tests the cap only where it is
+    # due: a budget of exactly the checks a solve takes lets it finish, one
+    # fewer raises at the last check, at the cardinality that solved
+    g = make()
+    res = getattr(solve_dimensions(g, quantity), quantity)
+    c = res.checks
+    capped = getattr(solve_dimensions(g, quantity, Budget(max_checks=c)), quantity)
+    assert (capped.value, capped.witness, capped.checks) == (res.value, res.witness, c)
+    with pytest.raises(BudgetExceededError) as err:
+        solve_dimensions(g, quantity, Budget(max_checks=c - 1))
+    assert (err.value.checks, err.value.cardinality) == (c, res.value)
+
+
+def test_time_budget_is_tested_every_1024_checks(monkeypatch):
+    g = _random_graph(1)
+    res = metric_dimension(g)
+    assert res.checks > 2048
+    timed = metric_dimension(g, Budget(max_ms=60_000))
+    assert (timed.value, timed.witness, timed.checks) == (res.value, res.witness, res.checks)
+    # cardinalities 1 to 4 start at checks 0, 11, 106 and 765, so with a
+    # clock that reads an hour late from its sixth reading on, the start
+    # and those four pass and the test at 1024 checks fails
+    readings = iter([0.0] * 5)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(readings, 3600.0)))
+    with pytest.raises(BudgetExceededError) as err:
+        metric_dimension(g, Budget(max_ms=1_000))
+    assert (err.value.checks, err.value.cardinality) == (1024, 4)
+
+
 def _long_path(n: int) -> ZDGraph:
     # distances from the formula: all-pairs BFS on a long path is slow
     return ZDGraph(
@@ -257,10 +317,12 @@ def _ring_graph(spec: str) -> ZDGraph:
 
 # (quantity, spec, value, size the previous exhaustive search reached
 # without a hit, check budget). The sizes come from budget-outs of the
-# combinations search, which had ruled out every smaller size; the values
-# lie past that frontier.
+# combinations search, which had ruled out every smaller size, and for
+# gamma on Zn:2310 from the search that branched on every vertex; the
+# values lie past that frontier.
 LARGE_RING_CASES = [
-    ("gamma", "Zn:210", 4, 4, 1_000_000),
+    ("gamma", "Zn:210", 4, 4, 5_000),
+    ("gamma", "Zn:2310", 5, 4, 100_000),
     ("dim", "Zn:128", 57, 57, 1_000),
     ("dim", "Zni:25", 217, 217, 1_000),
     ("ddim", "Zn:60", 34, 33, 1_000),
@@ -269,6 +331,7 @@ LARGE_RING_CASES = [
     ("dim", "Zn:2310", 1799, 1799, 1_000),
     ("ddim", "Zn:2310", 1800, 1799, 1_000),
 ]
+GAMMA_WITNESSES = {"Zn:210": (22, 31, 53, 80), "Zn:2310": (166, 261, 365, 609, 914)}
 
 
 @pytest.mark.parametrize(
@@ -286,4 +349,4 @@ def test_large_ring_values(quantity, spec, value, reached, max_checks):
     if quantity != "gamma":
         assert oracles.resolving_def(g.dist, g.order, res.witness)
     if quantity == "gamma":
-        assert res.witness == (22, 31, 53, 80)
+        assert res.witness == GAMMA_WITNESSES[spec]

@@ -40,9 +40,9 @@ def sparse_connected_graphs(draw):
 
 
 @st.composite
-def gnp_graphs(draw, max_n=12):
+def gnp_graphs(draw, max_n=12, min_n=0):
     """G(n, p), often disconnected; p = 0 gives the empty edge set."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     p = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
@@ -50,11 +50,12 @@ def gnp_graphs(draw, max_n=12):
 
 
 @st.composite
-def blown_up_graphs(draw):
-    """A connected graph of order 2-4 with each vertex blown up into a
-    clique or an independent set of 1-3 twins, labels shuffled: order at
-    most 12, with twin classes of two or more vertices."""
-    base = draw(connected_graphs(max_n=4))
+def blown_up_graphs(draw, bases=connected_graphs(max_n=4)):
+    """A graph drawn from ``bases`` (by default connected, of order 2-4)
+    with each vertex blown up into a clique or an independent set of 1-3
+    twins, labels shuffled: order at most 12, with twin classes of two or
+    more vertices."""
+    base = draw(bases)
     groups, n = [], 0
     for _ in range(base.order):
         size = draw(st.integers(min_value=1, max_value=3))
@@ -87,6 +88,15 @@ def test_solver_matches_brute_force(g):
 @given(g=blown_up_graphs())
 def test_solver_matches_brute_force_on_twin_rich_graphs(g):
     _assert_matches_brute_force(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=blown_up_graphs(gnp_graphs(max_n=4, min_n=1)))
+def test_gamma_matches_brute_force_on_blow_ups_of_any_graph(g):
+    # the base may be disconnected or edgeless, so open classes with no
+    # neighbour, whose members the witness must all hold, occur often
+    res = domination_number(g)
+    assert (res.value, res.witness) == oracles.brute_gamma(g)
 
 
 @SETTINGS
@@ -179,4 +189,5 @@ def test_gamma_on_random_disconnected_graphs():
         b = oracles.random_connected_graph(rng, rng.randint(2, 5))
         edges = list(a.edges()) + [(u + a.order, v + a.order) for u, v in b.edges()]
         g = graph_from_edges(a.order + b.order, edges)
-        assert domination_number(g).value == oracles.brute_gamma(g)[0]
+        res = domination_number(g)
+        assert (res.value, res.witness) == oracles.brute_gamma(g)
