@@ -1,11 +1,19 @@
 """Verification suite for recorded closed-form claims about zero-divisor
 graphs and named families.
 
-Each registry entry encodes one published claim (identified by ids such as
-``T2.6`` or ``P2.1``) as a parameterized check. Claimed values are stored as
-printed; the computed side always comes from the exact solver (or from closed
-forms that the solver validates at smaller sizes, with the method recorded in
-the note). A mismatch is reported as ERRATUM when it matches the known-errata
+Claims are data. Each claim id (such as ``T2.6`` or ``P2.1``) is one or more
+consecutive rows of ``_CLAIMS``, and one runner, ``_run_rows``, turns the
+rows into verdicts. A row names its instances (a default, which the
+``verify_theorem`` override under the row's key replaces), an optional gate
+that reports an instance as SKIPPED or INVALID_INSTANCE instead of checking
+it, and the aspects checked on every other instance. An aspect pairs a
+computed field of the instance with the claimed value as printed. The
+tables TAB1 and TAB2 are claims of rows too, laid out from their verdicts;
+TAB1 shares T2.6's instances, gate and printed values.
+
+The computed side always comes from the exact solver (or from closed forms
+that the solver validates at smaller sizes, with the method recorded in the
+note). A mismatch is reported as ERRATUM when it matches the known-errata
 ledger, and as FAIL otherwise, so the suite is green exactly when every
 discrepancy is a cataloged erratum.
 """
@@ -17,8 +25,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 from . import families as fam
 from .graphs import (
@@ -30,14 +39,13 @@ from .graphs import (
 )
 from .rings import (
     CatalogError,
-    FiniteRing,
     build_ring,
     cut_vertex_entry_ids,
     factorize,
     ring_properties,
     zero_divisors,
 )
-from .solver import Budget, QuantityResult, solve_dimensions
+from .solver import Budget, solve_dimensions
 
 PASS = "PASS"
 ERRATUM = "ERRATUM"
@@ -141,56 +149,6 @@ ERRATA: dict[str, ErrataEntry] = {
 }
 
 
-def _verdict(
-    theorem_id: str,
-    instance: str,
-    aspect: str,
-    claimed,
-    computed,
-    *,
-    claimed_text: str | None = None,
-    computed_text: str | None = None,
-    ok: bool | None = None,
-    tags: Iterable[str] = (),
-    note: str = "",
-) -> TheoremVerdict:
-    tagset = frozenset(tags)
-    if ok is None:
-        ok = claimed == computed
-    if ok:
-        status, erratum_id = PASS, None
-    else:
-        hits = [
-            e.erratum_id
-            for e in ERRATA.values()
-            if e.matches(theorem_id, aspect, claimed, computed, tagset)
-        ]
-        if hits:
-            status, erratum_id = ERRATUM, sorted(hits)[0]
-        else:
-            status, erratum_id = FAIL, None
-    return TheoremVerdict(
-        theorem_id=theorem_id,
-        instance=instance,
-        aspect=aspect,
-        claimed=claimed_text if claimed_text is not None else str(claimed),
-        computed=computed_text if computed_text is not None else str(computed),
-        status=status,
-        erratum_id=erratum_id,
-        note=note,
-    )
-
-
-def _skip(theorem_id: str, instance: str, aspect: str, reason: str) -> TheoremVerdict:
-    return TheoremVerdict(theorem_id, instance, aspect, "", "", SKIPPED, note=reason)
-
-
-def _invalid(theorem_id: str, instance: str, reason: str) -> TheoremVerdict:
-    return TheoremVerdict(
-        theorem_id, instance, "hypotheses", "", "", INVALID_INSTANCE, note=reason
-    )
-
-
 # ---------------------------------------------------------------------------
 # configuration and shared state
 # ---------------------------------------------------------------------------
@@ -213,15 +171,40 @@ class SuiteConfig:
         return Budget(max_ms=self.budget_ms, max_checks=self.budget_checks)
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the annotated type of a SuiteConfig field; a
+    tuple is read from a JSON list and a float also from an integer."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if args:  # a union such as `int | None`
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, hint) or (hint is float and isinstance(value, int))
+
+
 def load_suite_config(path: str) -> SuiteConfig:
+    """Read a JSON object of SuiteConfig fields. Raise ValueError for any
+    other JSON value, an unknown key or a value of the wrong type."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    known = {f.name for f in fields(SuiteConfig)}
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise ValueError(f"suite config must be a JSON object, not {type(raw).__name__}")
+    hints = get_type_hints(SuiteConfig)
+    unknown = set(raw) - set(hints)
     if unknown:
         raise ValueError(f"unknown suite config keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in raw.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            expected = hint if get_args(hint) else hint.__name__
+            raise ValueError(f"suite config {key!r} must be {expected}, not {json.dumps(value)}")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[key] = value
@@ -229,34 +212,40 @@ def load_suite_config(path: str) -> SuiteConfig:
 
 
 class _Workbench:
-    """Caches rings, graphs, and solver results for one suite run."""
+    """One suite run: its config, its budget, and each case field computed so
+    far, keyed by field name and subject and shared by all cases."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.budget = config.budget()
-        self._rings: dict[str, FiniteRing] = {}
-        self._graphs: dict[str, ZDGraph] = {}
-        self._results: dict[tuple[str, str], QuantityResult] = {}
+        self.shared: dict[tuple[str, str | fam.FamilyId], object] = {}
 
-    def ring(self, spec_text: str) -> FiniteRing:
-        if spec_text not in self._rings:
-            self._rings[spec_text] = build_ring(spec_text)
-        return self._rings[spec_text]
 
-    def graph(self, spec_text: str) -> ZDGraph:
-        if spec_text not in self._graphs:
-            self._graphs[spec_text] = build_zdgraph(self.ring(spec_text))
-        return self._graphs[spec_text]
+# ---------------------------------------------------------------------------
+# claim rows and their runner
+# ---------------------------------------------------------------------------
 
-    def solve(self, spec_text: str, which: str) -> QuantityResult:
-        key = (spec_text, which)
-        if key not in self._results:
-            report = solve_dimensions(self.graph(spec_text), which, self.budget)
-            self._results[key] = getattr(report, which)
-        return self._results[key]
 
-    def solve_graph(self, g: ZDGraph, which: str) -> QuantityResult:
-        return getattr(solve_dimensions(g, which, self.budget), which)
+class _Case:
+    """One instance of a claim row: its verdict label, its subject, its
+    parameters as attributes, and each field of _CASE_FIELDS, read from the
+    workbench."""
+
+    def __init__(self, wb: _Workbench, label: str, subject: str | fam.FamilyId, **params):
+        self.wb = wb
+        self.label = label
+        self.subject = subject
+        self.__dict__.update(params)
+
+    def __getattr__(self, name: str):
+        # reached only while `name` is not yet an attribute
+        if name not in _CASE_FIELDS:
+            raise AttributeError(name)
+        key = (name, self.subject)
+        if key not in self.wb.shared:
+            self.wb.shared[key] = _CASE_FIELDS[name](self)
+        setattr(self, name, self.wb.shared[key])
+        return self.wb.shared[key]
 
 
 def _shape_label(g: ZDGraph) -> str:
@@ -266,182 +255,301 @@ def _shape_label(g: ZDGraph) -> str:
     return f"graph(V={g.order},E={g.size})"
 
 
-def _is_path3(g: ZDGraph) -> bool:
-    return fam.recognize_family(g) == fam.path(3)
+def _is_empty(c: _Case) -> bool:
+    try:
+        c.graph
+    except EmptyGraphError:
+        return True
+    return False
 
 
-def _is_star_centered(g: ZDGraph) -> tuple[bool, int]:
-    """Star shape with >= 2 vertices; returns (ok, center)."""
-    n = g.order
-    if n < 2:
-        return False, -1
-    center = max(range(n), key=g.degree)
-    ok = g.degree(center) == n - 1 and all(
-        g.degree(v) == 1 for v in range(n) if v != center
-    )
-    return ok, center
+def _star_shape(c: _Case) -> str:
+    """'star with center <label>' for a star on >= 2 vertices, else the shape."""
+    g = c.graph
+    if g.order >= 2:
+        center = max(range(g.order), key=g.degree)
+        if g.degree(center) == g.order - 1 and g.size == g.order - 1:
+            return f"star with center {g.labels[center]}"
+    return c.shape
+
+
+# What a gate or an aspect reads of a case. A subject is a ring spec,
+# standing for its zero-divisor graph, or a FamilyId. Every field depends on
+# the subject alone, so the workbench computes it once per subject.
+_CASE_FIELDS: dict[str, Callable[[_Case], object]] = {
+    "ring": lambda c: build_ring(c.subject),
+    "graph": lambda c: (fam.generate_family(c.subject) if isinstance(c.subject, fam.FamilyId)
+                        else build_zdgraph(c.ring)),
+    "empty": _is_empty,
+    "dim": lambda c: solve_dimensions(c.graph, "dim", c.wb.budget).dim.value,
+    "ddim": lambda c: solve_dimensions(c.graph, "ddim", c.wb.budget).ddim.value,
+    "closed_dim": lambda c: fam.closed_form_dims(c.subject).dim,
+    "closed_ddim": lambda c: fam.closed_form_dims(c.subject).ddim,
+    "inv": lambda c: graph_invariants(c.graph),
+    "omega": lambda c: c.inv.clique_number,
+    "girth": lambda c: "inf" if c.inv.girth == INF else int(c.inv.girth),
+    "gr": lambda c: 0 if c.inv.girth == INF else c.inv.girth,  # the printed formulas' gr
+    "shape": lambda c: _shape_label(c.graph),
+    "star": _star_shape,
+    # C3 is recognized as K3 and C4 as K2,2
+    "cycle": lambda c: {"K3": "C3", "K2,2": "C4"}.get(c.shape, c.shape),
+    "path3": lambda c: {"path3"} if c.shape == "P3" else set(),  # the tag of erratum E1
+    "zd": lambda c: zero_divisors(c.ring).members,
+    "nilpotent": lambda c: set(c.zd) <= set(ring_properties(c.ring).nilpotents),
+    "square_zero": lambda c: all(c.ring.mul_of(x, y) == 0 for x in c.zd for y in c.zd),
+    "undefined": lambda c: "undefined (empty graph)" if c.empty else "graph built",
+    "finite": lambda c: f"finite ({c.ddim})",
+}
+
+
+def _get(field, c: _Case):
+    """A field given as a value or as a function of the case."""
+    return field(c) if callable(field) else field
+
+
+@dataclass(frozen=True)
+class _Aspect:
+    """One checked aspect: ``computed``, a case field name (the aspect's
+    name by default) or a function of the case, against ``claimed``.
+    ``claimed``, ``tags`` and ``note`` are values or functions of the case;
+    ``text`` prints the claimed value as ``{}`` and may name case
+    attributes. ``ok(case, computed)`` replaces the equality test.
+    """
+
+    name: str
+    claimed: object
+    text: str = "{}"
+    computed: str | Callable[[_Case], object] | None = None
+    tags: object = ()
+    note: object = ""
+    ok: Callable[[_Case, object], bool] | None = None
+
+
+def _rings(wb: _Workbench, specs: Iterable[str]) -> Iterator[_Case]:
+    return (_Case(wb, spec, spec) for spec in specs)
+
+
+def _families(wb: _Workbench, fids: Iterable[fam.FamilyId]) -> Iterator[_Case]:
+    return (_Case(wb, fid.describe(), fid, n=fid.n, m=fid.m) for fid in fids)
+
+
+@dataclass(frozen=True)
+class _Row:
+    """Instances of a claim and the aspects checked on each (a tuple, or a
+    function of the case). ``cases`` makes the instances from the
+    ``verify_theorem`` override under ``key`` or else from ``default``, a
+    value or a function of the SuiteConfig. A case for which ``gate`` gives
+    a reason gets one SKIPPED verdict under the aspect ``skip``, or one
+    INVALID_INSTANCE verdict when ``skip`` is None.
+    """
+
+    claim: str
+    default: object
+    aspects: tuple[_Aspect, ...] | Callable[[_Case], tuple[_Aspect, ...]]
+    cases: Callable[[_Workbench, Iterable], Iterable[_Case]] = _rings
+    key: str | None = None
+    gate: Callable[[_Case], str | None] | None = None
+    skip: str | None = None
+
+
+def _aspect_verdict(theorem_id: str, c: _Case, a: _Aspect) -> TheoremVerdict:
+    """PASS, else ERRATUM when a ledger entry explains the mismatch, else FAIL."""
+    claimed = _get(a.claimed, c)
+    computed = a.computed(c) if callable(a.computed) else getattr(c, a.computed or a.name)
+    ok = claimed == computed if a.ok is None else a.ok(c, computed)
+    tags = frozenset(_get(a.tags, c))
+    hits = [] if ok else sorted(e.erratum_id for e in ERRATA.values()
+                                if e.matches(theorem_id, a.name, claimed, computed, tags))
+    status = PASS if ok else ERRATUM if hits else FAIL
+    text = str(claimed) if a.text == "{}" else a.text.format(claimed, **vars(c))
+    return TheoremVerdict(theorem_id, c.label, a.name, text, str(computed), status,
+                          hits[0] if hits else None, _get(a.note, c))
+
+
+def _case_verdicts(rows: tuple[_Row, ...], wb: _Workbench, params: dict):
+    """The verdicts of each case of one claim's rows, in order."""
+    keys = sorted(r.key for r in rows if r.key)
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise UnknownClaimError(
+            f"unknown override keys for {rows[0].claim}: {', '.join(unknown)}; "
+            f"it accepts: {', '.join(keys) or 'none'}"
+        )
+    for row in rows:
+        source = params[row.key] if row.key in params else _get(row.default, wb.config)
+        for c in row.cases(wb, source):
+            reason = row.gate(c) if row.gate else None
+            if not reason:
+                yield [_aspect_verdict(row.claim, c, a) for a in _get(row.aspects, c)]
+            else:
+                status = INVALID_INSTANCE if row.skip is None else SKIPPED
+                yield [TheoremVerdict(row.claim, c.label, row.skip or "hypotheses", "", "",
+                                      status, note=reason)]
+
+
+def _run_rows(rows: tuple[_Row, ...], wb: _Workbench, params: dict) -> list[TheoremVerdict]:
+    return [v for verdicts in _case_verdicts(rows, wb, params) for v in verdicts]
 
 
 # ---------------------------------------------------------------------------
-# checks: prior family results T1-T6
+# instances, gates and aspects shared between claims
 # ---------------------------------------------------------------------------
 
-def _family_ddim_check(
-    theorem_id: str,
-    wb: _Workbench,
-    make: Callable[[int], fam.FamilyId],
-    claim: Callable[[int], int],
-    claim_text: Callable[[int], str],
-    solver_sizes: Iterable[int],
-    spot_sizes: Iterable[int],
-) -> list[TheoremVerdict]:
-    out = []
-    for n in solver_sizes:
-        fid = make(n)
-        g = fam.generate_family(fid)
-        computed = wb.solve_graph(g, "ddim").value
-        out.append(
-            _verdict(
-                theorem_id,
-                fid.describe(),
-                "ddim",
-                claim(n),
-                computed,
-                claimed_text=claim_text(n),
-                note="exact solver",
-            )
-        )
-    for n in spot_sizes:
-        fid = make(n)
-        cf = fam.closed_form_dims(fid)
-        if cf.ddim is None:
-            continue
-        out.append(
-            _verdict(
-                theorem_id,
-                fid.describe(),
-                "ddim",
-                claim(n),
-                cf.ddim,
-                claimed_text=claim_text(n),
-                note="closed_form",
-            )
-        )
-    return out
+
+def _field_pairs(wb: _Workbench, orders: Iterable[int]) -> Iterator[_Case]:
+    """GF(q1) x GF(q2) for each pair of orders with q1 <= q2."""
+    orders = list(orders)
+    return (_Case(wb, f"q1={q1},q2={q2}", f"prod:(GF:{q1},GF:{q2})", q1=q1, q2=q2)
+            for q1 in orders for q2 in orders if q1 <= q2)
 
 
-def _check_t1(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    sizes = params.get("sizes", range(7, 17))
-    return _family_ddim_check(
-        "T1",
-        wb,
-        fam.cycle,
-        lambda n: math.ceil(n / 3),
-        lambda n: f"gamma(C_{n}) = {math.ceil(n / 3)}",
-        sizes,
-        (21, 33, 45, 60),
+def _small_fields(c: _Case) -> str | None:
+    return "field orders must be >= 3" if c.q1 < 3 or c.q2 < 3 else None
+
+
+class _ZnClaim(NamedTuple):
+    """What T2.6 and TAB1 print for Zn: the shape of n and, unless n is
+    prime, the claimed ddim with its text, erratum tags and note, and the
+    TAB1 columns (V, E, diameter, girth, shape)."""
+
+    kind: str
+    ddim: int = 0
+    text: str = ""
+    tags: frozenset[str] = frozenset()
+    note: str = ""
+    columns: tuple = ()
+
+
+def _zn_claim(n: int) -> _ZnClaim | None:
+    """The claim on Zn, or None for an n of a shape T2.6 does not cover."""
+    f = list(factorize(n))
+    if len(f) == 1 and f[0][1] == 1:
+        return _ZnClaim("prime")
+    if len(f) == 1 and f[0][1] == 2:
+        p = f[0][0]
+        # the graph is K_{p-1}
+        columns = (p - 1, (p - 1) * (p - 2) // 2, 0 if p == 2 else 1, INF if p <= 3 else 3,
+                   f"K{p - 1}")
+        return _ZnClaim("p2", p - 2, f"p - 2 = {p - 2}", columns=columns)
+    if f == [(2, 3)]:
+        return _ZnClaim("eight", 1, "1", frozenset({"path3"}), columns=(3, 2, 2, INF, "P3"))
+    if len(f) == 2 and f[0][1] == f[1][1] == 1:
+        (p, _), (q, _) = f
+        text = f"p + q - 4 = {p + q - 4}"
+        # the graph is K_{p-1,q-1}, which at p = 2 is a star, labelled in TAB1
+        columns = (p + q - 2, (p - 1) * (q - 1), 2, 4, f"K{p - 1},{q - 1}" if p > 2 else None)
+        if p > 2:
+            return _ZnClaim("pq", p + q - 4, text, columns=columns)
+        return _ZnClaim("pq_even", p + q - 4, text, frozenset({"even-pq"}),
+                        "printed pq formula applied at p = 2", columns)
+    return None
+
+
+def _zn_cases(wb: _Workbench, ns: Iterable[int]) -> Iterator[_Case]:
+    return (_Case(wb, f"n={n}", f"Zn:{n}", n=n, claim=_zn_claim(n)) for n in ns)
+
+
+def _uncovered(c: _Case) -> str | None:
+    return "n is not of a covered shape" if c.claim is None else None
+
+
+def _cut_vertex_hypotheses(c: _Case) -> str | None:
+    """T2.3's gate: a valid catalog ring whose graph has >= 3 vertices, a
+    cut vertex and no degree-1 vertex."""
+    try:
+        c.ring
+    except CatalogError as exc:
+        return f"axiom validation failed: {exc}"
+    if c.empty:
+        return "no zero divisors"
+    problems = []
+    if c.graph.order < 3:
+        problems.append(f"|L(R)| = {c.graph.order} < 3")
+    if not c.inv.cut_vertices:
+        problems.append("no cut vertex")
+    if c.inv.degree_one_vertices:
+        problems.append("has a degree-1 vertex")
+    return "; ".join(problems)
+
+
+def _nilpotent_gate(part: str) -> Callable[[_Case], str | None]:
+    """T2.2's gate of part a (L(R)^2 = 0) or part b (L(R)^2 != 0); both
+    need every zero divisor nilpotent."""
+
+    def gate(c: _Case) -> str | None:
+        if not c.nilpotent:
+            return "not every zero divisor is nilpotent"
+        if part == "a" and not c.square_zero:
+            return "L(R)^2 != 0"
+        if part == "b" and c.square_zero:
+            return "L(R)^2 = 0, belongs to part (a)"
+        return None
+
+    return gate
+
+
+def _below_three(c: _Case) -> str:
+    return "" if len(c.zd) >= 3 else f"|L(R)| = {len(c.zd)} below the stated 3"
+
+
+def _prime_mod4(p: int, r: int) -> bool:
+    # p is prime iff its least prime factor is p itself, once
+    return next(factorize(p), None) == (p, 1) and p % 4 == r
+
+
+def _fmt_inv(value) -> str:
+    return "undefined" if value == INF else str(int(value))
+
+
+def _finite(note: str = "") -> _Aspect:
+    """ddim is finite: a sanity check, true of every finite graph."""
+    return _Aspect("finite", "finite", ok=lambda c, v: True, note=note)
+
+
+def _family_ddim(claim: str, make: Callable[[int], fam.FamilyId], solved: Iterable[int],
+                 spots: Iterable[int], formula: Callable[[_Case], int],
+                 text: str) -> tuple[_Row, _Row]:
+    """Rows of a claim that ddim of the family member make(n) is formula:
+    the exact solver on the sizes solved, closed forms on the sizes spots."""
+    return (
+        _Row(claim, [make(n) for n in solved],
+             (_Aspect("ddim", formula, text, note="exact solver"),), _families),
+        _Row(claim, [make(n) for n in spots],
+             (_Aspect("ddim", formula, text, "closed_ddim", note="closed_form"),), _families),
     )
 
 
-def _check_t2(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    sizes = params.get("sizes", range(2, 15))
-    return _family_ddim_check(
-        "T2",
-        wb,
-        fam.star,
-        lambda n: n - 1,
-        lambda n: f"n - 1 = {n - 1}",
-        sizes,
-        (25, 40, 60),
-    )
+def _tab2_aspects(claimed, tags=()) -> tuple[_Aspect, _Aspect]:
+    return _Aspect("dim", claimed), _Aspect("ddim", claimed, tags=tags)
 
 
-def _dim_equals_ddim_check(
-    theorem_id: str,
-    wb: _Workbench,
-    solved: Iterable[tuple[fam.FamilyId, int, str]],
-    spots: Iterable[fam.FamilyId],
-) -> list[TheoremVerdict]:
-    """Claimed dim (exact solver) and dim = ddim (solver, then closed forms)."""
-    out = []
-    for fid, claimed, formula in solved:
-        g = fam.generate_family(fid)
-        dim = wb.solve_graph(g, "dim").value
-        ddim = wb.solve_graph(g, "ddim").value
-        out.append(
-            _verdict(theorem_id, fid.describe(), "dim", claimed, dim,
-                     claimed_text=f"{formula} = {claimed}", note="exact solver")
-        )
-        out.append(
-            _verdict(theorem_id, fid.describe(), "ddim", dim, ddim,
-                     claimed_text=f"dim = {dim}", note="exact solver")
-        )
-    for fid in spots:
-        cf = fam.closed_form_dims(fid)
-        out.append(
-            _verdict(theorem_id, fid.describe(), "ddim", cf.dim, cf.ddim,
-                     claimed_text=f"dim = {cf.dim}", note="closed_form")
-        )
-    return out
+# T3 and T5: ddim equals dim, from the exact solver and from closed forms.
+_DDIM_IS_DIM = _Aspect("ddim", lambda c: c.dim, "dim = {}", note="exact solver")
+_DDIM_IS_DIM_SPOT = _Aspect("ddim", lambda c: c.closed_dim, "dim = {}", "closed_ddim",
+                            note="closed_form")
 
-
-def _check_t3(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    pairs = params.get(
-        "pairs",
-        [(m, n) for m in range(2, 8) for n in range(m, 15 - m) if m + n <= 14],
-    )
-    return _dim_equals_ddim_check(
-        "T3",
-        wb,
-        [(fam.complete_bipartite(m, n), m + n - 2, "m + n - 2") for m, n in pairs],
-        [fam.complete_bipartite(2, 28), fam.complete_bipartite(10, 20)],
-    )
-
-
-def _check_t4(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    sizes = params.get("sizes", range(4, 17))
-    return _family_ddim_check(
-        "T4",
-        wb,
-        fam.path,
-        lambda n: math.ceil(n / 3),
-        lambda n: f"gamma(P_{n}) = {math.ceil(n / 3)}",
-        sizes,
-        (25, 40, 60),
-    )
-
-
-def _check_t5(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    sizes = params.get("sizes", range(2, 13))
-    return _dim_equals_ddim_check(
-        "T5",
-        wb,
-        [(fam.complete(n), n - 1, "n - 1") for n in sizes],
-        [fam.complete(n) for n in (20, 40, 60)],
-    )
-
-
-def _check_t6(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for n in params.get("sizes", (1, 2)):
-        g = fam.generate_family(fam.path(n))
-        computed = wb.solve_graph(g, "ddim").value
-        out.append(
-            _verdict(
-                "T6",
-                f"P{n}",
-                "ddim",
-                1,
-                computed,
-                tags={f"P{n}"},
-                note="printed equivalence range includes n = 1",
-            )
-        )
-    return out
+# T2.6 and TAB1: Zn for n prime has no graph; every other covered n has a printed ddim.
+_ZN_UNDEFINED = _Aspect("ddim", "undefined", computed="undefined", ok=lambda c, v: c.empty)
+_ZN_DDIM = _Aspect("ddim", lambda c: c.claim.ddim, "{claim.text}", tags=lambda c: c.claim.tags,
+                   note=lambda c: c.claim.note)
+_TAB1_PRIME = (_Aspect("ddim", "undefined", ok=lambda c, v: c.empty,
+                       computed=lambda c: "undefined" if c.empty else "graph built"),)
+_TAB1_COMPOSITE = (
+    _Aspect("V", lambda c: c.claim.columns[0], computed=lambda c: c.inv.order),
+    _Aspect("E", lambda c: c.claim.columns[1], computed=lambda c: c.inv.size),
+    _Aspect("diameter", lambda c: _fmt_inv(c.claim.columns[2]),
+            computed=lambda c: _fmt_inv(c.inv.diameter)),
+    _Aspect("girth", lambda c: _fmt_inv(c.claim.columns[3]),
+            computed=lambda c: _fmt_inv(c.inv.girth), tags=lambda c: c.claim.tags),
+    # a missing shape is the star K_{1,q-1} of n = 2q
+    _Aspect("shape", lambda c: c.claim.columns[4]
+            or _shape_label(fam.generate_family(fam.star(c.n // 2)))),
+    _Aspect("ddim", lambda c: c.claim.ddim, tags=lambda c: c.claim.tags),
+)
 
 
 # ---------------------------------------------------------------------------
-# checks: zero-divisor graph results
+# the claims
 # ---------------------------------------------------------------------------
 
 P21_RINGS = (
@@ -484,352 +592,107 @@ T24_LOCAL_ACYCLIC = ("Zn:9", "cat:Z3r.r2", "Zn:8", "cat:Z2r.r3", "cat:Z4r.2r_r2-
 
 L2121_RINGS = ("Zn:9", "Zn:15", "Zn:25", "prod:(Zn:3,Zn:3)", "cat:Z2rs.rs2")
 
-
-def _check_p21(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for spec in params.get("rings", P21_RINGS):
-        g = wb.graph(spec)
-        shape = _shape_label(g)
-        is_path23 = shape in {"K2", "P3"}
-        out.append(
-            _verdict("P2.1", spec, "shape", "P2 or P3", shape,
-                     ok=is_path23, note="path shape claim")
-        )
-        tags = {"path3"} if _is_path3(g) else set()
-        computed = wb.solve(spec, "ddim").value
-        out.append(_verdict("P2.1", spec, "ddim", 1, computed, tags=tags))
-    return out
-
-
-def _check_p22(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for spec in params.get("rings", P22_RINGS):
-        g = wb.graph(spec)
-        fid = fam.recognize_family(g)
-        cycle_len = None
-        if fid == fam.complete(3):
-            cycle_len = 3
-        elif fid == fam.complete_bipartite(2, 2):
-            cycle_len = 4
-        elif fid is not None and fid.kind is fam.FamilyKind.CYCLE:
-            cycle_len = fid.n
-        out.append(
-            _verdict("P2.2", spec, "shape", "C_m with m <= 4",
-                     f"C{cycle_len}" if cycle_len else _shape_label(g),
-                     ok=cycle_len is not None and cycle_len <= 4)
-        )
-        out.append(_verdict("P2.2", spec, "ddim", 2, wb.solve(spec, "ddim").value))
-    return out
-
-
-def _check_t21(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for spec in params.get("domains", T21_DOMAINS):
-        props = ring_properties(wb.ring(spec))
-        try:
-            wb.graph(spec)
-            computed = "graph built"
-            ok = False
-        except EmptyGraphError:
-            computed = "undefined (empty graph)"
-            ok = props.is_integral_domain
-        out.append(
-            _verdict("T2.1", spec, "undefined-iff-domain", "undefined", computed, ok=ok)
-        )
-    for spec in params.get("non_domains", T21_NON_DOMAINS):
-        value = wb.solve(spec, "ddim").value
-        out.append(
-            _verdict("T2.1", spec, "finite", "finite", f"finite ({value})", ok=True)
-        )
-    return out
-
-
-def _check_t22(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for part, specs in [("a", params.get("rings_a", T22A_RINGS)),
-                        ("b", params.get("rings_b", T22B_RINGS))]:
-        for spec in specs:
-            ring = wb.ring(spec)
-            members = zero_divisors(ring).members
-            nilp = set(ring_properties(ring).nilpotents)
-            if not all(x in nilp for x in members):
-                reason = "not every zero divisor is nilpotent"
-            # part (a) covers L(R)^2 = 0, part (b) the rest
-            elif all(ring.mul_of(x, y) == 0 for x in members for y in members):
-                reason = None if part == "a" else "L(R)^2 = 0, belongs to part (a)"
-            else:
-                reason = "L(R)^2 != 0" if part == "a" else None
-            if reason:
-                out.append(_skip("T2.2", spec, f"part-{part}", reason))
-            elif part == "a":
-                g = wb.graph(spec)
-                complete_shape = g.size == g.order * (g.order - 1) // 2
-                note = "" if len(members) >= 3 else f"|L(R)| = {len(members)} below the stated 3"
-                out.append(
-                    _verdict("T2.2", spec, "shape", "complete", _shape_label(g),
-                             ok=complete_shape, note=note)
-                )
-                out.append(
-                    _verdict("T2.2", spec, "ddim", len(members) - 1,
-                             wb.solve(spec, "ddim").value,
-                             claimed_text=f"|L(R)| - 1 = {len(members) - 1}", note=note)
-                )
-            else:
-                value = wb.solve(spec, "ddim").value
-                out.append(
-                    _verdict("T2.2", spec, "finite", "finite", f"finite ({value})", ok=True,
-                             note="sanity check only; finiteness is immediate for finite graphs")
-                )
-    return out
-
-
-def _check_t23(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for entry_id in params.get("entries", cut_vertex_entry_ids()):
-        spec = f"cat:{entry_id}"
-        instance = spec
-        try:
-            ring = wb.ring(spec)
-        except CatalogError as exc:
-            out.append(_invalid("T2.3", instance, f"axiom validation failed: {exc}"))
-            continue
-        try:
-            g = wb.graph(spec)
-        except EmptyGraphError:
-            out.append(_invalid("T2.3", instance, "no zero divisors"))
-            continue
-        inv = graph_invariants(g)
-        problems = []
-        if g.order < 3:
-            problems.append(f"|L(R)| = {g.order} < 3")
-        if not inv.cut_vertices:
-            problems.append("no cut vertex")
-        if inv.degree_one_vertices:
-            problems.append("has a degree-1 vertex")
-        if problems:
-            out.append(_invalid("T2.3", instance, "; ".join(problems)))
-            continue
-        computed = wb.solve(spec, "ddim").value
-        out.append(
-            _verdict("T2.3", instance, "ddim", "3 or 5", computed,
-                     ok=computed in (3, 5), computed_text=str(computed))
-        )
-    return out
-
-
-def _check_t24(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for q in params.get("field_orders", wb.config.field_orders):
-        spec = f"prod:(Zn:2,GF:{q})"
-        g = wb.graph(spec)
-        ok, center = _is_star_centered(g)
-        center_ok = ok and g.labels[center] == "(1,0)"
-        out.append(
-            _verdict("T2.4", spec, "shape",
-                     f"K_1,{g.order - 1} with center (1,0)",
-                     f"star with center {g.labels[center]}" if ok else _shape_label(g),
-                     ok=center_ok)
-        )
-        out.append(
-            _verdict("T2.4", spec, "ddim", g.order - 1, wb.solve(spec, "ddim").value,
-                     claimed_text=f"|L(R)| - 1 = {g.order - 1}")
-        )
-    for spec in params.get("local_acyclic", T24_LOCAL_ACYCLIC):
-        ring = wb.ring(spec)
-        props = ring_properties(ring)
-        g = wb.graph(spec)
-        if not props.is_local or graph_invariants(g).girth != INF:
-            out.append(_skip("T2.4", spec, "local-acyclic", "hypotheses not met"))
-            continue
-        tags = {"path3"} if _is_path3(g) else set()
-        out.append(
-            _verdict("T2.4", spec, "ddim", 1, wb.solve(spec, "ddim").value,
-                     tags=tags, note="local ring with acyclic graph clause")
-        )
-    return out
-
-
-def _t26_covered(n: int) -> tuple[str, int, int] | None:
-    """Shape of n covered by T2.6 as (kind, p, q), with p < q and q = 0 for
-    prime powers; None for any other n."""
-    f = list(factorize(n))
-    if len(f) == 1:
-        p, e = f[0]
-        if e == 1:
-            return "prime", p, 0
-        if e == 2:
-            return "p2", p, 0
-        if e == 3 and p == 2:
-            return "eight", p, 0
-        return None
-    if len(f) == 2 and f[0][1] == 1 and f[1][1] == 1:
-        p, q = f[0][0], f[1][0]
-        return ("pq_even" if p == 2 else "pq"), p, q
-    return None
-
-
-def _zn_ddim_claim(kind: str, p: int, q: int) -> tuple[int, str, set[str], str]:
-    """Printed ddim of Zn for a covered n that is not prime, as used by T2.6
-    and TAB1: (value, claim text, erratum tags, note)."""
-    if kind == "eight":
-        return 1, "1", {"path3"}, ""
-    if kind == "p2":
-        return p - 2, f"p - 2 = {p - 2}", set(), ""
-    text = f"p + q - 4 = {p + q - 4}"
-    if kind == "pq":
-        return p + q - 4, text, set(), ""
-    return p + q - 4, text, {"even-pq"}, "printed pq formula applied at p = 2"
-
-
-def _check_t26(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    ns = params.get("ns")
-    if ns is None:
-        # default grid: every covered n up to the bound
-        ns = [n for n in range(2, wb.config.t26_max_n + 1) if _t26_covered(n)]
-    for n in ns:
-        cov = _t26_covered(n)
-        instance = f"n={n}"
-        if cov is None:
-            out.append(_skip("T2.6", instance, "ddim", "n is not of a covered shape"))
-            continue
-        kind, p, q = cov
-        if kind == "prime":
-            try:
-                wb.graph(f"Zn:{n}")
-                out.append(_verdict("T2.6", instance, "ddim", "undefined", "graph built", ok=False))
-            except EmptyGraphError:
-                out.append(
-                    _verdict("T2.6", instance, "ddim", "undefined",
-                             "undefined (empty graph)", ok=True)
-                )
-            continue
-        claimed, text, tags, note = _zn_ddim_claim(kind, p, q)
-        out.append(
-            _verdict("T2.6", instance, "ddim", claimed, wb.solve(f"Zn:{n}", "ddim").value,
-                     claimed_text=text, tags=tags, note=note)
-        )
-    return out
-
-
-def _field_pairs(wb: _Workbench, params: dict) -> list[tuple[int, int]]:
-    orders = params.get("field_orders", wb.config.field_orders)
-    return [(q1, q2) for q1 in orders for q2 in orders if q1 <= q2]
-
-
-def _check_t2121(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for q1, q2 in _field_pairs(wb, params):
-        if q1 < 3 or q2 < 3:
-            out.append(_skip("T2121", f"q1={q1},q2={q2}", "ddim", "field orders must be >= 3"))
-            continue
-        spec = f"prod:(GF:{q1},GF:{q2})"
-        instance = f"q1={q1},q2={q2}"
-        girth = graph_invariants(wb.graph(spec)).girth
-        out.append(_verdict("T2121", instance, "girth", 4,
-                            "inf" if girth == INF else int(girth)))
-        claimed = q1 + q2 - (girth if girth != INF else 0)
-        out.append(
-            _verdict("T2121", instance, "ddim", claimed, wb.solve(spec, "ddim").value,
-                     claimed_text=f"|K1| + |K2| - gr = {claimed}")
-        )
-    return out
-
-
-def _check_t2122(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for q1, q2 in _field_pairs(wb, params):
-        if q1 < 3 or q2 < 3:
-            out.append(_skip("T2122", f"q1={q1},q2={q2}", "ddim", "field orders must be >= 3"))
-            continue
-        spec = f"prod:(GF:{q1},GF:{q2})"
-        instance = f"q1={q1},q2={q2}"
-        g = wb.graph(spec)
-        omega = graph_invariants(g).clique_number
-        out.append(_verdict("T2122", instance, "omega", 2, omega))
-        out.append(
-            _verdict("T2122", instance, "shape", f"K{q1},{q2}", _shape_label(g))
-        )
-        claimed = q1 + q2 - 2 * omega
-        out.append(
-            _verdict("T2122", instance, "ddim", claimed, wb.solve(spec, "ddim").value,
-                     claimed_text=f"|I1| + |I2| - 2*omega = {claimed}")
-        )
-    return out
-
-
-def _check_l2121(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for spec in params.get("rings", L2121_RINGS):
-        diam = graph_invariants(wb.graph(spec)).diameter
-        if diam > 2:
-            out.append(_skip("L2121", spec, "finite", f"diameter {diam} exceeds 2"))
-            continue
-        value = wb.solve(spec, "ddim").value
-        out.append(
-            _verdict("L2121", spec, "finite", "finite", f"finite ({value})", ok=True,
-                     note="sanity check only")
-        )
-    return out
-
-
-def _check_t2123(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    def prime_mod4(p: int, r: int) -> bool:
-        # p is prime iff its least prime factor is p itself, once
-        return next(factorize(p), None) == (p, 1) and p % 4 == r
-
-    out = []
-    for p in params.get("case1", wb.config.gauss_case1):
-        instance = f"case=1,p={p}"
-        if not prime_mod4(p, 3):
-            out.append(_skip("T2123", instance, "ddim", "p must be a prime with p = 3 mod 4"))
-            continue
-        spec = f"Zni:{p * p}"
-        g = wb.graph(spec)
-        out.append(
-            _verdict("T2123", instance, "shape", f"K{p * p - 1}", _shape_label(g))
-        )
-        out.append(
-            _verdict("T2123", instance, "ddim", p * p - 2, wb.solve(spec, "ddim").value,
-                     claimed_text=f"p^2 - 2 = {p * p - 2}")
-        )
-    for p1, p2 in params.get("case2", wb.config.gauss_case2):
-        instance = f"case=2,p1={p1},p2={p2}"
-        if not (prime_mod4(p1, 3) and prime_mod4(p2, 3) and p1 != p2):
-            out.append(_skip("T2123", instance, "ddim",
-                             "p1, p2 must be distinct primes with p = 3 mod 4"))
-            continue
-        spec = f"Zni:{p1 * p2}"
-        g = wb.graph(spec)
-        a, b = sorted((p1 * p1 - 1, p2 * p2 - 1))
-        out.append(_verdict("T2123", instance, "shape", f"K{a},{b}", _shape_label(g)))
-        omega = graph_invariants(g).clique_number
-        claimed = p1 * p1 - p2 * p2 - 2 * omega
-        out.append(
-            _verdict("T2123", instance, "ddim", claimed, wb.solve(spec, "ddim").value,
-                     claimed_text=f"p1^2 - p2^2 - 2*omega = {claimed}",
-                     tags={"case2"},
-                     note=f"p1^2 + p2^2 - 4 = {p1 * p1 + p2 * p2 - 4} matches the computed value")
-        )
-    for p in params.get("case3", wb.config.gauss_case3):
-        instance = f"case=3,p={p}"
-        if not prime_mod4(p, 1):
-            out.append(_skip("T2123", instance, "ddim", "p must be a prime with p = 1 mod 4"))
-            continue
-        spec = f"Zni:{p}"
-        g = wb.graph(spec)
-        out.append(_verdict("T2123", instance, "shape", f"K{p - 1},{p - 1}", _shape_label(g)))
-        girth = graph_invariants(g).girth
-        girth_val = "inf" if girth == INF else int(girth)
-        out.append(
-            _verdict("T2123", instance, "girth", 2, girth_val, tags={"case3"})
-        )
-        claimed = 2 * p - (girth if girth != INF else 0)
-        out.append(
-            _verdict("T2123", instance, "ddim", claimed, wb.solve(spec, "ddim").value,
-                     claimed_text=f"2p - gr = {claimed}", tags={"case3"})
-        )
-    return out
+# Claims in registry order; consecutive rows with one id make up one claim.
+_CLAIMS: tuple[_Row, ...] = (
+    *_family_ddim("T1", fam.cycle, range(7, 17), (21, 33, 45, 60),
+                  lambda c: math.ceil(c.n / 3), "gamma(C_{n}) = {}"),
+    *_family_ddim("T2", fam.star, range(2, 15), (25, 40, 60), lambda c: c.n - 1, "n - 1 = {}"),
+    _Row("T3", [fam.complete_bipartite(m, n) for m in range(2, 8) for n in range(m, 15 - m)],
+         (_Aspect("dim", lambda c: c.m + c.n - 2, "m + n - 2 = {}", note="exact solver"),
+          _DDIM_IS_DIM), _families),
+    _Row("T3", [fam.complete_bipartite(2, 28), fam.complete_bipartite(10, 20)],
+         (_DDIM_IS_DIM_SPOT,), _families),
+    *_family_ddim("T4", fam.path, range(4, 17), (25, 40, 60),
+                  lambda c: math.ceil(c.n / 3), "gamma(P_{n}) = {}"),
+    _Row("T5", [fam.complete(n) for n in range(2, 13)],
+         (_Aspect("dim", lambda c: c.n - 1, "n - 1 = {}", note="exact solver"), _DDIM_IS_DIM),
+         _families),
+    _Row("T5", [fam.complete(n) for n in (20, 40, 60)], (_DDIM_IS_DIM_SPOT,), _families),
+    _Row("T6", [fam.path(1), fam.path(2)],
+         (_Aspect("ddim", 1, tags=lambda c: {c.label},
+                  note="printed equivalence range includes n = 1"),), _families),
+    _Row("P2.1", P21_RINGS,
+         (_Aspect("shape", "P2 or P3", ok=lambda c, v: v in {"K2", "P3"}, note="path shape claim"),
+          _Aspect("ddim", 1, tags=lambda c: c.path3))),
+    _Row("P2.2", P22_RINGS,
+         (_Aspect("shape", "C_m with m <= 4", computed="cycle", ok=lambda c, v: v in {"C3", "C4"}),
+          _Aspect("ddim", 2))),
+    _Row("T2.1", T21_DOMAINS,
+         (_Aspect("undefined-iff-domain", "undefined", computed="undefined",
+                  ok=lambda c, v: c.empty and ring_properties(c.ring).is_integral_domain),)),
+    _Row("T2.1", T21_NON_DOMAINS, (_finite(),)),
+    _Row("T2.2", T22A_RINGS,
+         (_Aspect("shape", "complete", note=_below_three,
+                  ok=lambda c, v: c.graph.size == c.graph.order * (c.graph.order - 1) // 2),
+          _Aspect("ddim", lambda c: len(c.zd) - 1, "|L(R)| - 1 = {}", note=_below_three)),
+         gate=_nilpotent_gate("a"), skip="part-a"),
+    _Row("T2.2", T22B_RINGS,
+         (_finite("sanity check only; finiteness is immediate for finite graphs"),),
+         gate=_nilpotent_gate("b"), skip="part-b"),
+    _Row("T2.3", lambda cfg: cut_vertex_entry_ids(),
+         (_Aspect("ddim", "3 or 5", ok=lambda c, v: v in (3, 5)),),
+         lambda wb, entries: _rings(wb, [f"cat:{e}" for e in entries]),
+         key="entries", gate=_cut_vertex_hypotheses),
+    _Row("T2.4", lambda cfg: cfg.field_orders,
+         (_Aspect("shape", lambda c: f"K_1,{c.graph.order - 1} with center (1,0)",
+                  computed="star", ok=lambda c, v: v == "star with center (1,0)"),
+          _Aspect("ddim", lambda c: c.graph.order - 1, "|L(R)| - 1 = {}")),
+         lambda wb, qs: _rings(wb, [f"prod:(Zn:2,GF:{q})" for q in qs]), key="field_orders"),
+    _Row("T2.4", T24_LOCAL_ACYCLIC,
+         (_Aspect("ddim", 1, tags=lambda c: c.path3, note="local ring with acyclic graph clause"),),
+         gate=lambda c: None if ring_properties(c.ring).is_local and c.inv.girth == INF
+         else "hypotheses not met", skip="local-acyclic"),
+    _Row("T2.6", lambda cfg: [n for n in range(2, cfg.t26_max_n + 1) if _zn_claim(n)],
+         lambda c: (_ZN_UNDEFINED,) if c.claim.kind == "prime" else (_ZN_DDIM,),
+         _zn_cases, key="ns", gate=_uncovered, skip="ddim"),
+    _Row("T2121", lambda cfg: cfg.field_orders,
+         (_Aspect("girth", 4),
+          _Aspect("ddim", lambda c: c.q1 + c.q2 - c.gr, "|K1| + |K2| - gr = {}")),
+         _field_pairs, key="field_orders", gate=_small_fields, skip="ddim"),
+    _Row("T2122", lambda cfg: cfg.field_orders,
+         (_Aspect("omega", 2),
+          _Aspect("shape", lambda c: f"K{c.q1},{c.q2}"),
+          _Aspect("ddim", lambda c: c.q1 + c.q2 - 2 * c.omega, "|I1| + |I2| - 2*omega = {}")),
+         _field_pairs, key="field_orders", gate=_small_fields, skip="ddim"),
+    _Row("L2121", L2121_RINGS, (_finite("sanity check only"),),
+         gate=lambda c: f"diameter {c.inv.diameter} exceeds 2" if c.inv.diameter > 2 else None,
+         skip="finite"),
+    _Row("T2123", lambda cfg: cfg.gauss_case1,
+         (_Aspect("shape", lambda c: f"K{c.p * c.p - 1}"),
+          _Aspect("ddim", lambda c: c.p * c.p - 2, "p^2 - 2 = {}")),
+         lambda wb, ps: (_Case(wb, f"case=1,p={p}", f"Zni:{p * p}", p=p) for p in ps),
+         key="case1", skip="ddim",
+         gate=lambda c: None if _prime_mod4(c.p, 3) else "p must be a prime with p = 3 mod 4"),
+    _Row("T2123", lambda cfg: cfg.gauss_case2,
+         (_Aspect("shape", lambda c: "K{},{}".format(*sorted((c.p1**2 - 1, c.p2**2 - 1)))),
+          _Aspect("ddim", lambda c: c.p1**2 - c.p2**2 - 2 * c.omega,
+                  "p1^2 - p2^2 - 2*omega = {}", tags={"case2"},
+                  note=lambda c: f"p1^2 + p2^2 - 4 = {c.p1**2 + c.p2**2 - 4} "
+                                 "matches the computed value")),
+         lambda wb, pairs: (_Case(wb, f"case=2,p1={p1},p2={p2}", f"Zni:{p1 * p2}", p1=p1, p2=p2)
+                            for p1, p2 in pairs),
+         key="case2", skip="ddim",
+         gate=lambda c: None if _prime_mod4(c.p1, 3) and _prime_mod4(c.p2, 3) and c.p1 != c.p2
+         else "p1, p2 must be distinct primes with p = 3 mod 4"),
+    _Row("T2123", lambda cfg: cfg.gauss_case3,
+         (_Aspect("shape", lambda c: f"K{c.p - 1},{c.p - 1}"),
+          _Aspect("girth", 2, tags={"case3"}),
+          _Aspect("ddim", lambda c: 2 * c.p - c.gr, "2p - gr = {}", tags={"case3"})),
+         lambda wb, ps: (_Case(wb, f"case=3,p={p}", f"Zni:{p}", p=p) for p in ps),
+         key="case3", skip="ddim",
+         gate=lambda c: None if _prime_mod4(c.p, 1) else "p must be a prime with p = 1 mod 4"),
+    _Row("TAB1", lambda cfg: cfg.table1_n,
+         lambda c: _TAB1_PRIME if c.claim.kind == "prime" else _TAB1_COMPOSITE,
+         lambda wb, ns: _zn_cases(wb, sorted(set(ns))), key="ns", gate=_uncovered, skip="row"),
+    _Row("TAB2", P21_RINGS, _tab2_aspects(1, tags=lambda c: c.path3)),
+    _Row("TAB2", P22_RINGS, _tab2_aspects(2)),
+    _Row("TAB2", lambda cfg: cfg.field_orders, _tab2_aspects(lambda c: c.q1 + c.q2 - 4),
+         lambda wb, qs: (_Case(wb, c.subject, c.subject, q1=c.q1, q2=c.q2)
+                         for c in _field_pairs(wb, qs) if not _small_fields(c))),
+    _Row("TAB2", lambda cfg: cfg.table2_primes, _tab2_aspects(lambda c: c.p - 2),
+         lambda wb, ps: (_Case(wb, spec, spec, p=p)
+                         for p in ps for spec in (f"Zn:{p * p}", f"cat:Zpr.r2:{p}"))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -863,15 +726,6 @@ class Table:
         return "\n".join(lines) + "\n"
 
 
-_TABLE1_COLUMNS = (
-    "n", "V", "E", "diameter", "girth", "shape", "claimed_ddim", "computed_ddim", "status",
-)
-
-
-def _fmt_inv(value) -> str:
-    return "undefined" if value == INF else str(int(value))
-
-
 def _row_status(verdicts: Iterable[TheoremVerdict]) -> str:
     """Worst status of a table row's verdicts, with the id of the last
     erratum met before any FAIL."""
@@ -886,167 +740,58 @@ def _row_status(verdicts: Iterable[TheoremVerdict]) -> str:
     return worst if not erratum else f"{worst} {erratum}"
 
 
-def _table1_entries(wb: _Workbench, n_list: Iterable[int]):
-    """Per-n table rows plus their verdicts."""
-    entries = []
-    for n in sorted(set(n_list)):
-        instance = f"n={n}"
-        cov = _t26_covered(n)
-        if cov is None:
-            entries.append(((str(n),) + ("",) * 7 + ("UNSUPPORTED",),
-                            [_skip("TAB1", instance, "row", "n is not of a covered shape")]))
-            continue
-        kind, p, q = cov
-        if kind == "prime":
-            try:
-                wb.graph(f"Zn:{n}")
-                row = (str(n), "?", "?", "?", "?", "?", "undefined", "graph built", FAIL)
-                verdicts = [_verdict("TAB1", instance, "ddim", "undefined", "graph built", ok=False)]
-            except EmptyGraphError:
-                row = (str(n), "0", "0", "0", "undefined", "empty", "undefined", "undefined", PASS)
-                verdicts = [_verdict("TAB1", instance, "ddim", "undefined", "undefined", ok=True)]
-            entries.append((row, verdicts))
-            continue
-        g = wb.graph(f"Zn:{n}")
-        inv = graph_invariants(g)
-        shape = _shape_label(g)
-        # printed structure columns per row shape
-        if kind == "p2":
-            if p == 2:
-                expected = (1, 0, 0, INF, "K1")
-            elif p == 3:
-                expected = (2, 1, 1, INF, "K2")
-            else:
-                expected = (p - 1, (p - 1) * (p - 2) // 2, 1, 3, f"K{p - 1}")
-        elif kind == "eight":
-            expected = (3, 2, 2, INF, "P3")
-        elif kind == "pq":
-            expected = (p + q - 2, (p - 1) * (q - 1), 2, 4, f"K{p - 1},{q - 1}")
-        else:  # pq_even
-            # the printed K_{q-1,p-1} shape degenerates to a star at p = 2
-            star_label = fam.recognize_family(fam.generate_family(fam.star(q))).describe()
-            expected = (q, q - 1, 2, 4, star_label)
-        ev, ee, ed, eg, eshape = expected
-        eddim, _, tags, _ = _zn_ddim_claim(kind, p, q)
-        computed = wb.solve(f"Zn:{n}", "ddim").value
-        verdicts = [
-            _verdict("TAB1", instance, "V", ev, inv.order),
-            _verdict("TAB1", instance, "E", ee, inv.size),
-            _verdict("TAB1", instance, "diameter", ed,
-                     INF if inv.diameter == INF else int(inv.diameter),
-                     claimed_text=_fmt_inv(ed), computed_text=_fmt_inv(inv.diameter)),
-            _verdict("TAB1", instance, "girth", eg,
-                     INF if inv.girth == INF else int(inv.girth),
-                     claimed_text=_fmt_inv(eg), computed_text=_fmt_inv(inv.girth),
-                     tags=tags),
-            _verdict("TAB1", instance, "shape", eshape, shape),
-            _verdict("TAB1", instance, "ddim", eddim, computed, tags=tags),
-        ]
-        row = (
-            str(n),
-            str(inv.order),
-            str(inv.size),
-            _fmt_inv(inv.diameter),
-            _fmt_inv(inv.girth),
-            shape,
-            str(eddim),
-            str(computed),
-            _row_status(verdicts),
-        )
-        entries.append((row, verdicts))
-    return entries
+def _table1_row(verdicts: list[TheoremVerdict]) -> tuple[str, ...]:
+    n = verdicts[0].instance.removeprefix("n=")
+    if verdicts[0].status == SKIPPED:
+        return (n,) + ("",) * 7 + ("UNSUPPORTED",)
+    *columns, ddim = verdicts
+    if columns:
+        columns = [v.computed for v in columns]
+    else:  # n prime: the claim holds when Zn has no graph
+        columns = ("0", "0", "0", "undefined", "empty") if ddim.status == PASS else ("?",) * 5
+    return (n, *columns, ddim.claimed, ddim.computed, _row_status(verdicts))
+
+
+def _table2_row(verdicts: list[TheoremVerdict]) -> tuple[str, ...]:
+    dim, ddim = verdicts
+    return (dim.instance, f"dim = Dim_d = {dim.claimed}", dim.computed, ddim.computed,
+            _row_status(verdicts))
 
 
 def emit_table1(n_list: Iterable[int], config: SuiteConfig | None = None) -> Table:
-    wb = _Workbench(config or SuiteConfig())
-    rows = tuple(row for row, _ in _table1_entries(wb, n_list))
+    cases = _case_verdicts(_ROWS["TAB1"], _Workbench(config or SuiteConfig()), {"ns": n_list})
     return Table("dominant metric dimension of zero-divisor graphs of Zn",
-                 _TABLE1_COLUMNS, rows)
-
-
-def _check_tab1(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    n_list = params.get("ns", wb.config.table1_n)
-    out = []
-    for _, verdicts in _table1_entries(wb, n_list):
-        out.extend(verdicts)
-    return out
-
-
-_TABLE2_COLUMNS = ("ring", "claimed", "dim", "ddim", "status")
-
-
-def _table2_entries(wb: _Workbench):
-    entries = []
-
-    def add(spec: str, claimed: int, tags=()):
-        dim = wb.solve(spec, "dim").value
-        ddim = wb.solve(spec, "ddim").value
-        verdicts = [
-            _verdict("TAB2", spec, "dim", claimed, dim),
-            _verdict("TAB2", spec, "ddim", claimed, ddim, tags=tags),
-        ]
-        row = (spec, f"dim = Dim_d = {claimed}", str(dim), str(ddim), _row_status(verdicts))
-        entries.append((row, verdicts))
-
-    for spec in P21_RINGS:
-        tags = {"path3"} if _is_path3(wb.graph(spec)) else set()
-        add(spec, 1, tags)
-    for spec in P22_RINGS:
-        add(spec, 2)
-    for q1, q2 in _field_pairs(wb, {}):
-        if q1 >= 3 and q2 >= 3:
-            add(f"prod:(GF:{q1},GF:{q2})", q1 + q2 - 4)
-    for p in wb.config.table2_primes:
-        add(f"Zn:{p * p}", p - 2)
-        add(f"cat:Zpr.r2:{p}", p - 2)
-    return entries
+                 ("n", "V", "E", "diameter", "girth", "shape", "claimed_ddim", "computed_ddim",
+                  "status"),
+                 tuple(_table1_row(verdicts) for verdicts in cases))
 
 
 def emit_table2(config: SuiteConfig | None = None) -> Table:
-    wb = _Workbench(config or SuiteConfig())
-    rows = tuple(row for row, _ in _table2_entries(wb))
+    cases = _case_verdicts(_ROWS["TAB2"], _Workbench(config or SuiteConfig()), {})
     return Table("rings with equal metric and dominant metric dimension",
-                 _TABLE2_COLUMNS, rows)
-
-
-def _check_tab2(wb: _Workbench, params: dict) -> list[TheoremVerdict]:
-    out = []
-    for _, verdicts in _table2_entries(wb):
-        out.extend(verdicts)
-    return out
+                 ("ring", "claimed", "dim", "ddim", "status"),
+                 tuple(_table2_row(verdicts) for verdicts in cases))
 
 
 # ---------------------------------------------------------------------------
 # registry and suite
 # ---------------------------------------------------------------------------
 
+_ROWS: dict[str, tuple[_Row, ...]] = {
+    claim: tuple(r for r in _CLAIMS if r.claim == claim)
+    for claim in dict.fromkeys(r.claim for r in _CLAIMS)
+}
+
 CLAIM_REGISTRY: dict[str, Callable[[_Workbench, dict], list[TheoremVerdict]]] = {
-    "T1": _check_t1,
-    "T2": _check_t2,
-    "T3": _check_t3,
-    "T4": _check_t4,
-    "T5": _check_t5,
-    "T6": _check_t6,
-    "P2.1": _check_p21,
-    "P2.2": _check_p22,
-    "T2.1": _check_t21,
-    "T2.2": _check_t22,
-    "T2.3": _check_t23,
-    "T2.4": _check_t24,
-    "T2.6": _check_t26,
-    "T2121": _check_t2121,
-    "T2122": _check_t2122,
-    "L2121": _check_l2121,
-    "T2123": _check_t2123,
-    "TAB1": _check_tab1,
-    "TAB2": _check_tab2,
+    claim: partial(_run_rows, rows) for claim, rows in _ROWS.items()
 }
 
 
 def verify_theorem(
     theorem_id: str, config: SuiteConfig | None = None, **params
 ) -> list[TheoremVerdict]:
-    """Run a single registry check with optional parameter overrides."""
+    """Run a single registry check with optional parameter overrides; an
+    override key the claim does not accept raises UnknownClaimError."""
     check = CLAIM_REGISTRY.get(theorem_id)
     if check is None:
         raise UnknownClaimError(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -196,6 +197,37 @@ def test_verify_run_config_file(runner, tmp_path):
     assert result.exit_code == 0
     assert "E2" in result.output
 
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"t26_max_n": "30"},
+        {"field_orders": 5},
+        {"only": "T2.6"},
+        ["only", "t26_max_n"],
+        {"field_orders": ["3"]},
+        {"gauss_case2": [[3, 7, 11]]},
+        {"budget_ms": True},
+    ],
+)
+def test_verify_run_config_of_wrong_type_exits_2(runner, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = runner.invoke(main, ["verify", "run", "--config", str(cfg), "--deterministic"])
+    assert result.exit_code == 2, result.output
+    assert "error: suite config" in result.output
+
+
+def test_verify_run_config_accepts_every_field(runner, tmp_path):
+    # every SuiteConfig field, at its default, in JSON form
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dataclasses.asdict(verify_mod.SuiteConfig())))
+    assert verify_mod.load_suite_config(str(cfg)) == verify_mod.SuiteConfig()
+    cfg.write_text(json.dumps({"only": ["T6"], "budget_ms": 60000, "budget_checks": None}))
+    result = runner.invoke(main, ["verify", "run", "--config", str(cfg), "--deterministic"])
+    assert result.exit_code == 0
+    assert "E2" in result.output
 
 def test_table_emit_table1(runner):
     result = runner.invoke(main, ["table", "emit", "table1", "--n", "25,8"])

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from zdrlab import verify as verify_mod
+
 from zdrlab.rings import CatalogEntry, register_catalog_entry, unregister_catalog_entry
 from zdrlab.verify import (
+    CLAIM_REGISTRY,
     ERRATA,
     SuiteConfig,
     UnknownClaimError,
@@ -215,3 +218,50 @@ def test_load_suite_config(tmp_path):
     bad.write_text(json.dumps({"mystery": 1}))
     with pytest.raises(ValueError):
         load_suite_config(str(bad))
+
+
+def test_unknown_override_key_names_the_accepted_keys():
+    with pytest.raises(UnknownClaimError, match="nss; it accepts: ns"):
+        verify_theorem("T2.6", nss=[15])
+    with pytest.raises(UnknownClaimError, match="ns; it accepts: none"):
+        verify_theorem("P2.1", ns=[15])
+    with pytest.raises(UnknownClaimError, match="it accepts: case1, case2, case3"):
+        verify_theorem("T2123", case4=[3])
+    with pytest.raises(UnknownClaimError, match="sizes; it accepts: none"):
+        verify_theorem("T1", sizes=[7])
+    with pytest.raises(UnknownClaimError, match="it accepts: none"):
+        verify_theorem("TAB2", field_orders=[3])
+    (v,) = verify_theorem("TAB1", ns=[25])[-1:]
+    assert v.aspect == "ddim" and v.status == "PASS"
+
+
+def test_errata_ledger_names_claims_and_aspects_that_exist():
+    # a renamed claim or aspect must not leave an erratum that can never match
+    emitted = {}
+    for v in run_suite().verdicts:
+        emitted.setdefault(v.theorem_id, set()).add(v.aspect)
+    for e in ERRATA.values():
+        assert e.theorems <= set(CLAIM_REGISTRY), e.erratum_id
+        for t in e.theorems:
+            assert emitted[t] & e.aspects, (e.erratum_id, t)
+        for aspect in e.aspects:
+            assert any(aspect in emitted[t] for t in e.theorems), (e.erratum_id, aspect)
+
+
+def test_claim_runner_calls_traceable_module_names(monkeypatch):
+    # rows read rings, graphs, invariants and solver results through the
+    # module's names at call time, so tools that rebind those names see them
+    calls = {}
+    names = ("build_ring", "build_zdgraph", "graph_invariants", "ring_properties",
+             "zero_divisors", "solve_dimensions")
+    for name in names:
+        original = getattr(verify_mod, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, name, counted)
+    for claim in ("T2.1", "T2.2", "T2.3", "T2.4", "TAB1"):
+        verify_theorem(claim)
+    assert set(calls) == set(names)
