@@ -2,10 +2,10 @@
 
 A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
 bitsets and a full distance matrix (-1 marks unreachable pairs). The matrix
-takes one bitset BFS per distance-twin class, not one per vertex: twins have
-equal rows outside their own class. Graphs come from three sources:
-zero-divisor graphs of rings, generated named families, and parsed
-edge-list files.
+takes one bitset BFS per distance-twin class on the twin quotient, which
+has one vertex per class: twins have equal rows outside their own class.
+Graphs come from three sources: zero-divisor graphs of rings, generated
+named families, and parsed edge-list files.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,25 +119,43 @@ def _bfs_row(order: int, adj: Sequence[int], s: int) -> list[int]:
 
 
 def _all_pairs_bfs(order: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """All distance rows from one BFS per twin class, run from its least member.
+    """All distance rows from one BFS per twin class on the twin quotient.
 
-    Twins have equal distances to every vertex outside their class, and any
-    two members of a class lie at one common distance: 1 in a clique class,
-    2 for open twins with a neighbour, -1 for isolated vertices. The BFS row
-    of the least member s already holds that distance at every other member,
-    so each member's row is s's row with that distance at s and 0 at itself.
+    Adjacency between two twin classes is all or nothing, so the quotient
+    graph, whose vertex c is the c-th class, has the distances between
+    members of different classes. Its BFS row from class c, read through
+    each vertex's class, is the row of every member of c except at the
+    members themselves: any two of them lie at one common distance, 1 in a
+    clique class, 2 for open twins with a neighbour and -1 for isolated
+    vertices, and each is at 0 from itself. A twin-free graph is its own
+    quotient.
     """
+    classes = neighbourhood_twin_classes(adj)
+    if len(classes) == order:
+        quotient, expand = adj, tuple
+    else:
+        class_of = [0] * order
+        for c, cls in enumerate(classes):
+            for v in cls:
+                class_of[v] = c
+        least = sum(1 << cls[0] for cls in classes)
+        quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least))
+                    for cls in classes]
+        expand = itemgetter(*class_of)
     rows: list[tuple[int, ...]] = [()] * order
-    for cls in neighbourhood_twin_classes(adj):
-        s = cls[0]
-        row = _bfs_row(order, adj, s)
-        rows[s] = tuple(row)
-        if len(cls) > 1:
-            row[s] = row[cls[1]]
-            for v in cls[1:]:
-                row[v] = 0
-                rows[v] = tuple(row)
-                row[v] = row[s]
+    for c, cls in enumerate(classes):
+        row = expand(_bfs_row(len(classes), quotient, c))
+        if len(cls) == 1:
+            rows[cls[0]] = row
+            continue
+        twin = 1 if adj[cls[0]] >> cls[1] & 1 else 2 if quotient[c] else -1
+        row = list(row)
+        for v in cls:
+            row[v] = twin
+        for v in cls:
+            row[v] = 0
+            rows[v] = tuple(row)
+            row[v] = twin
     return tuple(rows)
 
 

@@ -456,13 +456,15 @@ def _gf_entry(q: int) -> CatalogEntry:
 
 
 def _build_structure(entry: CatalogEntry):
-    """Multiplication table of the ring an entry describes, one outer product
-    per term.
+    """Multiplication table of the ring an entry describes, summed from one
+    small table per term.
 
     Element x has coefficient (x // prod(moduli[:t])) % moduli[t] on basis[t],
     so index 1 is the unity. Coordinate t of x*y is the sum over basis pairs
     (i, j) of w_t * c_i(x) * c_j(y), reduced mod moduli[t], where
-    basis[i] * basis[j] = sum_t w_t basis[t].
+    basis[i] * basis[j] = sum_t w_t basis[t]. The term (i, j) depends on two
+    digits only, so its table is moduli[i] x moduli[j] and lies on those two
+    axes of the (x digits, y digits) tensor; for Zn it is the whole table.
     """
     moduli = entry.moduli
     k = len(moduli)
@@ -472,52 +474,100 @@ def _build_structure(entry: CatalogEntry):
         for i in range(k)
         for j in range(k)
     }
-    # int32 unless a coordinate sum before reduction can reach 2**31
-    bound = max(
-        sum(abs(w[t]) * (moduli[i] - 1) * (moduli[j] - 1) for (i, j), w in consts.items())
-        for t in range(k)
-    )
-    scales, coeffs = _digits(moduli, np.int32 if bound < 2**31 else np.int64)
-    mul = _sum_in_place(
-        _coordinate((np.multiply.outer(w[t] * coeffs[i], coeffs[j])
-                     for (i, j), w in consts.items() if w[t]), m, s)
-        for t, (s, m) in enumerate(zip(scales, moduli))
-    )
+    mul = _mixed_radix_sum(moduli, (
+        [_on_axes(moduli, i, j, _product_table(w[t], m, moduli[i], moduli[j]))
+         for (i, j), w in consts.items() if w[t]]
+        for t, m in enumerate(moduli)
+    ))
+    coeffs = _digits(moduli)
     labels = [_term_label(c, entry.basis) for c in zip(*(c.tolist() for c in coeffs))]
     return labels, mul, 1, moduli
 
 
-def _digits(moduli: tuple[int, ...], dtype) -> tuple[list[int], list[np.ndarray]]:
-    """Place values of the mixed-radix digits and each element's digits."""
-    scales = [math.prod(moduli[:t]) for t in range(len(moduli))]
-    idx = np.arange(math.prod(moduli), dtype=dtype)
-    return scales, [idx // s % m for s, m in zip(scales, moduli)]
+def _fold_dtype(m: int):
+    """The smallest unsigned dtype in which a sum of two residues mod m, and
+    the wrap-around of that sum minus m, stay exact."""
+    return np.uint16 if 2 * (m - 1) < 1 << 16 else np.uint32
+
+
+def _fold_add(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(a + b) mod m for residues a, b < m, broadcast, in their unsigned dtype,
+    written to ``out`` when given.
+
+    Where a + b < m, a + b - m wraps around to above a + b, so the minimum
+    picks a + b; elsewhere it picks a + b - m.
+    """
+    total = np.add(a, b, out=out)
+    return np.minimum(total, total - total.dtype.type(m), out=total)
+
+
+def _product_table(w: int, m: int, rows: int, cols: int) -> np.ndarray:
+    """w * a * b mod m for a < rows and b < cols, built by row doubling:
+    rows [h, 2h) are rows [0, h) plus row h, and row 2h is row h doubled.
+    Every sum is folded back below m in ``_fold_dtype(m)``; only the first
+    row is computed in int64."""
+    dtype = _fold_dtype(m)
+    table = np.zeros((rows, cols), dtype)
+    step = (np.arange(cols, dtype=np.int64) * (w % m) % m).astype(dtype)
+    h = 1
+    while h < rows:
+        span = min(h, rows - h)
+        _fold_add(table[:span], step, m, out=table[h:h + span])
+        h *= 2
+        if h < rows:
+            step = _fold_add(step, step, m)
+    return table
+
+
+def _on_axes(moduli: tuple[int, ...], i: int, j: int, table: np.ndarray) -> np.ndarray:
+    """A table over (digit i of x, digit j of y) as an array on those two axes
+    of the (x digits, y digits) tensor, whose axes run most significant digit
+    first so that it reshapes to order x order."""
+    k = len(moduli)
+    shape = [1] * (2 * k)
+    shape[k - 1 - i] = moduli[i]
+    shape[2 * k - 1 - j] = moduli[j]
+    return table.reshape(shape)
+
+
+def _mixed_radix_sum(moduli: tuple[int, ...], terms: Iterable[list[np.ndarray]]) -> np.ndarray:
+    """The order x order table whose entry at (x, y) is the element with
+    digit t equal to the sum, mod moduli[t], of coordinate t's terms there.
+
+    Each term holds residues on some axes of the (x digits, y digits)
+    tensor; the terms of all coordinates together span every axis. Each
+    coordinate's sum is scaled by its place value in place, so a term may
+    be overwritten. Entries stay below the order, which build_ring has
+    capped at MAX_TABLE_ORDER, so none overflows.
+    """
+    total = None
+    scale = 1
+    for m, coordinate in zip(moduli, terms):
+        digit = reduce(lambda a, b: _fold_add(a, b, m), coordinate)
+        if scale > 1:
+            digit *= digit.dtype.type(scale)
+        total = digit if total is None else total + digit
+        scale *= m
+    return total.reshape(scale, scale)
+
+
+def _digits(moduli: tuple[int, ...]) -> list[np.ndarray]:
+    """Each element's mixed-radix digits, one array per digit."""
+    idx = np.arange(math.prod(moduli))
+    return [idx // math.prod(moduli[:t]) % m for t, m in enumerate(moduli)]
 
 
 def _mixed_radix_add(moduli: tuple[int, ...]) -> np.ndarray:
-    """Addition table of digit-wise sums modulo ``moduli``, as uint16.
+    """Addition table of digit-wise sums modulo ``moduli``, as uint16: one
+    term per coordinate, the addition table of its digit."""
 
-    int32 suffices: a digit sum is below 2 * 2**16 before reduction, and an
-    index below the order after it.
-    """
-    scales, digits = _digits(moduli, np.int32)
-    add = _sum_in_place(
-        _coordinate([np.add.outer(c, c)], m, s) for c, s, m in zip(digits, scales, moduli)
-    )
-    return add.astype(np.uint16)
+    def residue_sums(m: int) -> np.ndarray:
+        r = np.arange(m, dtype=_fold_dtype(m))
+        return _fold_add(r[:, None], r, m)
 
-
-def _sum_in_place(arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum of arrays, accumulated in the first one's buffer."""
-    return reduce(lambda total, a: np.add(total, a, out=total), arrays)
-
-
-def _coordinate(terms: Iterable[np.ndarray], m: int, scale: int) -> np.ndarray:
-    """One coordinate's share of the element index: scale * (sum(terms) mod m)."""
-    total = _sum_in_place(terms)
-    total %= m
-    total *= scale
-    return total
+    return _mixed_radix_sum(
+        moduli, ([_on_axes(moduli, t, t, residue_sums(m))] for t, m in enumerate(moduli))
+    ).astype(np.uint16, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,12 @@ class SuiteConfig:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has the annotated type of a SuiteConfig field; a
-    tuple is read from a JSON list and a float also from an integer."""
+    """Whether a value has the annotated type of a SuiteConfig field; a tuple
+    is read from a list (as JSON gives it) or a tuple, and a float also from
+    an integer."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             return False
         if args[-1] is Ellipsis:
             return all(_fits(v, args[0]) for v in value)
@@ -186,6 +187,10 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, hint) or (hint is float and isinstance(value, int))
+
+
+def _expected(hint) -> str:
+    return str(hint) if get_args(hint) else hint.__name__
 
 
 def load_suite_config(path: str) -> SuiteConfig:
@@ -203,12 +208,23 @@ def load_suite_config(path: str) -> SuiteConfig:
     for key, value in raw.items():
         hint = hints[key]
         if not _fits(value, hint):
-            expected = hint if get_args(hint) else hint.__name__
-            raise ValueError(f"suite config {key!r} must be {expected}, not {json.dumps(value)}")
+            raise ValueError(f"suite config {key!r} must be {_expected(hint)}, "
+                             f"not {json.dumps(value)}")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[key] = value
     return SuiteConfig(**kwargs)
+
+
+# The SuiteConfig field whose instances each verify_theorem override key
+# replaces; T2.3's `entries` (catalog ids) replaces none.
+_OVERRIDE_FIELDS = {"ns": "table1_n", "field_orders": "field_orders", "case1": "gauss_case1",
+                    "case2": "gauss_case2", "case3": "gauss_case3"}
+
+
+def _override_type(key: str):
+    field = _OVERRIDE_FIELDS.get(key)
+    return get_type_hints(SuiteConfig)[field] if field else tuple[str, ...]
 
 
 class _Workbench:
@@ -375,6 +391,11 @@ def _case_verdicts(rows: tuple[_Row, ...], wb: _Workbench, params: dict):
             f"unknown override keys for {rows[0].claim}: {', '.join(unknown)}; "
             f"it accepts: {', '.join(keys) or 'none'}"
         )
+    for key, value in params.items():
+        hint = _override_type(key)
+        if not _fits(value, hint):
+            raise ValueError(f"override {key!r} for {rows[0].claim} must be "
+                             f"{_expected(hint)}, not {value!r}")
     for row in rows:
         source = params[row.key] if row.key in params else _get(row.default, wb.config)
         for c in row.cases(wb, source):
@@ -759,7 +780,8 @@ def _table2_row(verdicts: list[TheoremVerdict]) -> tuple[str, ...]:
 
 
 def emit_table1(n_list: Iterable[int], config: SuiteConfig | None = None) -> Table:
-    cases = _case_verdicts(_ROWS["TAB1"], _Workbench(config or SuiteConfig()), {"ns": n_list})
+    cases = _case_verdicts(_ROWS["TAB1"], _Workbench(config or SuiteConfig()),
+                           {"ns": tuple(n_list)})
     return Table("dominant metric dimension of zero-divisor graphs of Zn",
                  ("n", "V", "E", "diameter", "girth", "shape", "claimed_ddim", "computed_ddim",
                   "status"),

@@ -8,6 +8,7 @@ definitions, and subsets are enumerated without any pruning.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -97,6 +98,47 @@ def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
         return t1[i1[:, None], i1[None, :]] * o2 + t2[i2[:, None], i2[None, :]]
 
     return combine(r1.add, r2.add), combine(r1.mul, r2.mul)
+
+
+def structure_tables(entry) -> tuple[list[list[int]], list[list[int]]]:
+    """Add and mul tables of a ring given by structure constants, one element
+    pair at a time from the digits of the mixed-radix indices, in Python
+    integers."""
+    moduli = entry.moduli
+    k = len(moduli)
+    order = math.prod(moduli)
+
+    def digits(x: int) -> list[int]:
+        out = []
+        for m in moduli:
+            x, c = divmod(x, m)
+            out.append(c)
+        return out
+
+    def index(coeffs) -> int:
+        x = 0
+        for c, m in zip(reversed(coeffs), reversed(moduli)):
+            x = x * m + c % m
+        return x
+
+    def basis_product(i: int, j: int) -> tuple[int, ...]:
+        if i == 0 or j == 0:
+            return tuple(int(t == i + j) for t in range(k))
+        return entry.table[min(i, j), max(i, j)]
+
+    terms = [(i, j, t, w) for i in range(k) for j in range(k)
+             for t, w in enumerate(basis_product(i, j)) if w]
+    elements = [digits(x) for x in range(order)]
+    add = [[0] * order for _ in range(order)]
+    mul = [[0] * order for _ in range(order)]
+    for x, cx in enumerate(elements):
+        for y, cy in enumerate(elements):
+            coeffs = [0] * k
+            for i, j, t, w in terms:
+                coeffs[t] += w * cx[i] * cy[j]
+            mul[x][y] = index(coeffs)
+            add[x][y] = index([a + b for a, b in zip(cx, cy)])
+    return add, mul
 
 
 def random_connected_graph(rng: random.Random, n: int):

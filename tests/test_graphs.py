@@ -242,18 +242,20 @@ def test_distances_match_oracle_bfs():
 
 @pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])
 def test_one_bfs_per_twin_class(spec, monkeypatch):
-    sources = []
+    # one BFS per class, each on the quotient graph of exactly one vertex
+    # per twin class
+    runs = []
     bfs_row = graphs._bfs_row
 
     def counting(order, adj, s):
-        sources.append(s)
+        runs.append((order, len(adj), s))
         return bfs_row(order, adj, s)
 
     monkeypatch.setattr(graphs, "_bfs_row", counting)
     g = build_zdgraph(build_ring(spec))
-    classes = twin_classes(g).classes
-    assert len(classes) < g.order
-    assert sorted(sources) == sorted(cls[0] for cls in classes)
+    k = len(twin_classes(g).classes)
+    assert k < g.order
+    assert runs == [(k, k, c) for c in range(k)]
 
 
 # orders 3 to 67, only Zni:9 (8) a multiple of 8

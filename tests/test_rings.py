@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdrlab.graphs import build_zdgraph
 from zdrlab.rings import (
@@ -20,6 +21,7 @@ from zdrlab.rings import (
     unregister_catalog_entry,
     zero_divisors,
 )
+from zdrlab.rings import _build_structure, _mixed_radix_add, _product_table
 
 import oracles
 
@@ -281,3 +283,42 @@ def test_graph_build_leaves_add_unbuilt(spec):
     assert "add" not in ring.__dict__
     golden = json.loads(GOLDEN_TABLES.read_text(encoding="utf-8"))
     assert table_digest(ring) == golden[spec]
+
+
+@st.composite
+def structure_entries(draw):
+    """A basis of 1 to 3 elements with coefficients modulo 2..7 and random
+    products; associativity is not needed to build the tables."""
+    moduli = tuple(draw(st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=3)))
+    k = len(moduli)
+    table = {
+        (i, j): tuple(draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
+        for i in range(1, k)
+        for j in range(i, k)
+    }
+    return CatalogEntry("random", moduli, ("1", "r", "s")[:k], table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entry=structure_entries())
+def test_structure_tables_match_digit_oracle(entry):
+    _, mul, one, moduli = _build_structure(entry)
+    add_ref, mul_ref = oracles.structure_tables(entry)
+    assert (one, moduli) == (1, entry.moduli)
+    assert mul.dtype == np.uint16 and mul.tolist() == mul_ref
+    add = _mixed_radix_add(moduli)
+    assert add.dtype == np.uint16 and add.tolist() == add_ref
+
+
+# 32768 is the largest modulus whose residue sums fit uint16; past it the
+# tables widen to uint32
+@pytest.mark.parametrize("m, dtype", [(32768, np.uint16), (32769, np.uint32), (65521, np.uint32)])
+@pytest.mark.parametrize("rows, cols", [(4, 70), (70, 4)])
+@pytest.mark.parametrize("shift", [1, 2])
+def test_product_table_at_the_dtype_edge(m, dtype, rows, cols, shift):
+    w = m - shift  # residues near m, so row sums come close to 2m
+    table = _product_table(w, m, rows, cols)
+    a = np.arange(rows, dtype=np.int64)[:, None]
+    b = np.arange(cols, dtype=np.int64)[None, :]
+    assert table.dtype == dtype
+    assert np.array_equal(table.astype(np.int64), w * a * b % m)

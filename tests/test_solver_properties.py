@@ -145,16 +145,6 @@ def test_twin_partition_is_exact(g):
     assert twin_classes(g).classes == tuple(sorted(twin_sets))
 
 
-@settings(max_examples=300, deadline=None)
-@given(g=st.one_of(gnp_graphs(max_n=14), blown_up_graphs()))
-def test_distances_match_oracle_bfs_on_random_graphs(g):
-    # rows are built once per twin class; the oracle runs BFS from every vertex
-    nbrs = oracles.neighbor_sets(g)
-    assert [list(row) for row in g.dist] == [
-        oracles.bfs_distances(nbrs, v, g.order) for v in range(g.order)
-    ]
-
-
 @st.composite
 def disconnected_blown_up_graphs(draw):
     """Two blown-up graphs side by side, labels shuffled."""
@@ -162,6 +152,23 @@ def disconnected_blown_up_graphs(draw):
     edges = list(a.edges()) + [(u + a.order, v + a.order) for u, v in b.edges()]
     perm = draw(st.permutations(range(a.order + b.order)))
     return graph_from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(
+    gnp_graphs(max_n=14), blown_up_graphs(), disconnected_blown_up_graphs(),
+    st.just(graph_from_edges(1, [])),
+    st.integers(min_value=2, max_value=5).map(lambda n: graph_from_edges(n, [])),
+))
+def test_distances_match_oracle_bfs_on_random_graphs(g):
+    # rows come from a BFS over the twin quotient; the oracle runs BFS from
+    # every vertex. Disconnected blow-ups put -1 across components, edgeless
+    # graphs -1 inside one isolated open class, and twin-free graphs are
+    # their own quotient.
+    nbrs = oracles.neighbor_sets(g)
+    assert [list(row) for row in g.dist] == [
+        oracles.bfs_distances(nbrs, v, g.order) for v in range(g.order)
+    ]
 
 
 @settings(max_examples=300, deadline=None)

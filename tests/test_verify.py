@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -233,6 +234,25 @@ def test_unknown_override_key_names_the_accepted_keys():
         verify_theorem("TAB2", field_orders=[3])
     (v,) = verify_theorem("TAB1", ns=[25])[-1:]
     assert v.aspect == "ddim" and v.status == "PASS"
+
+
+@pytest.mark.parametrize("claim, key, value, expected", [
+    ("T2.6", "ns", 15, "tuple[int, ...]"),
+    ("T2.6", "ns", ["a"], "tuple[int, ...]"),
+    ("T2.6", "ns", [15.0], "tuple[int, ...]"),
+    ("TAB1", "ns", [True], "tuple[int, ...]"),
+    ("T2121", "field_orders", 5, "tuple[int, ...]"),
+    ("T2122", "field_orders", ["3"], "tuple[int, ...]"),
+    ("T2.4", "field_orders", None, "tuple[int, ...]"),
+    ("T2123", "case2", [3, 7], "tuple[tuple[int, int], ...]"),
+    ("T2123", "case2", [(3, 7, 11)], "tuple[tuple[int, int], ...]"),
+    ("T2123", "case3", 5, "tuple[int, ...]"),
+    ("T2.3", "entries", "cvA1", "tuple[str, ...]"),
+])
+def test_override_value_of_the_wrong_type_names_the_key(claim, key, value, expected):
+    message = f"override '{key}' for {claim} must be {expected}, not {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_theorem(claim, **{key: value})
 
 
 def test_errata_ledger_names_claims_and_aspects_that_exist():
