@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 import click
@@ -47,10 +48,15 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _budget_from(budget_ms: float | None, budget_checks: int | None) -> Budget:
+def _budget_from(
+    budget_ms: float | None, budget_checks: int | None, spent_ms: float = 0.0
+) -> Budget:
+    """The solver's budget: what is left of the time cap after ``spent_ms``."""
     if budget_ms is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         budget_ms = float(env) if env else None
+    if budget_ms is not None:
+        budget_ms -= spent_ms
     return Budget(max_ms=budget_ms, max_checks=budget_checks)
 
 
@@ -150,14 +156,16 @@ def dims() -> None:
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 @click.option("--deterministic", is_flag=True, help="zero timing fields in the output")
 @click.option("--budget-ms", type=float, default=None,
-              help=f"time cap in milliseconds (default: {BUDGET_ENV_VAR} env var)")
+              help=f"time cap in milliseconds, building the ring and graph "
+                   f"included (default: {BUDGET_ENV_VAR} env var)")
 @click.option("--budget-checks", type=int, default=None,
-              help="cap on checks: nodes of the search tree, one per partial "
-                   "or full candidate set visited")
+              help="cap on checks: nodes of the exact cover oracle, whether "
+                   "called to find the size or the witness")
 def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budget_checks):
     """Solve gamma, dim, and ddim with witnesses on a ring spec or graph file."""
     if (spec is None) == (graph_file is None):
         _fail("provide exactly one of a ring spec or --graph FILE", EXIT_INVALID)
+    start = time.monotonic()
     try:
         if spec is not None:
             g = build_zdgraph(build_ring(spec))
@@ -169,7 +177,8 @@ def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budge
     except (RingError, EmptyGraphError, ValueError) as exc:
         _fail(str(exc), EXIT_INVALID)
     try:
-        report = solve_dimensions(g, which, _budget_from(budget_ms, budget_checks))
+        spent_ms = (time.monotonic() - start) * 1000.0
+        report = solve_dimensions(g, which, _budget_from(budget_ms, budget_checks, spent_ms))
     except BudgetExceededError as exc:
         _fail(str(exc), EXIT_BUDGET)
     except (DisconnectedGraphError, ValueError) as exc:

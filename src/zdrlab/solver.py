@@ -1,32 +1,28 @@
 """Exact solvers for domination number, metric dimension, and dominant
 metric dimension.
 
-All three run one search kernel, ``_search``: for each cardinality in
-increasing order, a depth-first search that picks vertices in increasing
-index order, so the first hit is a minimum-cardinality witness and, among
-those, the lexicographically least. Resolving-set searches work over the
-distance-twin quotient: a resolving set misses at most one vertex of each
-twin class, and swapping twins is an automorphism, so the lex-least witness
-holds every class member but the largest (the base) and the search only
-picks among the classes' largest members (the tops). The domination search
-uses the same classes another way. A minimum dominating set holds at most
-one member of a clique class and none, one or all members of an open class,
-and moving a pick to a smaller unpicked twin makes the witness lex-smaller.
-So a clique class offers only its least member, and an open class's members
-are picked only as a prefix in index order (see ``domination_number``).
+All three are exact covers, solved by one kernel, ``_search``. A set
+dominates when it hits every closed neighbourhood, and resolves when it
+hits every pair resolvent {w : d(w,u) != d(w,v)} (Khuller, Raghavachari and
+Rosenfeld, DAM 70, 1996). Resolving searches work over the distance-twin
+quotient: a resolving set misses at most one vertex of each twin class, and
+swapping twins is an automorphism, so the lex-least witness holds every
+class member but the largest (the base) and the search only picks among the
+classes' largest members (the tops). The pairs left to resolve are those
+that share a cell of the base's distance partition. The domination search
+offers only the least member of a clique class (see ``domination_number``).
 
-Domination and resolution are both coverings: a set dominates when it hits
-every closed neighbourhood, and resolves when it hits every pair resolvent
-{w : d(w,u) != d(w,v)}. The kernel tracks, in one bitset, the vertices still
-undominated and the vertex pairs at distance 1 or 2 that the base leaves
-unresolved (at most 32 per vertex), and cuts a branch as soon as something
-open can no longer be covered by the tops still available. Hitting those
-pairs does not make a set resolving, so full-size leaves still get the full
-resolving test. With all three quantities asked for, ddim starts at
-max(gamma, dim). One check is one node of the search tree; the kernel counts
-checks itself and hands the count to the clock only where a cap is due to
-be tested. No heuristic answer is ever returned; if the configured budget
-runs out the search raises instead.
+An oracle decides whether a partial set can be completed within a number of
+picks: it branches on the open element with the fewest covers, as in
+Knuth's "Dancing Links" (arXiv cs/0011047). The value is the least size at
+which the oracle succeeds, starting from the size bounds; with all three
+quantities asked for, ddim starts at max(gamma, dim). The witness comes
+from a descent over the tops in index order that keeps each top the oracle
+can complete, reusing the last completion, so it is the lex-least minimum
+set. One check is one node of an oracle search, whether the size search or
+the descent called it; the kernel counts checks itself and hands the count
+to the clock only where a cap is due to be tested. No heuristic answer is
+ever returned; if the configured budget runs out the search raises instead.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,225 +187,230 @@ def twin_classes(g: ZDGraph) -> TwinPartition:
 # ---------------------------------------------------------------------------
 
 
-# the pair universe holds at most this many pairs per vertex of the graph
+# every pair of tops that share a cell is tracked when there are at most
+# this many pairs per vertex of the graph; otherwise at most this many are
 PAIRS_PER_VERTEX = 32
 
 
-def _near_pairs(g: ZDGraph, cell_of: list[int], cap: int) -> tuple[array, array]:
-    """Pairs u < v in one cell of ``cell_of``, as two arrays of u and v:
-    first those at distance 1, then those at distance 2, each in index
-    order, at most ``cap`` of them."""
-    cells: dict[int, int] = {}
-    for v, c in enumerate(cell_of):
-        cells[c] = cells.get(c, 0) | 1 << v
-    # each vertex's cell members above it
-    above = [cells[c] >> u + 1 << u + 1 for u, c in enumerate(cell_of)]
-    adj = g.adj
-    us, vs = array("q"), array("q")
-    for near in (
-        lambda u: adj[u] & above[u],
-        lambda u: _second_ring(adj, u) & above[u],
-    ):
-        for u in range(g.order):
-            if not above[u]:
-                continue
-            for v in _bits(near(u)):
-                us.append(u)
-                vs.append(v)
-                if len(us) == cap:
-                    return us, vs
-    return us, vs
+def _shared_cells(g: ZDGraph, classes) -> list[list[int]]:
+    """The cells of the base's distance partition with two or more members,
+    each in index order. A base member is a cell of its own, since only it
+    lies at distance 0 from itself, so these cells hold tops. Twins lie at
+    one distance from every vertex outside their class, and a top at one
+    distance from the rest of its class, so a top's distances to the base
+    are read off one member of each class of two or more."""
+    reps = [cls[0] for cls in classes if len(cls) > 1]
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for t in sorted(cls[-1] for cls in classes):
+        cells.setdefault(tuple(g.dist[r][t] for r in reps), []).append(t)
+    return [cell for cell in cells.values() if len(cell) > 1]
 
 
-def _second_ring(adj, u: int) -> int:
-    """The vertices at distance exactly 2 from ``u``."""
-    reach = 0
-    for w in _bits(adj[u]):
-        reach |= adj[w]
-    return reach & ~(adj[u] | 1 << u)
-
-
-def _separated_pairs(g: ZDGraph, tops: tuple[int, ...], us: array, vs: array):
-    """Yield, top by top, the bitset of pairs (bit j for the pair us[j],
-    vs[j]) whose two vertices lie at different distances from the top.
-    Only one distance row is held as an array at a time."""
-    us, vs = np.asarray(us), np.asarray(vs)
-    for t in tops:
-        row = np.fromiter(g.dist[t], dtype=np.int32, count=g.order)
-        bits = np.packbits(row[us] != row[vs], bitorder="little")
-        yield int.from_bytes(bits.tobytes(), "little")
+def _pair_elements(g: ZDGraph, tops: tuple[int, ...], groups: list[list[int]], cap: int):
+    """Pairs in one group as cover elements: all of them if at most ``cap``,
+    else those among each group's first members, at most ``cap`` in all,
+    building no other. A top covers a pair when its distances to the two
+    differ. Returns each pair's covers (packed bytes of a vertex bitset),
+    their number, and each top's covered pairs as a bitset. Only the pairs'
+    distance rows become an array, compared in slices of ~2**18 entries."""
+    n, ends, us, vs = g.order, [], [], []
+    for members in groups:
+        size = min(len(members), (1 + math.isqrt(1 + 8 * cap)) // 2)
+        if size < 2:
+            break
+        i, j = np.triu_indices(size, 1)
+        us.append(i + len(ends))
+        vs.append(j + len(ends))
+        ends += members[:size]
+        cap -= len(i)
+    rows = np.array([g.dist[v] for v in ends], dtype=np.min_scalar_type(-n))
+    m = sum(map(len, us))
+    # pair p joins rows at[0, p] and at[1, p]; padding to whole bytes joins row 0 to itself
+    at = np.zeros((2, m + -m % 8), dtype=np.intp)
+    at[:, :m] = np.concatenate(us), np.concatenate(vs)
+    is_top = np.zeros(n, dtype=bool)
+    is_top[list(tops)] = True
+    bit = (1 << np.arange(8, dtype=np.uint8))[:, None]
+    by_pair = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    counts = np.empty(m, dtype=np.min_scalar_type(n))
+    by_top = np.empty((at.shape[1] // 8, n), dtype=np.uint8)  # pair p: bit p % 8 of row p // 8
+    step = max(8, (1 << 18) // n // 8 * 8)
+    for p in range(0, m, step):
+        sep = rows[at[0, p:p + step]] != rows[at[1, p:p + step]]
+        sep &= is_top
+        by_pair[p:p + step] = np.packbits(sep[:m - p], axis=1, bitorder="little")
+        counts[p:p + step] = sep[:m - p].view(np.uint8).sum(axis=1, dtype=counts.dtype)
+        by_top[p // 8:(p + step) // 8] = (sep.reshape(-1, 8, n) * bit).sum(axis=1, dtype=np.uint8)
+    # by_top.T, moved 512 rows at a time: one plain copy of the 12,000 x 3,000
+    # bytes of a long path's pairs takes four times as long
+    by_vertex = np.empty((n, len(by_top)), dtype=np.uint8)
+    for i in range(0, len(by_top), 512):
+        by_vertex[:, i:i + 512] = by_top[i:i + 512].T
+    del by_top
+    return by_pair, counts, {t: int.from_bytes(by_vertex[t].tobytes(), "little") for t in tops}
 
 
 def _search(
     g: ZDGraph,
     clock: _Clock,
     tops: tuple[int, ...],
-    base: tuple[int, ...] = (),
-    resolve: bool = False,
+    classes: tuple[tuple[int, ...], ...] | None = None,
     dominate: bool = False,
     lower: int = 1,
-    follows: dict[int, int] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Least set of ``base`` plus some ``tops`` that resolves and/or dominates.
+    """Least, then lex-least, set of the base plus some ``tops`` that
+    dominates (``dominate``) and/or resolves (``classes`` given: the base is
+    then every member of each class but its top).
 
-    Cardinalities k start at the bounds the set must meet: ``lower``,
-    |base| and, for a dominating set, n / (max degree + 1). For each k a
-    depth-first search picks k - |base| of ``tops`` in increasing order, so
-    full-size leaves come in the order of ``combinations(tops, k - |base|)``
-    and the first accepted leaf is the lex-least witness of the least size.
-    ``follows`` maps a top to a smaller top it may only be picked after:
-    such a top stays locked until that one is picked, and a node steps
-    straight to the next unlocked top. Each node visited, root included, is
-    one check; the count is kept here and handed to the clock only when a
-    cap is due to be tested.
-
-    Both constraints are coverings, tracked in one bitset ``open_`` of what
-    the picks so far leave uncovered. Bits below n are the vertices still
-    undominated; a top covers its closed neighbourhood. Bits from n on are
-    vertex pairs the base leaves unresolved; a top covers the pairs whose
-    two vertices lie at different distances from it. Only pairs in one cell
-    of the base's distance partition at distance 1 or 2 are tracked, at
-    most ``PAIRS_PER_VERTEX`` * n of them, nearest first, so the masks stay
-    O(n^2) bits; when the base leaves no pair open there are no pair bits.
-    A node's children stop at the first top from which on some open bit
-    lies outside the cover of every top still available (``beyond``, the
-    complement of their suffix OR, locked tops included). A node is cut
-    when more vertices are undominated than the picks left can cover; that
-    count reads vertex bits only. A full-size leaf needs ``open_`` empty
-    and then the full resolving test, since hitting every tracked pair does
-    not make a set resolving. The stack is explicit, so the depth is not
-    bounded by Python's recursion limit.
+    Element bits: v < n is the vertex v, open while undominated, and n + p
+    the p-th pair of ``_pair_elements``, open while unresolved. ``covers[e]``
+    holds the tops covering element e as a vertex bitset, and ``keep[t]``
+    the elements picking t leaves open. With every pair that shares a cell
+    tracked, covering is resolving; otherwise (``checked``) a covered set
+    gets the full resolving test, and if it fails branches on the covers of
+    a pair it leaves unresolved. ``complete`` branches on the open element
+    with the fewest covers (then the lowest bit), over its covers still
+    available in index order, dropping each from the later branches once
+    tried, and cuts a node when more vertices are undominated than its picks
+    left can cover (max degree + 1 each). Its stack is explicit. Each node
+    is one check, handed to the clock only when a cap is due to be tested.
     """
     n = g.order
+    dist = g.dist
     closed = [g.adj[v] | 1 << v for v in range(n)]
     spread = max(map(int.bit_count, closed))  # max degree + 1
-    # keep[i]: the bits picking tops[i] leaves open
-    keep = [~closed[t] if dominate else -1 for t in tops]
-    # vertices still undominated; nothing needs dominating for dim alone
-    open_base = 0
-    if dominate:
-        open_base = (1 << n) - 1
-        for v in base:
-            open_base &= ~closed[v]
-    count = int.bit_count
+    top_mask = sum(1 << t for t in tops)
+    base = [v for cls in classes or () for v in cls[:-1]]
+    keep = [~c for c in closed] if dominate else [-1] * n
+    covers = [c & top_mask for c in closed]
+    vertices = open_base = (1 << n) - 1 if dominate else 0
+    for v in base:
+        open_base &= keep[v]
+    tiers: dict[int, int] = {}  # cover count: the elements with that many covers
+    for v in _bits(open_base):
+        count = covers[v].bit_count()
+        tiers[count] = tiers.get(count, 0) | 1 << v
+    groups = _shared_cells(g, classes) if classes else []
+    checked = sum(len(m) * (len(m) - 1) // 2 for m in groups) > PAIRS_PER_VERTEX * n
+    if groups and PAIRS_PER_VERTEX:  # no pair fits a cap of 0
+        pair_rows, counts, separated = _pair_elements(g, tops, groups, PAIRS_PER_VERTEX * n)
+        covers += [None] * len(counts)  # read from pair_rows on first use
+        open_base |= (1 << len(counts)) - 1 << n
+        for t in tops:
+            keep[t] &= ~(separated.pop(t) << n)
+        for count in np.unique(counts).tolist():
+            bits = np.packbits(counts == count, bitorder="little").tobytes()
+            tiers[count] = tiers.get(count, 0) | int.from_bytes(bits, "little") << n
+    rarest = [tiers[count] for count in sorted(tiers)]
 
-    # each vertex's distance vector to the base, numbered; a leaf resolves
-    # when these numbers and the distances to its picks tell all n apart
-    ids: dict[tuple[int, ...], int] = {}
-    base_ids = [ids.setdefault(vec, len(ids)) for vec in zip(*(g.dist[v] for v in base))]
-    base_ids = base_ids or [0] * n
-    top_rows = [g.dist[t] for t in tops]
-    # pair bits only where two vertices share a base cell
-    if resolve and len(set(base_ids)) < n:
-        us, vs = _near_pairs(g, base_ids, PAIRS_PER_VERTEX * n)
-        if us:
-            open_base |= (1 << len(us)) - 1 << n
-            keep = [k & ~(p << n) for k, p in zip(keep, _separated_pairs(g, tops, us, vs))]
-            vertices = (1 << n) - 1 if dominate else 0
-            count = lambda x: (x & vertices).bit_count()  # pair bits are not counted
-
-    m = len(tops)
-    # bit i of ``locked``: tops[i] may not be picked below the current node;
-    # picking a top frees the one that follows it, backtracking locks it again
-    locked = 0
-    frees = [0] * m  # frees[i]: the top that picking tops[i] frees, as a bit
-    if follows:
-        index = {t: i for i, t in enumerate(tops)}
-        for t, first in follows.items():
-            locked |= 1 << index[t]
-            frees[index[first]] = 1 << index[t]
-    beyond = [-1] * (m + 1)  # beyond[i]: bits no top in tops[i:] covers
-    for i in range(m - 1, -1, -1):
-        beyond[i] = beyond[i + 1] & keep[i]
-
-    def accepted(picks: list[int]) -> tuple[int, ...] | None:
-        if resolve and len(set(zip(base_ids, *(top_rows[i] for i in picks)))) < n:
-            return None
-        return tuple(sorted(base + tuple(tops[i] for i in picks)))
+    def unresolved(picks: list[int]) -> int:
+        """The tops separating a pair that the base and ``picks`` leave
+        unresolved, or 0: each pick splits the groups by distance."""
+        split = groups
+        for p in picks:
+            row, parts = dist[p], []
+            for group in split:
+                by_distance: dict[int, list[int]] = {}
+                for v in group:
+                    by_distance.setdefault(row[v], []).append(v)
+                parts += [part for part in by_distance.values() if len(part) > 1]
+            split = parts
+        if not split:
+            return 0
+        du, dv = dist[split[0][0]], dist[split[0][1]]
+        return sum(1 << t for t in tops if du[t] != dv[t])
 
     checks, due = clock.checks, clock.due()
+
+    def complete(open_: int, avail: int, r: int, fixed: list[int]) -> list[int] | None:
+        """At most ``r`` picks from ``avail`` that, with ``fixed``, cover
+        ``open_`` (and resolve, when ``checked``), or None."""
+        nonlocal checks, due
+        picks: list[int] = []
+        frames: list[list[int]] = []  # per pick: [open before it, avail, covers to try]
+        while True:
+            checks += 1
+            if checks >= due:
+                due = clock.test(checks)
+            left = r - len(picks)
+            options = 0
+            if not open_:
+                split = checked and unresolved(fixed + picks)
+                if not split:
+                    return picks
+                options = split & avail if left else 0
+            elif left and (open_ & vertices).bit_count() <= left * spread:
+                for tier in rarest:
+                    if low := open_ & tier:
+                        break
+                e = (low & -low).bit_length() - 1
+                options = covers[e]
+                if options is None:
+                    options = covers[e] = int.from_bytes(pair_rows[e - n].tobytes(), "little")
+                options &= avail
+            if options:
+                frames.append([open_, avail, options])
+                picks.append(-1)
+            while frames and not frames[-1][2]:
+                frames.pop()
+                picks.pop()
+            if not frames:
+                return None
+            frame = frames[-1]
+            low = frame[2] & -frame[2]
+            frame[2] ^= low
+            avail = frame[1] = frame[1] ^ low
+            t = picks[-1] = low.bit_length() - 1
+            open_ = frame[0] & keep[t]
+
+    # the value: the least size from the bounds that ``complete`` reaches
     k_start = max(lower, len(base), math.ceil(n / spread) if dominate else 0)
     for k in range(k_start, n + 1):
         clock.checks = checks
         clock.begin(k)
-        need = k - len(base)
-        checks += 1
-        if checks >= due:
-            due = clock.test(checks)
-        if count(open_base) > need * spread:
+        r = k - len(base)
+        rest = complete(open_base, top_mask, r, [])
+        if rest is None:
             continue
-        if need == 0:
-            if not open_base and (witness := accepted([])) is not None:
-                clock.checks = checks
-                return k, witness
-            continue
-        picks: list[int] = []
-        opens = [open_base]
-        nexts = [0]  # nexts[d]: the next top index to try as pick d
-        while nexts:
-            d = len(nexts) - 1
-            i = nexts[d]
-            if locked >> i & 1:
-                # step to the next unlocked top: rest ^ rest + 1 sets the
-                # bits of rest's trailing ones and of its lowest zero
-                rest = locked >> i
-                i += (rest ^ rest + 1).bit_length() - 1
-            open_ = opens[d]
-            if i > m - (need - d) or open_ & beyond[i]:
-                nexts.pop()
-                opens.pop()
-                if picks:
-                    locked ^= frees[picks.pop()]
-                continue
-            nexts[d] = i + 1
-            checks += 1
-            if checks >= due:
-                due = clock.test(checks)
-            open_ &= keep[i]
-            left = need - d - 1
-            if count(open_) > left * spread:
-                continue
-            picks.append(i)
-            if left == 0:
-                if not open_ and (witness := accepted(picks)) is not None:
-                    clock.checks = checks
-                    return k, witness
-                picks.pop()
-                continue
-            locked ^= frees[i]
-            opens.append(open_)
-            nexts.append(i + 1)
+        # the witness: each top in turn joins when ``complete`` can finish
+        # the set after it; the last completion's next pick joins unasked
+        rest.sort()
+        chosen: list[int] = []
+        open_ = open_base
+        for t in tops:
+            if len(chosen) == r:
+                break
+            after = open_ & keep[t]
+            if t == rest[0]:
+                del rest[0]
+            else:
+                found = complete(after, top_mask >> t + 1 << t + 1, r - len(chosen) - 1, chosen + [t])
+                if found is None:
+                    continue
+                rest = sorted(found)
+            chosen.append(t)
+            open_ = after
+        clock.checks = checks
+        return k, tuple(sorted(base + chosen))
     raise AssertionError(f"{clock.quantity} search failed on the full vertex set")  # pragma: no cover
 
 
 def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
     """Minimum dominating set; works on disconnected graphs too.
 
-    The search picks only what a lex-least minimum dominating set can
-    hold, class by class of ``neighbourhood_twin_classes``. A minimum set
-    is minimal, so it holds at most one member of a clique class (N[u] =
-    N[v]: a second member is redundant), and none, one or all members of
-    an open class (N(u) = N(v)): with two members and a neighbour of the
-    class one member is redundant, and with no neighbour every member
-    must be in the set. Swapping twins is an automorphism, and moving a
-    pick to a smaller unpicked twin makes the sorted tuple smaller, so the
-    lex-least minimum set holds the least member of a clique class and a
-    prefix, in index order, of an open class. A clique class therefore
-    offers only its least member, and member j of an open class may be
-    picked only after member j - 1.
+    A minimum set holds at most one member of a clique class (N[u] = N[v]),
+    and moving a pick to a smaller twin is an automorphism that makes the
+    sorted set smaller, so a clique class offers only its least member.
+    Every member of an open class (N(u) = N(v)) is offered.
     """
     if g.order == 0:
         raise ValueError("domination number of the empty graph is undefined")
     clock = _Clock("gamma", budget)
     tops: list[int] = []
-    follows: dict[int, int] = {}
     for cls in neighbourhood_twin_classes(g.adj):
-        if len(cls) > 1 and g.adj[cls[0]] >> cls[1] & 1:  # a clique class
-            tops.append(cls[0])
-        else:
-            tops.extend(cls)
-            follows.update(zip(cls[1:], cls))
-    value, witness = _search(g, clock, tuple(sorted(tops)), dominate=True, follows=follows)
+        clique = len(cls) > 1 and g.adj[cls[0]] >> cls[1] & 1
+        tops.extend(cls[:1] if clique else cls)
+    value, witness = _search(g, clock, tuple(sorted(tops)), dominate=True)
     return QuantityResult(value, witness, "exhaustive", clock.elapsed_ms, clock.checks)
 
 
@@ -421,13 +421,12 @@ def _require_connected(g: ZDGraph, what: str) -> None:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
-def _twin_setup(g: ZDGraph) -> tuple[tuple[int, ...], tuple[int, ...], str]:
-    """The base (every twin class but its largest member), the tops (each
-    class's largest member) and the method label."""
+def _twin_setup(g: ZDGraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], str]:
+    """The twin classes, the tops (each class's largest member) and the
+    method label; the base is every member but the top."""
     classes = twin_classes(g).classes
-    base = tuple(sorted(v for cls in classes for v in cls[:-1]))
     tops = tuple(sorted(cls[-1] for cls in classes))
-    return base, tops, "twin_reduced" if base else "exhaustive"
+    return classes, tops, "twin_reduced" if len(tops) < g.order else "exhaustive"
 
 
 def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
@@ -436,8 +435,8 @@ def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult
     clock = _Clock("dim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "exhaustive", clock.elapsed_ms, 0)
-    base, tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, base, resolve=True)
+    classes, tops, method = _twin_setup(g)
+    value, witness = _search(g, clock, tops, classes)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
@@ -455,8 +454,8 @@ def dominant_metric_dimension(
     clock = _Clock("ddim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "convention", clock.elapsed_ms, 0)
-    base, tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, base, resolve=True, dominate=True, lower=_lower)
+    classes, tops, method = _twin_setup(g)
+    value, witness = _search(g, clock, tops, classes, dominate=True, lower=_lower)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 

@@ -154,3 +154,12 @@ def random_connected_graph(rng: random.Random, n: int):
             if (u, v) not in edges and rng.random() < extra_prob:
                 edges.add((u, v))
     return graph_from_edges(n, sorted(edges), source=f"random(n={n})")
+
+
+def distance_cells(g, base) -> list[list[int]]:
+    """The vertices grouped by their distance vectors to ``base``, read by
+    zipping the base's distance rows; sorted, each group sorted."""
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.order):
+        cells.setdefault(tuple(g.dist[b][v] for b in base), []).append(v)
+    return sorted(cells.values())

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from zdrlab.cli import main
+from zdrlab import cli as cli_mod
 from zdrlab import verify as verify_mod
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,6 +147,29 @@ def test_dims_solve_env_budget(runner, tmp_path):
         env={"ZDRLAB_BUDGET_MS": "0.0001"},
     )
     assert result.exit_code == 4
+
+
+def test_dims_solve_budget_covers_set_up(runner):
+    # the cap is far below the ring and graph build of Zn:2310, so the
+    # solve stops before its first check
+    result = runner.invoke(main, ["dims", "solve", "Zn:2310", "--budget-ms", "0.001"])
+    assert result.exit_code == 4
+    assert "after 0 checks" in result.output
+
+
+def test_dims_solve_budget_is_charged_for_the_graph_build(runner, monkeypatch):
+    # a graph build of 200 ms leaves nothing of a 100 ms cap, although
+    # Zn:42 alone solves in a few ms
+    build = cli_mod.build_zdgraph
+
+    def slow_build(ring):
+        time.sleep(0.2)
+        return build(ring)
+
+    monkeypatch.setattr(cli_mod, "build_zdgraph", slow_build)
+    result = runner.invoke(main, ["dims", "solve", "Zn:42", "--budget-ms", "100"])
+    assert result.exit_code == 4
+    assert "after 0 checks" in result.output
 
 
 def test_dims_solve_disconnected_graph_file(runner, tmp_path):

@@ -129,22 +129,39 @@ def test_witnesses_are_lex_least_and_valid():
         assert got.witness == oracles.brute_ddim(g)[1]
 
 
-def test_leaf_keeps_the_full_resolving_test():
-    # the search tracks only pairs at distance 1 or 2, and hitting all of
-    # them does not resolve: here {5} separates every such pair but gives
-    # 3 and 4 the same distance 3, so a leaf needs the full test as well
+def test_leaf_keeps_the_full_resolving_test(monkeypatch):
+    # the graph is twin-free, so all 28 pairs share the base's one cell;
+    # with one pair per vertex the search tracks only the 6 among vertices
+    # 0-3, and {5} separates all of them but gives 3 and 4 the same
+    # distance 3, so a covered set needs the full resolving test as well
     g = graph_from_edges(8, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 5), (2, 7), (3, 6), (6, 7)])
     assert not is_resolving(g, [5])
+    assert all(g.dist[5][u] != g.dist[5][v] for u in range(4) for v in range(u + 1, 4))
+    monkeypatch.setattr(solver, "PAIRS_PER_VERTEX", 1)
     res = metric_dimension(g)
     assert (res.value, res.witness) == (2, (1, 6)) == oracles.brute_dim(g)
     res = dominant_metric_dimension(g)
     assert (res.value, res.witness) == oracles.brute_ddim(g)
 
 
+def test_capped_descent_tries_tops_that_cover_no_tracked_pair(monkeypatch):
+    # with one pair per vertex only the 6 pairs among vertices 0-3 are
+    # tracked; after 0 the one left open is (2, 3), which 1 does not
+    # separate, yet the lex-least resolving set is (0, 1, 3)
+    g = graph_from_edges(8, [
+        (0, 1), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6),
+        (1, 7), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 6), (5, 7),
+    ])
+    assert g.dist[1][2] == g.dist[1][3]
+    monkeypatch.setattr(solver, "PAIRS_PER_VERTEX", 1)
+    res = metric_dimension(g)
+    assert (res.value, res.witness) == (3, (0, 1, 3)) == oracles.brute_dim(g)
+
+
 def test_pair_masks_stay_small_on_dense_twin_free_graph():
-    # G(600, 0.5) is twin-free with ~90,000 adjacent pairs; the search
-    # tracks at most 32 per vertex, so its set-up peak is ~3.6 MB where
-    # all near pairs would take ~32 MB
+    # G(600, 0.5) is twin-free, so its 179,700 pairs share one cell; the
+    # search tracks the 19,110 among its first 196 vertices, at most 32 per
+    # vertex, and its set-up peaks near 6 MB
     rng = random.Random(600)
     n = 600
     g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
@@ -248,7 +265,7 @@ def _random_graph(seed: int) -> ZDGraph:
     return oracles.random_connected_graph(random.Random(seed), 22)
 
 
-# (quantity, graph): searches of 15 to 7,448 nodes
+# (quantity, graph): searches of 23 to 4,079 nodes
 TICK_CASES = [
     ("gamma", lambda: _random_graph(0)),
     ("gamma", lambda: _ring_graph("Zn:210")),
@@ -279,7 +296,7 @@ def test_time_budget_is_tested_every_1024_checks(monkeypatch):
     assert res.checks > 2048
     timed = metric_dimension(g, Budget(max_ms=60_000))
     assert (timed.value, timed.witness, timed.checks) == (res.value, res.witness, res.checks)
-    # cardinalities 1 to 4 start at checks 0, 11, 106 and 765, so with a
+    # cardinalities 1 to 4 start at checks 0, 7, 48 and 296, so with a
     # clock that reads an hour late from its sixth reading on, the start
     # and those four pass and the test at 1024 checks fails
     readings = iter([0.0] * 5)
@@ -302,8 +319,9 @@ def _long_path(n: int) -> ZDGraph:
 
 def test_deep_ddim_on_long_path():
     # P_3003 has no twins, so all 1001 picks are tops; any two vertices
-    # resolve a path, so ddim = gamma = n / 3 and the bound k = n / (Δ+1)
-    # is met by the first leaf the reach and count cuts let through
+    # resolve a path, so ddim = gamma = n / 3, met at the first size the
+    # bound n / (Δ+1) allows. Its 4.5M pairs exceed the cap, so the search
+    # tracks those among the first 438 vertices and tests the leaf in full
     g = _long_path(3003)
     res = dominant_metric_dimension(g, Budget(max_checks=20_000))
     assert (res.value, res.witness) == (1001, tuple(range(1, 3003, 3)))

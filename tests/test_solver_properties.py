@@ -1,9 +1,11 @@
 """Property tests for the solver against definitional oracles."""
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from zdrlab import solver
 from zdrlab.graphs import INF, graph_from_edges, graph_invariants
 from zdrlab.solver import (
     domination_number,
@@ -100,6 +102,35 @@ def test_gamma_matches_brute_force_on_blow_ups_of_any_graph(g):
 
 
 @SETTINGS
+@given(g=gnp_graphs(max_n=11, min_n=1))
+def test_solver_matches_brute_force_on_gnp_graphs(g):
+    # gamma on every G(n, p), dim and ddim on the connected ones
+    res = domination_number(g)
+    assert (res.value, res.witness) == oracles.brute_gamma(g)
+    if g.is_connected:
+        for solve, brute in [
+            (metric_dimension, oracles.brute_dim),
+            (dominant_metric_dimension, oracles.brute_ddim),
+        ]:
+            res = solve(g)
+            assert (res.value, res.witness) == brute(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.one_of(connected_graphs(max_n=10), sparse_connected_graphs(), blown_up_graphs()),
+    per_vertex=st.sampled_from([0, 1]),
+)
+def test_solver_matches_brute_force_with_capped_pairs(g, per_vertex):
+    # with at most 0 or 1 tracked pairs per vertex most of these graphs
+    # have more same-cell pairs than that, so covering the tracked elements
+    # no longer makes a set resolving, and each covered set gets the full
+    # resolving test, branching on a pair it leaves unresolved
+    with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
+        _assert_matches_brute_force(g)
+
+
+@SETTINGS
 @given(g=sparse_connected_graphs())
 def test_solver_matches_brute_force_on_sparse_graphs(g):
     # pairs at distance 3 or more exist here, which the search leaves to
@@ -181,6 +212,17 @@ def test_twin_class_diameter_matches_every_row(g):
     entries = [d for row in g.dist for d in row]
     expected = INF if -1 in entries else max(entries, default=0)
     assert graph_invariants(g).diameter == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(gnp_graphs(min_n=1), blown_up_graphs(), disconnected_blown_up_graphs()))
+def test_base_cells_match_distance_vectors(g):
+    # a top's cell comes from its distance to one member of each class of
+    # two or more; the reference zips the rows of the whole base
+    classes = twin_classes(g).classes
+    base = [v for cls in classes for v in cls[:-1]]
+    shared = [cell for cell in oracles.distance_cells(g, base) if len(cell) > 1]
+    assert sorted(solver._shared_cells(g, classes)) == shared
 
 
 @SETTINGS
