@@ -51,13 +51,15 @@ def _fail(message: str, code: int) -> None:
 def _budget_from(
     budget_ms: float | None, budget_checks: int | None, spent_ms: float = 0.0
 ) -> Budget:
-    """The solver's budget: what is left of the time cap after ``spent_ms``."""
+    """The solver's budget: what is left of the time cap after ``spent_ms``,
+    at least 0. A NaN or negative cap raises ValueError before that."""
     if budget_ms is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         budget_ms = float(env) if env else None
-    if budget_ms is not None:
-        budget_ms -= spent_ms
-    return Budget(max_ms=budget_ms, max_checks=budget_checks)
+    budget = Budget(max_ms=budget_ms, max_checks=budget_checks)
+    if budget_ms is None:
+        return budget
+    return replace(budget, max_ms=max(budget_ms - spent_ms, 0.0))
 
 
 @click.group()

@@ -34,6 +34,9 @@ class ZDGraph:
     ``external_ids`` keeps the source identity of each vertex (the ring
     element index for ring-derived graphs); exports use it so that, say,
     the zero-divisor graph of Zn:6 prints its vertices as 2, 3, 4.
+    ``classes`` is the distance-twin partition (``neighbourhood_twin_classes``),
+    ordered by least member. It is computed once, when the graph is built,
+    and the distance build, the diameter and the solvers all read it.
     """
 
     order: int
@@ -41,13 +44,11 @@ class ZDGraph:
     external_ids: tuple[int, ...]
     adj: tuple[int, ...]
     dist: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, ...], ...]
     source: str = ""
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -118,7 +119,9 @@ def _bfs_row(order: int, adj: Sequence[int], s: int) -> list[int]:
     return dist
 
 
-def _all_pairs_bfs(order: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _all_pairs_bfs(
+    adj: tuple[int, ...], classes: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
     """All distance rows from one BFS per twin class on the twin quotient.
 
     Adjacency between two twin classes is all or nothing, so the quotient
@@ -130,11 +133,10 @@ def _all_pairs_bfs(order: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...
     vertices, and each is at 0 from itself. A twin-free graph is its own
     quotient.
     """
-    classes = neighbourhood_twin_classes(adj)
-    if len(classes) == order:
+    if len(classes) == len(adj):
         quotient, expand = adj, tuple
     else:
-        class_of = [0] * order
+        class_of = [0] * len(adj)
         for c, cls in enumerate(classes):
             for v in cls:
                 class_of[v] = c
@@ -142,7 +144,7 @@ def _all_pairs_bfs(order: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...
         quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least))
                     for cls in classes]
         expand = itemgetter(*class_of)
-    rows: list[tuple[int, ...]] = [()] * order
+    rows: list[tuple[int, ...]] = [()] * len(adj)
     for c, cls in enumerate(classes):
         row = expand(_bfs_row(len(classes), quotient, c))
         if len(cls) == 1:
@@ -157,6 +159,14 @@ def _all_pairs_bfs(order: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...
             rows[v] = tuple(row)
             row[v] = twin
     return tuple(rows)
+
+
+def _graph(adj: tuple[int, ...], labels: Sequence[str], ids: Sequence[int], source: str) -> ZDGraph:
+    """The graph on these adjacency bitsets: its twin classes, computed here
+    and only here, then its distances from them."""
+    classes = neighbourhood_twin_classes(adj)
+    dist = _all_pairs_bfs(adj, classes)
+    return ZDGraph(len(adj), tuple(labels), tuple(ids), adj, dist, classes, source)
 
 
 def graph_from_edges(
@@ -174,18 +184,9 @@ def graph_from_edges(
             raise ValueError(f"self-loop at vertex {u} not allowed in a simple graph")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    if labels is None:
-        labels = [str(i) for i in range(order)]
-    if external_ids is None:
-        external_ids = list(range(order))
-    return ZDGraph(
-        order=order,
-        labels=tuple(labels),
-        external_ids=tuple(external_ids),
-        adj=tuple(adj),
-        dist=_all_pairs_bfs(order, adj),
-        source=source,
-    )
+    labels = [str(i) for i in range(order)] if labels is None else labels
+    ids = range(order) if external_ids is None else external_ids
+    return _graph(tuple(adj), labels, ids, source)
 
 
 def build_zdgraph(ring: FiniteRing) -> ZDGraph:
@@ -200,19 +201,11 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
         raise EmptyGraphError(
             f"{ring.name} is an integral domain; its zero-divisor graph is empty"
         )
-    n = len(members)
     sub = ring.mul[np.ix_(members, members)] == 0
     np.fill_diagonal(sub, False)
     rows = np.packbits(sub, axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row, "little") for row in rows)
-    return ZDGraph(
-        order=n,
-        labels=tuple(ring.labels[x] for x in members),
-        external_ids=members,
-        adj=adj,
-        dist=_all_pairs_bfs(n, adj),
-        source=ring.name,
-    )
+    return _graph(adj, [ring.labels[x] for x in members], members, ring.name)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +248,7 @@ def _diameter(g: ZDGraph) -> int:
     Twins have equal distances to every other vertex and share the distance
     between them, so their rows hold the same entries.
     """
-    return max(max(g.dist[cls[0]]) for cls in neighbourhood_twin_classes(g.adj))
+    return max(max(g.dist[cls[0]]) for cls in g.classes)
 
 
 def _girth(g: ZDGraph) -> float:

@@ -213,14 +213,8 @@ class FiniteRing:
     def name(self) -> str:
         return self.spec.to_text()
 
-    def add_of(self, x: int, y: int) -> int:
-        return int(self.add[x, y])
-
     def mul_of(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteRing({self.name}, order={self.order})"

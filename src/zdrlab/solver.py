@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ZDGraph, _bits, neighbourhood_twin_classes
+from .graphs import ZDGraph, _bits
 
 BUDGET_ENV_VAR = "ZDRLAB_BUDGET_MS"
 
@@ -56,10 +56,14 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Hard caps for a single solve; None means unlimited."""
+    """Hard caps for a single solve; None means unlimited. NaN (never exceeded) or < 0 raises."""
 
     max_ms: float | None = None
     max_checks: int | None = None
+
+    def __post_init__(self) -> None:
+        if not all(cap is None or cap >= 0 for cap in (self.max_ms, self.max_checks)):
+            raise ValueError(f"a budget cap must be a non-negative number: {self}")
 
 
 class _Clock:
@@ -177,9 +181,9 @@ class TwinPartition:
 
 
 def twin_classes(g: ZDGraph) -> TwinPartition:
-    """Twin classes keyed by open and closed neighbourhood, ordered by least
-    member; the same classes the distance build in ``graphs`` uses."""
-    return TwinPartition(neighbourhood_twin_classes(g.adj))
+    """The graph's twin classes, ``g.classes``: keyed by open and closed
+    neighbourhood when the graph was built, ordered by least member."""
+    return TwinPartition(g.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +192,21 @@ def twin_classes(g: ZDGraph) -> TwinPartition:
 
 
 # every pair of tops that share a cell is tracked when there are at most
-# this many pairs per vertex of the graph; otherwise at most this many are
+# this many pairs per vertex of the graph; otherwise at most this many are,
+# since with no pairs every node of a dense twin-free search runs the leaf test
 PAIRS_PER_VERTEX = 32
 
 
-def _shared_cells(g: ZDGraph, classes) -> list[list[int]]:
+def _shared_cells(g: ZDGraph) -> list[list[int]]:
     """The cells of the base's distance partition with two or more members,
     each in index order. A base member is a cell of its own, since only it
     lies at distance 0 from itself, so these cells hold tops. Twins lie at
     one distance from every vertex outside their class, and a top at one
     distance from the rest of its class, so a top's distances to the base
     are read off one member of each class of two or more."""
-    reps = [cls[0] for cls in classes if len(cls) > 1]
+    reps = [cls[0] for cls in g.classes if len(cls) > 1]
     cells: dict[tuple[int, ...], list[int]] = {}
-    for t in sorted(cls[-1] for cls in classes):
+    for t in sorted(cls[-1] for cls in g.classes):
         cells.setdefault(tuple(g.dist[r][t] for r in reps), []).append(t)
     return [cell for cell in cells.values() if len(cell) > 1]
 
@@ -254,13 +259,13 @@ def _search(
     g: ZDGraph,
     clock: _Clock,
     tops: tuple[int, ...],
-    classes: tuple[tuple[int, ...], ...] | None = None,
+    resolve: bool = False,
     dominate: bool = False,
     lower: int = 1,
 ) -> tuple[int, tuple[int, ...]]:
     """Least, then lex-least, set of the base plus some ``tops`` that
-    dominates (``dominate``) and/or resolves (``classes`` given: the base is
-    then every member of each class but its top).
+    dominates (``dominate``) and/or resolves (``resolve``: the base is then
+    every member of each twin class but its top).
 
     Element bits: v < n is the vertex v, open while undominated, and n + p
     the p-th pair of ``_pair_elements``, open while unresolved. ``covers[e]``
@@ -280,7 +285,7 @@ def _search(
     closed = [g.adj[v] | 1 << v for v in range(n)]
     spread = max(map(int.bit_count, closed))  # max degree + 1
     top_mask = sum(1 << t for t in tops)
-    base = [v for cls in classes or () for v in cls[:-1]]
+    base = [v for cls in g.classes for v in cls[:-1]] if resolve else []
     keep = [~c for c in closed] if dominate else [-1] * n
     covers = [c & top_mask for c in closed]
     vertices = open_base = (1 << n) - 1 if dominate else 0
@@ -290,7 +295,7 @@ def _search(
     for v in _bits(open_base):
         count = covers[v].bit_count()
         tiers[count] = tiers.get(count, 0) | 1 << v
-    groups = _shared_cells(g, classes) if classes else []
+    groups = _shared_cells(g) if resolve else []
     checked = sum(len(m) * (len(m) - 1) // 2 for m in groups) > PAIRS_PER_VERTEX * n
     if groups and PAIRS_PER_VERTEX:  # no pair fits a cap of 0
         pair_rows, counts, separated = _pair_elements(g, tops, groups, PAIRS_PER_VERTEX * n)
@@ -407,7 +412,7 @@ def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResul
         raise ValueError("domination number of the empty graph is undefined")
     clock = _Clock("gamma", budget)
     tops: list[int] = []
-    for cls in neighbourhood_twin_classes(g.adj):
+    for cls in g.classes:
         clique = len(cls) > 1 and g.adj[cls[0]] >> cls[1] & 1
         tops.extend(cls[:1] if clique else cls)
     value, witness = _search(g, clock, tuple(sorted(tops)), dominate=True)
@@ -421,12 +426,11 @@ def _require_connected(g: ZDGraph, what: str) -> None:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
-def _twin_setup(g: ZDGraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], str]:
-    """The twin classes, the tops (each class's largest member) and the
-    method label; the base is every member but the top."""
-    classes = twin_classes(g).classes
-    tops = tuple(sorted(cls[-1] for cls in classes))
-    return classes, tops, "twin_reduced" if len(tops) < g.order else "exhaustive"
+def _twin_setup(g: ZDGraph) -> tuple[tuple[int, ...], str]:
+    """The tops (each twin class's largest member) and the method label;
+    the base is every member but the top."""
+    tops = tuple(sorted(cls[-1] for cls in twin_classes(g).classes))
+    return tops, "twin_reduced" if len(tops) < g.order else "exhaustive"
 
 
 def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
@@ -435,8 +439,8 @@ def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult
     clock = _Clock("dim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "exhaustive", clock.elapsed_ms, 0)
-    classes, tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, classes)
+    tops, method = _twin_setup(g)
+    value, witness = _search(g, clock, tops, resolve=True)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
@@ -454,8 +458,8 @@ def dominant_metric_dimension(
     clock = _Clock("ddim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "convention", clock.elapsed_ms, 0)
-    classes, tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, classes, dominate=True, lower=_lower)
+    tops, method = _twin_setup(g)
+    value, witness = _search(g, clock, tops, resolve=True, dominate=True, lower=_lower)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 

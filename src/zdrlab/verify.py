@@ -167,6 +167,9 @@ class SuiteConfig:
     budget_ms: float | None = None
     budget_checks: int | None = None
 
+    def __post_init__(self) -> None:
+        self.budget()  # a NaN or negative cap raises ValueError
+
     def budget(self) -> Budget:
         return Budget(max_ms=self.budget_ms, max_checks=self.budget_checks)
 

@@ -172,6 +172,36 @@ def test_dims_solve_budget_is_charged_for_the_graph_build(runner, monkeypatch):
     assert "after 0 checks" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["--budget-ms", "nan"], ["--budget-ms", "-3"], ["--budget-checks", "-3"],
+])
+def test_dims_solve_rejects_nan_or_negative_budget_flags(runner, args):
+    # a NaN time cap never fires, and a negative cap is no budget at all
+    result = runner.invoke(main, ["dims", "solve", "Zn:12", *args])
+    assert result.exit_code == 2, result.output
+    assert "must be a non-negative number" in result.output
+
+
+@pytest.mark.parametrize("value", ["nan", "-3"])
+def test_dims_solve_rejects_nan_or_negative_env_budget(runner, value):
+    result = runner.invoke(main, ["dims", "solve", "Zn:12"], env={"ZDRLAB_BUDGET_MS": value})
+    assert result.exit_code == 2, result.output
+    assert "must be a non-negative number" in result.output
+
+
+@pytest.mark.parametrize("config", [
+    {"budget_ms": float("nan")}, {"budget_ms": -3}, {"budget_checks": -3},
+])
+def test_verify_run_rejects_nan_or_negative_config_budget(runner, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"only": ["T6"], **config}))  # NaN is written as NaN
+    with pytest.raises(ValueError, match="must be a non-negative number"):
+        verify_mod.load_suite_config(str(cfg))
+    result = runner.invoke(main, ["verify", "run", "--config", str(cfg), "--deterministic"])
+    assert result.exit_code == 2, result.output
+    assert "must be a non-negative number" in result.output
+
+
 def test_dims_solve_disconnected_graph_file(runner, tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n2 3\n")

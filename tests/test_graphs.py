@@ -1,4 +1,5 @@
 import json
+import sys
 
 import networkx as nx
 import pytest
@@ -14,7 +15,7 @@ from zdrlab.graphs import (
 )
 from zdrlab import graphs
 from zdrlab.rings import build_ring, catalog_ids, zero_divisors
-from zdrlab.solver import twin_classes
+from zdrlab.solver import solve_dimensions, twin_classes
 
 import oracles
 
@@ -82,7 +83,7 @@ def test_adjacency_symmetric_no_loops():
         g = build_zdgraph(build_ring(spec))
         for u in range(g.order):
             assert not g.has_edge(u, u)
-            for v in g.neighbors(u):
+            for v in graphs._bits(g.adj[u]):
                 assert g.has_edge(v, u)
 
 
@@ -256,6 +257,36 @@ def test_one_bfs_per_twin_class(spec, monkeypatch):
     k = len(twin_classes(g).classes)
     assert k < g.order
     assert runs == [(k, k, c) for c in range(k)]
+
+
+# a 5-cycle with vertex 0 blown up into an open class {0, 5} and vertex 2
+# into a clique class {2, 6}
+TWIN_EDGELIST = "0 1\n1 2\n2 3\n3 4\n4 0\n5 1\n5 4\n6 1\n6 3\n6 2\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_zdgraph(build_ring("Zn:42")),
+    lambda: parse_edgelist(TWIN_EDGELIST),
+], ids=["ring", "edgelist"])
+def test_twin_partition_is_computed_once_per_graph(make, monkeypatch):
+    # the graph keeps its classes; the distance build, the diameter and all
+    # three solvers read them instead of keying the adjacency again
+    calls = []
+    original = graphs.neighbourhood_twin_classes
+
+    def counting(adj):
+        calls.append(len(adj))
+        return original(adj)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "zdrlab":
+            for key in [k for k, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, key, counting)
+    g = make()
+    graph_invariants(g)
+    report = solve_dimensions(g, "all")
+    assert report.ddim.method == "twin_reduced"
+    assert calls == [g.order]
 
 
 # orders 3 to 67, only Zni:9 (8) a multiple of 8

@@ -180,7 +180,7 @@ def test_catalog_structure_constants():
     r = ring.labels.index("r")
     two = ring.labels.index("2")
     assert ring.mul_of(r, r) == two      # r^2 = 2
-    assert ring.add_of(r, r) == 0        # 2r = 0
+    assert ring.add[r, r] == 0           # 2r = 0
     ring = build_ring("cat:Z2r.r3")
     r = ring.labels.index("r")
     r2 = ring.labels.index("r^2")

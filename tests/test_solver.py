@@ -314,6 +314,7 @@ def _long_path(n: int) -> ZDGraph:
         external_ids=tuple(range(n)),
         adj=tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n)),
         dist=tuple(tuple(range(v, 0, -1)) + tuple(range(n - v)) for v in range(n)),
+        classes=tuple((v,) for v in range(n)),
     )
 
 

@@ -173,7 +173,7 @@ def test_twin_partition_is_exact(g):
     n = g.order
     twin_sets = {tuple(w for w in range(n) if oracles.are_twins(g, v, w)) for v in range(n)}
     assert sorted(v for cls in twin_sets for v in cls) == list(range(n))
-    assert twin_classes(g).classes == tuple(sorted(twin_sets))
+    assert g.classes == twin_classes(g).classes == tuple(sorted(twin_sets))
 
 
 @st.composite
@@ -222,7 +222,7 @@ def test_base_cells_match_distance_vectors(g):
     classes = twin_classes(g).classes
     base = [v for cls in classes for v in cls[:-1]]
     shared = [cell for cell in oracles.distance_cells(g, base) if len(cell) > 1]
-    assert sorted(solver._shared_cells(g, classes)) == shared
+    assert sorted(solver._shared_cells(g)) == shared
 
 
 @SETTINGS
