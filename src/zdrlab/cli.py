@@ -48,18 +48,13 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _budget_from(
-    budget_ms: float | None, budget_checks: int | None, spent_ms: float = 0.0
-) -> Budget:
-    """The solver's budget: what is left of the time cap after ``spent_ms``,
-    at least 0. A NaN or negative cap raises ValueError before that."""
+def _budget_from(budget_ms: float | None, budget_checks: int | None) -> Budget:
+    """The budget the flags ask for, the time cap falling back to the env
+    var. A NaN or negative cap raises ValueError."""
     if budget_ms is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         budget_ms = float(env) if env else None
-    budget = Budget(max_ms=budget_ms, max_checks=budget_checks)
-    if budget_ms is None:
-        return budget
-    return replace(budget, max_ms=max(budget_ms - spent_ms, 0.0))
+    return Budget(max_ms=budget_ms, max_checks=budget_checks)
 
 
 @click.group()
@@ -169,6 +164,10 @@ def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budge
         _fail("provide exactly one of a ring spec or --graph FILE", EXIT_INVALID)
     start = time.monotonic()
     try:
+        budget = _budget_from(budget_ms, budget_checks)
+    except ValueError as exc:
+        _fail(str(exc), EXIT_INVALID)
+    try:
         if spec is not None:
             g = build_zdgraph(build_ring(spec))
             source = spec
@@ -178,9 +177,11 @@ def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budge
             source = graph_file
     except (RingError, EmptyGraphError, ValueError) as exc:
         _fail(str(exc), EXIT_INVALID)
-    try:
+    if budget.max_ms is not None:  # the solver gets what the build left, at least 0
         spent_ms = (time.monotonic() - start) * 1000.0
-        report = solve_dimensions(g, which, _budget_from(budget_ms, budget_checks, spent_ms))
+        budget = replace(budget, max_ms=max(budget.max_ms - spent_ms, 0.0))
+    try:
+        report = solve_dimensions(g, which, budget)
     except BudgetExceededError as exc:
         _fail(str(exc), EXIT_BUDGET)
     except (DisconnectedGraphError, ValueError) as exc:

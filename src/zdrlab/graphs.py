@@ -1,19 +1,20 @@
 """Zero-divisor graphs and their classical invariants.
 
 A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
-bitsets and a full distance matrix (-1 marks unreachable pairs). The matrix
-takes one bitset BFS per distance-twin class on the twin quotient, which
-has one vertex per class: twins have equal rows outside their own class.
-Graphs come from three sources: zero-divisor graphs of rings, generated
-named families, and parsed edge-list files.
+bitsets and a full distance matrix (-1 marks unreachable pairs), one typed
+array per row. The matrix takes one bitset BFS per distance-twin class on
+the twin quotient, which has one vertex per class: twins have equal rows
+outside their own class. Cut vertices and the clique number are read off
+the same quotient. Graphs come from three sources: zero-divisor graphs of
+rings, generated named families, and parsed edge-list files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,14 +37,17 @@ class ZDGraph:
     the zero-divisor graph of Zn:6 prints its vertices as 2, 3, 4.
     ``classes`` is the distance-twin partition (``neighbourhood_twin_classes``),
     ordered by least member. It is computed once, when the graph is built,
-    and the distance build, the diameter and the solvers all read it.
+    and the distance build, the invariants and the solvers all read it.
+    ``dist[v]`` is an ``array.array`` of the narrowest signed type that holds
+    the largest distance: one byte per entry on every zero-divisor graph,
+    whose diameter is at most 3. Rows are unhashable, so a graph is too.
     """
 
     order: int
     labels: tuple[str, ...]
     external_ids: tuple[int, ...]
     adj: tuple[int, ...]
-    dist: tuple[tuple[int, ...], ...]
+    dist: tuple[array, ...]
     classes: tuple[tuple[int, ...], ...]
     source: str = ""
 
@@ -68,7 +72,7 @@ class ZDGraph:
     def is_connected(self) -> bool:
         if self.order == 0:
             return True
-        return all(d >= 0 for d in self.dist[0])
+        return -1 not in self.dist[0]
 
 
 def _bits(mask: int):
@@ -100,64 +104,85 @@ def neighbourhood_twin_classes(adj: Sequence[int]) -> tuple[tuple[int, ...], ...
 
 
 def _bfs_row(order: int, adj: Sequence[int], s: int) -> list[int]:
-    """Distances from ``s`` by a bitset BFS, -1 where unreachable."""
+    """Distances from ``s`` by a bitset BFS, -1 where unreachable. The bit
+    loops are inline: a generator per frontier costs more than the BFS."""
     dist = [-1] * order
     dist[s] = 0
-    seen = 1 << s
-    frontier = 1 << s
+    seen = frontier = 1 << s
     d = 0
     while frontier:
         d += 1
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        nxt &= ~seen
-        for v in _bits(nxt):
-            dist[v] = d
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt = nxt & ~seen
         seen |= nxt
-        frontier = nxt
+        while nxt:
+            low = nxt & -nxt
+            dist[low.bit_length() - 1] = d
+            nxt ^= low
     return dist
+
+
+def _is_clique_class(adj: Sequence[int], cls: Sequence[int]) -> bool:
+    """Whether a twin class of two or more is a clique; else it is open."""
+    return len(cls) > 1 and bool(adj[cls[0]] >> cls[1] & 1)
+
+
+def _quotient(
+    adj: Sequence[int], classes: tuple[tuple[int, ...], ...]
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Each vertex's class, and the twin quotient: one bitset per class, bit
+    d of the c-th set when classes c and d are joined. Adjacency between two
+    twin classes is all or nothing, so one member's row holds it. A
+    twin-free graph is its own quotient."""
+    if len(classes) == len(adj):
+        return range(len(adj)), adj
+    class_of = [0] * len(adj)
+    for c, cls in enumerate(classes):
+        for v in cls:
+            class_of[v] = c
+    least = sum(1 << cls[0] for cls in classes)
+    quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least)) for cls in classes]
+    return class_of, quotient
 
 
 def _all_pairs_bfs(
     adj: tuple[int, ...], classes: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[array, ...]:
     """All distance rows from one BFS per twin class on the twin quotient.
 
-    Adjacency between two twin classes is all or nothing, so the quotient
-    graph, whose vertex c is the c-th class, has the distances between
-    members of different classes. Its BFS row from class c, read through
-    each vertex's class, is the row of every member of c except at the
-    members themselves: any two of them lie at one common distance, 1 in a
-    clique class, 2 for open twins with a neighbour and -1 for isolated
-    vertices, and each is at 0 from itself. A twin-free graph is its own
-    quotient.
+    The quotient has the distances between members of different classes.
+    Its BFS row from class c, read through each vertex's class, is the row
+    of every member of c except at the members themselves: any two of them
+    lie at one common distance, 1 in a clique class, 2 for open twins with
+    a neighbour and -1 for isolated vertices, and each is at 0 from itself.
+    Rows are arrays of the narrowest signed type that holds the largest
+    distance, one byte per entry up to 127.
     """
-    if len(classes) == len(adj):
-        quotient, expand = adj, tuple
-    else:
-        class_of = [0] * len(adj)
-        for c, cls in enumerate(classes):
-            for v in cls:
-                class_of[v] = c
-        least = sum(1 << cls[0] for cls in classes)
-        quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least))
-                    for cls in classes]
-        expand = itemgetter(*class_of)
-    rows: list[tuple[int, ...]] = [()] * len(adj)
-    for c, cls in enumerate(classes):
-        row = expand(_bfs_row(len(classes), quotient, c))
+    class_of, quotient = _quotient(adj, classes)
+    k = len(classes)
+    quotient_rows = [_bfs_row(k, quotient, c) for c in range(k)]
+    # a distance on k vertices is below k, so up to 128 classes no row needs a scan
+    top = max(map(max, quotient_rows)) if k > 128 else k - 1
+    code = next(code for code in "bhiq" if top < 1 << 8 * array(code).itemsize - 1)
+    if k == len(adj):
+        return tuple(array(code, row) for row in quotient_rows)
+    rows = [None] * len(adj)
+    # one gather reads every quotient row through each vertex's class
+    for cls, nbrs, wide in zip(classes, quotient, np.array(quotient_rows, dtype=code)[:, class_of]):
+        row = array(code, wide.tobytes())
         if len(cls) == 1:
             rows[cls[0]] = row
             continue
-        twin = 1 if adj[cls[0]] >> cls[1] & 1 else 2 if quotient[c] else -1
-        row = list(row)
+        twin = 1 if _is_clique_class(adj, cls) else 2 if nbrs else -1
         for v in cls:
             row[v] = twin
         for v in cls:
-            row[v] = 0
-            rows[v] = tuple(row)
-            row[v] = twin
+            rows[v] = own = row[:]
+            own[v] = 0
     return tuple(rows)
 
 
@@ -201,7 +226,8 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
         raise EmptyGraphError(
             f"{ring.name} is an integral domain; its zero-divisor graph is empty"
         )
-    sub = ring.mul[np.ix_(members, members)] == 0
+    at = np.array(members, dtype=np.intp)
+    sub = (ring.mul.take(at, axis=0) == 0).take(at, axis=1)
     np.fill_diagonal(sub, False)
     rows = np.packbits(sub, axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row, "little") for row in rows)
@@ -230,14 +256,15 @@ def graph_invariants(g: ZDGraph) -> GraphInvariants:
     degrees = [g.degree(v) for v in range(n)]
     if n == 0:
         return GraphInvariants(0, 0, 0, INF, 0, 0, (), ())
+    _, quotient = _quotient(g.adj, g.classes)
     return GraphInvariants(
         order=n,
         size=g.size,
         diameter=INF if not g.is_connected else _diameter(g),
         girth=_girth(g),
-        clique_number=_clique_number(g),
+        clique_number=_clique_number(g, quotient),
         max_degree=max(degrees),
-        cut_vertices=_cut_vertices(g),
+        cut_vertices=_cut_vertices(g, quotient),
         degree_one_vertices=tuple(v for v in range(n) if degrees[v] == 1),
     )
 
@@ -248,7 +275,7 @@ def _diameter(g: ZDGraph) -> int:
     Twins have equal distances to every other vertex and share the distance
     between them, so their rows hold the same entries.
     """
-    return max(max(g.dist[cls[0]]) for cls in g.classes)
+    return int(np.array([g.dist[cls[0]] for cls in g.classes]).max())
 
 
 def _girth(g: ZDGraph) -> float:
@@ -278,29 +305,37 @@ def _girth(g: ZDGraph) -> float:
     return best
 
 
-def _clique_number(g: ZDGraph) -> int:
-    """Exact maximum clique size, branch and bound with a coloring bound."""
-    n = g.order
-    if n == 0:
-        return 0
-    adj = g.adj
-    best = 1
+def _clique_number(g: ZDGraph, quotient: Sequence[int]) -> int:
+    """Exact maximum clique size: a maximum weight clique of the twin
+    quotient, by branch and bound with a weighted coloring bound.
+
+    A clique meets an open class in at most one vertex and may hold all of
+    a clique class, so a clique class weighs its size and any other class
+    1. Each color class is independent, so a clique takes at most its
+    heaviest member from each; the bound of a vertex is the sum of those
+    weights over the colors up to its own. With unit weights (a twin-free
+    graph) this is the plain coloring bound.
+    """
+    weight = [len(cls) if _is_clique_class(g.adj, cls) else 1 for cls in g.classes]
+    best = max(weight)
 
     def color_sort(cand: int) -> tuple[list[int], list[int]]:
         order_out: list[int] = []
         bounds: list[int] = []
-        color = 0
+        bound = 0
         rest = cand
         while rest:
-            color += 1
+            heaviest = 0
             avail = rest
             while avail:
                 v = (avail & -avail).bit_length() - 1
                 avail &= avail - 1
-                avail &= ~adj[v]
+                avail &= ~quotient[v]
                 rest &= ~(1 << v)
                 order_out.append(v)
-                bounds.append(color)
+                heaviest = max(heaviest, weight[v])
+            bound += heaviest
+            bounds += [bound] * (len(order_out) - len(bounds))
         return order_out, bounds
 
     def expand(size: int, cand: int) -> None:
@@ -313,25 +348,43 @@ def _clique_number(g: ZDGraph) -> int:
             if size + bounds[i] <= best:
                 return
             v = order_out[i]
-            expand(size + 1, cand & adj[v])
+            expand(size + weight[v], cand & quotient[v])
             cand &= ~(1 << v)
 
-    expand(0, (1 << n) - 1)
+    expand(0, (1 << len(quotient)) - 1)
     return best
 
 
-def _cut_vertices(g: ZDGraph) -> tuple[int, ...]:
-    """Articulation points by iterative DFS lowlink."""
-    n = g.order
+def _cut_vertices(g: ZDGraph, quotient: Sequence[int]) -> tuple[int, ...]:
+    """Cut vertices, read off the twin quotient.
+
+    No member of a class of two or more is one: a twin stands in for it on
+    every path. A singleton class {v} is one when its node is a cut node of
+    the quotient, or when an open class of two or more has it as its only
+    neighbour class, since removing v leaves each member of that class
+    alone.
+    """
+    classes = g.classes
+    cut = set(_cut_nodes(quotient))
+    for cls, nbrs in zip(classes, quotient):
+        if len(cls) > 1 and nbrs.bit_count() == 1 and not _is_clique_class(g.adj, cls):
+            cut.add(nbrs.bit_length() - 1)
+    return tuple(classes[c][0] for c in sorted(cut) if len(classes[c]) == 1)
+
+
+def _cut_nodes(adj: Sequence[int]) -> list[int]:
+    """Articulation points of the graph on these bitsets, by iterative DFS
+    lowlink."""
+    n = len(adj)
     visited = [False] * n
     disc = [0] * n
     low = [0] * n
-    cut = set()
+    cut = []
     timer = 0
     for root in range(n):
         if visited[root]:
             continue
-        stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(_bits(g.adj[root])))]
+        stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(_bits(adj[root])))]
         visited[root] = True
         disc[root] = low[root] = timer
         timer += 1
@@ -346,7 +399,7 @@ def _cut_vertices(g: ZDGraph) -> tuple[int, ...]:
                     timer += 1
                     if u == root:
                         root_children += 1
-                    stack.append((v, u, iter(_bits(g.adj[v]))))
+                    stack.append((v, u, iter(_bits(adj[v]))))
                     advanced = True
                     break
                 elif v != parent:
@@ -357,10 +410,10 @@ def _cut_vertices(g: ZDGraph) -> tuple[int, ...]:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[u])
                     if p != root and low[u] >= disc[p]:
-                        cut.add(p)
+                        cut.append(p)
         if root_children >= 2:
-            cut.add(root)
-    return tuple(sorted(cut))
+            cut.append(root)
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,96 @@ def are_twins(g, u: int, v: int) -> bool:
     return all(du[x] == dv[x] for x in range(g.order) if x != u and x != v)
 
 
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def cut_vertices(g) -> tuple[int, ...]:
+    """Articulation points of the whole graph, by iterative DFS lowlink
+    over every vertex."""
+    n = g.order
+    visited = [False] * n
+    disc = [0] * n
+    low = [0] * n
+    cut = set()
+    timer = 0
+    for root in range(n):
+        if visited[root]:
+            continue
+        stack = [(root, -1, iter(_members(g.adj[root])))]
+        visited[root] = True
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        while stack:
+            u, parent, it = stack[-1]
+            advanced = False
+            for v in it:
+                if not visited[v]:
+                    visited[v] = True
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    if u == root:
+                        root_children += 1
+                    stack.append((v, u, iter(_members(g.adj[v]))))
+                    advanced = True
+                    break
+                elif v != parent:
+                    low[u] = min(low[u], disc[v])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if p != root and low[u] >= disc[p]:
+                        cut.add(p)
+        if root_children >= 2:
+            cut.add(root)
+    return tuple(sorted(cut))
+
+
+def clique_number(g) -> int:
+    """Maximum clique size over all vertices, by branch and bound with a
+    greedy coloring bound."""
+    if g.order == 0:
+        return 0
+    adj = g.adj
+    best = 1
+
+    def color_sort(cand: int) -> tuple[list[int], list[int]]:
+        order_out: list[int] = []
+        bounds: list[int] = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= avail - 1
+                avail &= ~adj[v]
+                rest &= ~(1 << v)
+                order_out.append(v)
+                bounds.append(color)
+        return order_out, bounds
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
+        if cand == 0:
+            best = max(best, size)
+            return
+        order_out, bounds = color_sort(cand)
+        for i in range(len(order_out) - 1, -1, -1):
+            if size + bounds[i] <= best:
+                return
+            v = order_out[i]
+            expand(size + 1, cand & adj[v])
+            cand &= ~(1 << v)
+
+    expand(0, (1 << g.order) - 1)
+    return best
+
+
 def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
     """Add and mul tables of r1 x r2, (a, b) at index a * |r2| + b, by
     gathering each factor's table at every pair of coordinates in int64."""

@@ -182,6 +182,22 @@ def test_dims_solve_rejects_nan_or_negative_budget_flags(runner, args):
     assert "must be a non-negative number" in result.output
 
 
+@pytest.mark.parametrize("args,env", [
+    (["--budget-ms", "nan"], {}), (["--budget-checks", "-3"], {}),
+    ([], {"ZDRLAB_BUDGET_MS": "-3"}),
+])
+def test_dims_solve_rejects_a_bad_budget_before_the_build(runner, monkeypatch, args, env):
+    # the budget is checked first, so a build that would fail is never reached
+    def no_build(*_):
+        raise AssertionError("built before the budget was checked")
+
+    monkeypatch.setattr(cli_mod, "build_ring", no_build)
+    monkeypatch.setattr(cli_mod, "parse_edgelist", no_build)
+    result = runner.invoke(main, ["dims", "solve", "prod:(Zn:32,Zn:64)", *args], env=env)
+    assert result.exit_code == 2, result.output
+    assert "must be a non-negative number" in result.output
+
+
 @pytest.mark.parametrize("value", ["nan", "-3"])
 def test_dims_solve_rejects_nan_or_negative_env_budget(runner, value):
     result = runner.invoke(main, ["dims", "solve", "Zn:12"], env={"ZDRLAB_BUDGET_MS": value})

@@ -72,6 +72,23 @@ def test_invariant_examples():
     assert inv8.cut_vertices == (1,)
 
 
+def test_cut_vertices_of_pendant_open_classes():
+    # the leaves of a star are one open class whose only neighbour class is
+    # the centre: the quotient is an edge, with no cut node of its own
+    star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert graph_invariants(star).cut_vertices == (0,)
+    assert graph_invariants(graph_from_edges(3, [(1, 0), (1, 2)])).cut_vertices == (1,)
+    # a clique class hanging off one vertex stays joined without it
+    triangle = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    assert graph_invariants(triangle).cut_vertices == ()
+    # a star beside an isolated open class, and an open class of two with two
+    # neighbour classes
+    g = graph_from_edges(7, [(0, 1), (0, 2), (0, 3)])
+    assert graph_invariants(g).cut_vertices == (0,)
+    square = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert graph_invariants(square).cut_vertices == ()
+
+
 def test_size_is_half_degree_sum():
     for spec in RING_CORPUS:
         g = build_zdgraph(build_ring(spec))
@@ -231,14 +248,40 @@ def test_disconnected_distances():
     assert g.dist[0][2] == -1
     assert graph_invariants(g).diameter == INF
     assert not g.is_connected
+    # an isolated open class {2, 3, 4} beside an edge: twins at -1
+    g = graph_from_edges(5, [(0, 1)])
+    assert [row.typecode for row in g.dist] == ["b"] * 5
+    assert [list(row) for row in g.dist] == [
+        [0, 1, -1, -1, -1], [1, 0, -1, -1, -1],
+        [-1, -1, 0, -1, -1], [-1, -1, -1, 0, -1], [-1, -1, -1, -1, 0],
+    ]
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["twin-free", "open twins"])
+def test_long_path_gets_wide_rows(twin):
+    # distances up to 299 do not fit a signed byte; a second leaf on vertex
+    # 1 makes {0, 300} an open class, so the rows come through the quotient
+    edges = [(i, i + 1) for i in range(299)] + [(1, 300)] * twin
+    g = graph_from_edges(300 + twin, edges)
+    assert len(g.classes) == 300
+    assert {row.typecode for row in g.dist} == {"h"}
+    nbrs = oracles.neighbor_sets(g)
+    for v in range(g.order):
+        assert list(g.dist[v]) == oracles.bfs_distances(nbrs, v, g.order)
+    assert graph_invariants(g).diameter == 299
 
 
 def test_distances_match_oracle_bfs():
-    for spec in ["Zn:30", "Zni:9", "cat:cvA3", "prod:(Zn:4,Zn:9)"]:
+    # ring graphs have diameter at most 3: one byte per entry, whose bytes
+    # are those of the plain integers
+    for spec in ["Zn:30", "Zni:9", "cat:cvA3", "prod:(Zn:4,Zn:9)", "Zn:256"]:
         g = build_zdgraph(build_ring(spec))
         nbrs = oracles.neighbor_sets(g)
         for v in range(g.order):
-            assert list(g.dist[v]) == oracles.bfs_distances(nbrs, v, g.order)
+            row = g.dist[v]
+            assert row.itemsize == 1
+            assert bytes(row) == bytes(tuple(row))
+            assert list(row) == oracles.bfs_distances(nbrs, v, g.order)
 
 
 @pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])

@@ -3,6 +3,7 @@
 import random
 from unittest import mock
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from zdrlab import solver
@@ -183,6 +184,41 @@ def disconnected_blown_up_graphs(draw):
     edges = list(a.edges()) + [(u + a.order, v + a.order) for u, v in b.edges()]
     perm = draw(st.permutations(range(a.order + b.order)))
     return graph_from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def pendant_blow_ups(draw):
+    """A blow-up of a graph of order 1-4, possibly disconnected, with an
+    open class of 2-3 leaves hung off one vertex, labels shuffled. The hub
+    is then a class of its own, and a cut vertex by the pendant rule alone
+    when the leaves are its only neighbours."""
+    g = draw(blown_up_graphs(gnp_graphs(max_n=4, min_n=1)))
+    hub = draw(st.integers(min_value=0, max_value=g.order - 1))
+    leaves = draw(st.integers(min_value=2, max_value=3))
+    n = g.order + leaves
+    edges = list(g.edges()) + [(hub, v) for v in range(g.order, n)]
+    perm = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=st.one_of(
+    gnp_graphs(max_n=14), blown_up_graphs(), blown_up_graphs(gnp_graphs(max_n=4, min_n=1)),
+    disconnected_blown_up_graphs(), pendant_blow_ups(),
+))
+def test_quotient_invariants_match_full_graph(g):
+    # cut vertices and clique number come from the twin quotient; the
+    # oracles run on every vertex, and networkx checks both. Twin-free
+    # G(n, p) graphs are their own quotient; blow-ups of G(n, p) bases
+    # have isolated twin classes and pendant open classes.
+    inv = graph_invariants(g)
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.order))
+    gx.add_edges_from(g.edges())
+    assert inv.cut_vertices == oracles.cut_vertices(g)
+    assert set(inv.cut_vertices) == set(nx.articulation_points(gx))
+    assert inv.clique_number == oracles.clique_number(g)
+    assert inv.clique_number == max((len(c) for c in nx.find_cliques(gx)), default=0)
 
 
 @settings(max_examples=300, deadline=None)
