@@ -4,9 +4,10 @@ A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
 bitsets and a full distance matrix (-1 marks unreachable pairs), one typed
 array per row. The matrix takes one bitset BFS per distance-twin class on
 the twin quotient, which has one vertex per class: twins have equal rows
-outside their own class. Cut vertices and the clique number are read off
-the same quotient. Graphs come from three sources: zero-divisor graphs of
-rings, generated named families, and parsed edge-list files.
+outside their own class. Cut vertices, the clique number and the girth
+are read off the same quotient. Graphs come from three sources:
+zero-divisor graphs of rings, generated named families, and parsed
+edge-list files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, zero_divisors
+from .rings import FiniteRing, _zero_products, zero_divisors
 
 INF = math.inf
 
@@ -218,8 +219,9 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     """Zero-divisor graph: vertices L(R), edge x-y iff x != y and x*y = 0.
 
     A nilpotent x with x*x = 0 contributes no self-loop; the graph is simple.
-    Each adjacency bitset is one row of the zero-product submatrix, packed
-    little-endian so that bit v is column v.
+    Each adjacency bitset is one row of the members' zero-product block,
+    computed without any order x order table and packed little-endian so
+    that bit v is column v.
     """
     members = zero_divisors(ring).members
     if not members:
@@ -227,11 +229,11 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
             f"{ring.name} is an integral domain; its zero-divisor graph is empty"
         )
     at = np.array(members, dtype=np.intp)
-    sub = (ring.mul.take(at, axis=0) == 0).take(at, axis=1)
+    sub = _zero_products(ring.spec, at)
     np.fill_diagonal(sub, False)
     rows = np.packbits(sub, axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row, "little") for row in rows)
-    return _graph(adj, [ring.labels[x] for x in members], members, ring.name)
+    return _graph(adj, ring.labels_of(at), members, ring.name)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ def graph_invariants(g: ZDGraph) -> GraphInvariants:
         order=n,
         size=g.size,
         diameter=INF if not g.is_connected else _diameter(g),
-        girth=_girth(g),
+        girth=_girth(g, quotient),
         clique_number=_clique_number(g, quotient),
         max_degree=max(degrees),
         cut_vertices=_cut_vertices(g, quotient),
@@ -278,10 +280,33 @@ def _diameter(g: ZDGraph) -> int:
     return int(np.array([g.dist[cls[0]] for cls in g.classes]).max())
 
 
-def _girth(g: ZDGraph) -> float:
-    """Shortest cycle length via a BFS scan from every vertex."""
+def _girth(g: ZDGraph, quotient: Sequence[int]) -> float:
+    """Shortest cycle length, read off the twin quotient.
+
+    A triangle has all three vertices in one clique class of three or
+    more, two in a clique class of two with a neighbour, or one in each of
+    three pairwise joined classes. Without one, twins in a 4-cycle are
+    open twins on opposite corners, so the girth is 4 exactly when a class
+    of two or more has two neighbour vertices. Otherwise no shortest cycle
+    holds two twins, and the girth is that of the quotient.
+    """
+    classes = g.classes
+    for c, (cls, nbrs) in enumerate(zip(classes, quotient)):
+        if _is_clique_class(g.adj, cls) and (len(cls) > 2 or nbrs):
+            return 3
+        if any(nbrs & quotient[d] for d in _bits(nbrs >> c + 1 << c + 1)):
+            return 3
+    for cls, nbrs in zip(classes, quotient):
+        if len(cls) > 1 and sum(len(classes[d]) for d in _bits(nbrs)) > 1:
+            return 4
+    return _bfs_girth(quotient)
+
+
+def _bfs_girth(adj: Sequence[int]) -> float:
+    """Shortest cycle length of the graph on these bitsets, via a BFS scan
+    from every vertex."""
     best = INF
-    n = g.order
+    n = len(adj)
     for s in range(n):
         if best == 3:  # no simple graph has a shorter cycle
             break
@@ -295,7 +320,7 @@ def _girth(g: ZDGraph) -> float:
             head += 1
             if dist[u] + dist[u] + 1 >= best:
                 continue
-            for v in _bits(g.adj[u]):
+            for v in _bits(adj[u]):
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     parent[v] = u

@@ -1,11 +1,15 @@
 """Finite commutative rings with unity.
 
 Rings are described by a small spec grammar (``Zn:6``, ``Zni:9``, ``GF:8``,
-``prod:(Zn:2,GF:3)``, ``cat:Z3r.r2``) and materialized as full multiplication
-tables over a mixed-radix element indexing, with the addition table built
-on first use, so that every downstream computation (zero divisors,
-annihilators, algebraic predicates, graph construction) is an exact table
-scan.
+``prod:(Zn:2,GF:3)``, ``cat:Z3r.r2``) over a mixed-radix element indexing.
+A ring holds its moduli and, for a product, its two factor rings; its
+addition and multiplication tables and its labels are built on first use.
+Zero divisors come from a unit test per family, since in a finite
+commutative ring every nonzero element is a unit or a zero divisor, and the
+zero products among a set of elements come from the structure constants on
+their digits, so a zero-divisor graph needs no order x order table. Only a
+catalog ring, whose tables its axiom check builds at once, is scanned.
+Annihilators and the algebraic predicates are exact table scans.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -187,33 +191,59 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
-    """A finite commutative ring with unity, materialized as op tables.
+    """A finite commutative ring with unity over indexed elements.
 
     Elements are indices 0..order-1 with 0 the additive identity and
     ``one`` the unity (index 1 whenever the encoding allows). Element x has
     mixed-radix digits (x // prod(moduli[:t])) % moduli[t], little-endian,
-    and addition is digit-wise modulo ``moduli``. Instances are immutable
-    after construction; do not mutate the tables. Equality and hashing are
-    by identity.
+    and addition is digit-wise modulo ``moduli``. A product ring keeps its
+    two factor rings in ``factors``. The op tables and the labels are built
+    on first access and cached; do not mutate them. Equality and hashing
+    are by identity.
     """
 
     spec: RingSpec
     order: int
-    mul: np.ndarray
     one: int
-    labels: tuple[str, ...]
     moduli: tuple[int, ...]
+    factors: tuple["FiniteRing", ...] = ()
 
     @cached_property
     def add(self) -> np.ndarray:
         """Addition table, built from ``moduli`` on first access."""
         return _mixed_radix_add(self.moduli)
 
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """Multiplication table, uint16, built on first access."""
+        if self.factors:
+            return _product_mul(*self.factors)
+        return _build_structure(_structure_entry(self.spec))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every element's label, built on first access."""
+        return tuple(self.labels_of(np.arange(self.order)))
+
+    def labels_of(self, xs: np.ndarray) -> list[str]:
+        """The labels of the elements at the indices ``xs``."""
+        if self.factors:
+            left, right = self.factors
+            a, b = left.labels, right.labels
+            pairs = zip((xs // right.order).tolist(), (xs % right.order).tolist())
+            return [f"({a[i]},{b[j]})" for i, j in pairs]
+        basis = _structure_entry(self.spec).basis
+        digits = [d.tolist() for d in _digits(self.moduli, xs)]
+        return [_term_label(c, basis) for c in zip(*digits)]
+
     @property
     def name(self) -> str:
         return self.spec.to_text()
 
     def mul_of(self, x: int, y: int) -> int:
+        for e in (x, y):
+            if not 0 <= e < self.order:
+                raise ValueError(f"element {e} out of range for ring of order {self.order}")
         return int(self.mul[x, y])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -237,20 +267,21 @@ def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> Fini
     """Build the concrete ring for a spec (or spec string)."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
-    order = spec_order(spec)
-    _check_order(spec.to_text(), order, min(max_order, MAX_TABLE_ORDER))
+    _check_order(spec.to_text(), spec_order(spec), min(max_order, MAX_TABLE_ORDER))
+    return _ring(spec)
+
+
+def _ring(spec: RingSpec) -> FiniteRing:
+    """The ring of a spec within the cap; a product holds its factors."""
     if spec.family is Family.PRODUCT:
-        labels, mul, one, moduli = _build_product(spec, max_order)
+        left, right = factors = (_ring(spec.children[0]), _ring(spec.children[1]))
+        ring = FiniteRing(
+            spec, left.order * right.order, left.one * right.order + right.one,
+            right.moduli + left.moduli, factors,
+        )
     else:
-        labels, mul, one, moduli = _build_structure(_structure_entry(spec))
-    ring = FiniteRing(
-        spec=spec,
-        order=order,
-        mul=mul.astype(np.uint16, copy=False),
-        one=one,
-        labels=tuple(labels),
-        moduli=moduli,
-    )
+        moduli = _structure_entry(spec).moduli
+        ring = FiniteRing(spec, math.prod(moduli), 1, moduli)
     if spec.family is Family.CATALOG:
         failures = ring_axiom_failures(ring)
         if failures:
@@ -287,21 +318,17 @@ def _term_label(coeffs: Iterable[int], basis: tuple[str, ...] | list[str]) -> st
     return "+".join(parts) if parts else "0"
 
 
-def _build_product(spec: RingSpec, max_order: int):
+def _product_mul(r1: FiniteRing, r2: FiniteRing) -> np.ndarray:
     """Multiplication table of A x B with (a, b) at index a * |B| + b, so
     the mixed-radix moduli are B's followed by A's.
 
     The broadcast stays in uint16: every entry m_A * |B| + m_B is below the
     order, which build_ring has capped at MAX_TABLE_ORDER.
     """
-    r1 = build_ring(spec.children[0], max_order)
-    r2 = build_ring(spec.children[1], max_order)
     o2 = r2.order
     order = r1.order * o2
     mul = r1.mul[:, None, :, None] * np.uint16(o2) + r2.mul[None, :, None, :]
-    one = r1.one * o2 + r2.one
-    labels = [f"({a},{b})" for a in r1.labels for b in r2.labels]
-    return labels, mul.reshape(order, order), one, r2.moduli + r1.moduli
+    return mul.reshape(order, order)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +463,12 @@ def _structure_entry(spec: RingSpec) -> CatalogEntry:
     return entry
 
 
+@cache
 def _gf_entry(q: int) -> CatalogEntry:
-    """GF(p^k) as Z_p adjoin a root w of the modulus; GF(p) is Z_p."""
+    """GF(p^k) as Z_p adjoin a root w of the modulus; GF(p) is Z_p.
+
+    Cached: a ring, its labels and its zero products each read the entry,
+    and finding the modulus costs more than the rest of a small graph."""
     p, k = _prime_power(q)  # validated at parse time
     low = _gf_modulus(p, k) if k > 1 else ()
     # powers[d] = w**d, reduced by w**k = -sum(c_i w**i) for d >= k
@@ -449,9 +480,9 @@ def _gf_entry(q: int) -> CatalogEntry:
     return CatalogEntry(f"GF:{q}", (p,) * k, ("1", "w", "w^2")[:k], table)
 
 
-def _build_structure(entry: CatalogEntry):
-    """Multiplication table of the ring an entry describes, summed from one
-    small table per term.
+def _build_structure(entry: CatalogEntry) -> np.ndarray:
+    """Multiplication table of the ring an entry describes, as uint16,
+    summed from one small table per term.
 
     Element x has coefficient (x // prod(moduli[:t])) % moduli[t] on basis[t],
     so index 1 is the unity. Coordinate t of x*y is the sum over basis pairs
@@ -461,21 +492,22 @@ def _build_structure(entry: CatalogEntry):
     axes of the (x digits, y digits) tensor; for Zn it is the whole table.
     """
     moduli = entry.moduli
-    k = len(moduli)
+    return _mixed_radix_sum(moduli, (
+        [_on_axes(moduli, i, j, _product_table(w[t], m, moduli[i], moduli[j]))
+         for (i, j), w in _structure_constants(entry).items() if w[t]]
+        for t, m in enumerate(moduli)
+    )).astype(np.uint16, copy=False)
+
+
+def _structure_constants(entry: CatalogEntry) -> dict[tuple[int, int], tuple[int, ...]]:
+    """basis[i] * basis[j] as coefficients, for every ordered pair (i, j)."""
+    k = len(entry.moduli)
     unit = [tuple(int(t == i) for t in range(k)) for i in range(k)]
-    consts = {
+    return {
         (i, j): unit[i + j] if i == 0 or j == 0 else entry.table[min(i, j), max(i, j)]
         for i in range(k)
         for j in range(k)
     }
-    mul = _mixed_radix_sum(moduli, (
-        [_on_axes(moduli, i, j, _product_table(w[t], m, moduli[i], moduli[j]))
-         for (i, j), w in consts.items() if w[t]]
-        for t, m in enumerate(moduli)
-    ))
-    coeffs = _digits(moduli)
-    labels = [_term_label(c, entry.basis) for c in zip(*(c.tolist() for c in coeffs))]
-    return labels, mul, 1, moduli
 
 
 def _fold_dtype(m: int):
@@ -545,10 +577,9 @@ def _mixed_radix_sum(moduli: tuple[int, ...], terms: Iterable[list[np.ndarray]])
     return total.reshape(scale, scale)
 
 
-def _digits(moduli: tuple[int, ...]) -> list[np.ndarray]:
-    """Each element's mixed-radix digits, one array per digit."""
-    idx = np.arange(math.prod(moduli))
-    return [idx // math.prod(moduli[:t]) % m for t, m in enumerate(moduli)]
+def _digits(moduli: tuple[int, ...], xs: np.ndarray) -> list[np.ndarray]:
+    """The mixed-radix digits of the elements ``xs``, one array per digit."""
+    return [xs // math.prod(moduli[:t]) % m for t, m in enumerate(moduli)]
 
 
 def _mixed_radix_add(moduli: tuple[int, ...]) -> np.ndarray:
@@ -625,11 +656,89 @@ class ZeroDivisorSet:
 
 
 def zero_divisors(ring: FiniteRing) -> ZeroDivisorSet:
-    """Exact zero-divisor set by exhaustive scan, ordered by element index."""
-    zero_prod = ring.mul == 0
-    nonzero_partner = zero_prod[:, 1:].any(axis=1)
-    members = tuple(int(x) for x in np.flatnonzero(nonzero_partner) if x != 0)
-    return ZeroDivisorSet(members=members)
+    """Exact zero-divisor set, ordered by element index: the nonzero
+    non-units, since in a finite commutative ring every nonzero element is
+    a unit or a zero divisor."""
+    return ZeroDivisorSet(members=tuple(np.flatnonzero(_nonunits(ring))[1:].tolist()))
+
+
+def _nonunits(ring: FiniteRing) -> np.ndarray:
+    """Whether each element is a non-unit (0 always is).
+
+    x in Zn:n when gcd(x, n) > 1; a + bi in Zni:n when its norm a^2 + b^2,
+    a unit exactly when a + bi is, shares a factor with n; only 0 in a
+    field; (a, b) in a product when a or b is; in a catalog ring, x with a
+    nonzero partner y, x * y = 0, found by a scan of the table.
+    """
+    spec = ring.spec
+    if ring.factors:
+        left, right = ring.factors
+        return (_nonunits(left)[:, None] | _nonunits(right)[None, :]).ravel()
+    if spec.family is Family.ZN:
+        return np.gcd(np.arange(spec.n, dtype=np.int64), np.int64(spec.n)) > 1
+    if spec.family is Family.ZN_GAUSS:
+        a = np.arange(spec.n, dtype=np.int64) ** 2  # index b * n + a: rows b, columns a
+        return (np.gcd(a[:, None] + a[None, :], np.int64(spec.n)) > 1).ravel()
+    if spec.family is Family.GF:
+        return np.arange(ring.order) == 0
+    nonunit = (ring.mul == 0)[:, 1:].any(axis=1)
+    nonunit[0] = True
+    return nonunit
+
+
+# Entries per row chunk of a zero-product block: a chunk's int32 sums take
+# about 256 KB and stay in cache, where the temporaries of a whole block
+# would be fresh pages, faulted in on every build.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
+    """The boolean block of x * y == 0 over the elements ``xs`` x ``xs``,
+    with no table of the ring, computed a chunk of rows at a time.
+
+    On a product, the AND of its factors' blocks, each computed on the
+    distinct component indices and gathered, columns first. Otherwise
+    coordinate t of x * y is the sum over structure constants of
+    w_t * c_i(x) * c_j(y), reduced mod moduli[t], on the digits of ``xs``;
+    the sums run in int32 unless their largest possible value needs int64.
+    Every scalar carries the dtype, so promotion is the same with or
+    without NEP 50.
+    """
+    n = len(xs)
+    step = max(1, _CHUNK_ENTRIES // n)
+    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    if spec.family is Family.PRODUCT:
+        left, right = spec.children
+        o2 = spec_order(right)
+        gathers = []
+        for child, part in ((left, xs // o2), (right, xs % o2)):
+            distinct, at = np.unique(part, return_inverse=True)
+            gathers.append((_zero_products(child, distinct).take(at, axis=1), at))
+        (a, at_a), (b, at_b) = gathers
+        block = np.empty((n, n), dtype=bool)
+        for rows in chunks:
+            np.logical_and(a.take(at_a[rows], axis=0), b.take(at_b[rows], axis=0), out=block[rows])
+        return block
+    entry = _structure_entry(spec)
+    moduli = entry.moduli
+    consts = _structure_constants(entry)
+    largest = max(
+        sum(w[t] * (moduli[i] - 1) * (moduli[j] - 1) for (i, j), w in consts.items())
+        for t in range(len(moduli))
+    )
+    dtype = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    digits = [d.astype(dtype) for d in _digits(moduli, xs)]
+    block = np.ones((n, n), dtype=bool)
+    for rows in chunks:
+        for t, m in enumerate(moduli):
+            total = sum(
+                (np.multiply.outer(digits[i][rows] * dtype(w[t]), digits[j])
+                 for (i, j), w in consts.items() if w[t]),
+                dtype(0),
+            )
+            # a floor division by a scalar is much faster than a remainder
+            block[rows] &= total // dtype(m) * dtype(m) == total
+    return block
 
 
 def annihilator(ring: FiniteRing, x: int) -> tuple[int, ...]:

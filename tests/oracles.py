@@ -176,6 +176,27 @@ def clique_number(g) -> int:
     return best
 
 
+def girth(g) -> float:
+    """Shortest cycle length of the whole graph, by a BFS from every
+    vertex; inf when the graph is acyclic."""
+    nbrs = neighbor_sets(g)
+    best = math.inf
+    for s in range(g.order):
+        dist = {s: 0}
+        parent = {s: -1}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u]:
+                    best = min(best, dist[u] + dist[v] + 1)
+    return best
+
+
 def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
     """Add and mul tables of r1 x r2, (a, b) at index a * |r2| + b, by
     gathering each factor's table at every pair of coordinates in int64."""
@@ -188,6 +209,20 @@ def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
         return t1[i1[:, None], i1[None, :]] * o2 + t2[i2[:, None], i2[None, :]]
 
     return combine(r1.add, r2.add), combine(r1.mul, r2.mul)
+
+
+def zero_divisors(ring) -> tuple[int, ...]:
+    """L(R) by a scan of the multiplication table: each nonzero x with a
+    nonzero partner y, x * y = 0."""
+    nonzero_partner = (ring.mul == 0)[:, 1:].any(axis=1)
+    return tuple(int(x) for x in np.flatnonzero(nonzero_partner) if x != 0)
+
+
+def zero_block(ring, members) -> np.ndarray:
+    """The members x members block of x * y == 0, gathered from the
+    multiplication table."""
+    at = np.array(members, dtype=np.intp)
+    return (ring.mul.take(at, axis=0) == 0).take(at, axis=1)
 
 
 def structure_tables(entry) -> tuple[list[list[int]], list[list[int]]]:

@@ -1,27 +1,33 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zdrlab.graphs import build_zdgraph
+from zdrlab.graphs import EmptyGraphError, build_zdgraph
 from zdrlab.rings import (
     CatalogEntry,
     CatalogError,
+    Family,
+    RingSpec,
     annihilator,
     build_ring,
     catalog_ids,
     cut_vertex_entry_ids,
+    factorize,
+    parse_ring_spec,
     register_catalog_entry,
     ring_axiom_failures,
     ring_properties,
+    spec_order,
     unregister_catalog_entry,
     zero_divisors,
 )
-from zdrlab.rings import _build_structure, _mixed_radix_add, _product_table
+from zdrlab.rings import _build_structure, _mixed_radix_add, _product_table, _zero_products
 
 import oracles
 
@@ -115,6 +121,15 @@ def test_annihilator_examples():
     assert annihilator(build_ring("Zn:8"), 4) == (0, 2, 4, 6)
     with pytest.raises(ValueError):
         annihilator(r6, 6)
+
+
+def test_mul_of_rejects_elements_out_of_range():
+    ring = build_ring("Zn:6")
+    assert ring.mul_of(5, 5) == 1
+    # -1 would wrap to row 5, and 6 is past the table
+    for x, y in [(-1, 5), (5, -1), (6, 1), (1, 6)]:
+        with pytest.raises(ValueError, match="out of range"):
+            ring.mul_of(x, y)
 
 
 def test_annihilator_cache_matches():
@@ -285,6 +300,97 @@ def test_graph_build_leaves_add_unbuilt(spec):
     assert table_digest(ring) == golden[spec]
 
 
+def _factors(ring):
+    yield ring
+    for factor in ring.factors:
+        yield from _factors(factor)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Zn:12", "Zni:49", "prod:(Zn:4,Zn:4)", "prod:(Zn:2,prod:(Zn:2,Zn:2))", "prod:(Zni:9,GF:4)"],
+)
+def test_graph_build_leaves_mul_unbuilt(spec):
+    # the graph reads the unit test and the members' block, and the labels
+    # of its members only
+    ring = build_ring(spec)
+    build_zdgraph(ring)
+    assert "labels" not in ring.__dict__
+    for r in _factors(ring):
+        assert "mul" not in r.__dict__, r.name
+
+
+# every GF order the default cap admits; Zpr.r2:p up to order 121, as the
+# axiom check of a catalog ring is cubic in its order
+_PRIME_POWERS = [q for q in range(2, 4097) if len(f := list(factorize(q))) == 1 and f[0][1] <= 3]
+_ZPR_PRIMES = [2, 3, 5, 7, 11]
+
+
+@st.composite
+def ring_specs(draw, max_order: int = 4096, depth: int = 2):
+    """Zn 2-400, Zni 2-40, GF, catalog and Zpr.r2 specs, and products of
+    them nested up to ``depth`` deep, of order at most ``max_order``. The
+    depth bound keeps out Boolean rings such as (Z_2)^11, whose twin-free
+    graphs take seconds to build."""
+    if depth and max_order >= 4 and draw(st.integers(min_value=0, max_value=2)) == 0:
+        left = draw(ring_specs(max_order // 2, depth - 1))
+        rest = max_order // spec_order(parse_ring_spec(left))
+        return f"prod:({left},{draw(ring_specs(rest, depth - 1))})"
+    leaves = [st.integers(min_value=2, max_value=min(400, max_order)).map(lambda n: f"Zn:{n}")]
+    if max_order >= 4:
+        leaves.append(st.integers(min_value=2, max_value=min(40, math.isqrt(max_order)))
+                      .map(lambda n: f"Zni:{n}"))
+        leaves.append(st.sampled_from([p for p in _ZPR_PRIMES if p * p <= max_order])
+                      .map(lambda p: f"cat:Zpr.r2:{p}"))
+    leaves.append(st.sampled_from([q for q in _PRIME_POWERS if q <= max_order])
+                  .map(lambda q: f"GF:{q}"))
+    catalog = [i for i in catalog_ids() if spec_order(parse_ring_spec(f"cat:{i}")) <= max_order]
+    if catalog:
+        leaves.append(st.sampled_from(catalog).map(lambda i: f"cat:{i}"))
+    return draw(st.one_of(leaves))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=ring_specs())
+def test_table_free_graph_matches_table_scan(spec):
+    # L(R) from the unit test and the graph from the members' block,
+    # against a scan and a gather of the multiplication table
+    ring = build_ring(spec)
+    members = zero_divisors(ring).members
+    if members:
+        g = build_zdgraph(ring)
+    else:
+        with pytest.raises(EmptyGraphError):
+            build_zdgraph(ring)
+    assert members == oracles.zero_divisors(ring)
+    if members:
+        block = oracles.zero_block(ring, members)
+        np.fill_diagonal(block, False)
+        rows = np.packbits(block, axis=1, bitorder="little")
+        assert g.adj == tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        assert g.labels == tuple(ring.labels[x] for x in members)
+        assert g.external_ids == members
+
+
+def test_zero_product_sums_widen_past_int32():
+    # 49729 = 223^2, so the product of two multiples of 223 is 0: the
+    # graph on them is K_222, the block is all zero products with the
+    # diagonal. Their digit products reach (222 * 223)^2, past int32.
+    xs = np.arange(223, 49729, 223)
+    block = _zero_products(RingSpec(Family.ZN, n=49729), xs)
+    assert block.shape == (222, 222) and block.all()
+
+
+@pytest.mark.parametrize("n", [46341, 46342])
+def test_zero_products_at_the_int32_edge(n):
+    # (n - 1)^2 is the largest sum: it just fits int32 for 46341, and the
+    # sums for 46342 run in int64
+    xs = np.array([1, 2, 3, 7, 9, 19, 271, n // 2, n // 3, n - 2, n - 1])
+    block = _zero_products(RingSpec(Family.ZN, n=n), xs)
+    expected = [[x * y % n == 0 for y in xs.tolist()] for x in xs.tolist()]
+    assert block.tolist() == expected
+
+
 @st.composite
 def structure_entries(draw):
     """A basis of 1 to 3 elements with coefficients modulo 2..7 and random
@@ -302,11 +408,10 @@ def structure_entries(draw):
 @settings(max_examples=40, deadline=None)
 @given(entry=structure_entries())
 def test_structure_tables_match_digit_oracle(entry):
-    _, mul, one, moduli = _build_structure(entry)
+    mul = _build_structure(entry)
     add_ref, mul_ref = oracles.structure_tables(entry)
-    assert (one, moduli) == (1, entry.moduli)
     assert mul.dtype == np.uint16 and mul.tolist() == mul_ref
-    add = _mixed_radix_add(moduli)
+    add = _mixed_radix_add(entry.moduli)
     assert add.dtype == np.uint16 and add.tolist() == add_ref
 
 

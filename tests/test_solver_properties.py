@@ -207,10 +207,10 @@ def pendant_blow_ups(draw):
     disconnected_blown_up_graphs(), pendant_blow_ups(),
 ))
 def test_quotient_invariants_match_full_graph(g):
-    # cut vertices and clique number come from the twin quotient; the
-    # oracles run on every vertex, and networkx checks both. Twin-free
-    # G(n, p) graphs are their own quotient; blow-ups of G(n, p) bases
-    # have isolated twin classes and pendant open classes.
+    # cut vertices, clique number and girth come from the twin quotient;
+    # the oracles run on every vertex, and networkx checks all three.
+    # Twin-free G(n, p) graphs are their own quotient; blow-ups of G(n, p)
+    # bases have isolated twin classes and pendant open classes.
     inv = graph_invariants(g)
     gx = nx.Graph()
     gx.add_nodes_from(range(g.order))
@@ -219,6 +219,8 @@ def test_quotient_invariants_match_full_graph(g):
     assert set(inv.cut_vertices) == set(nx.articulation_points(gx))
     assert inv.clique_number == oracles.clique_number(g)
     assert inv.clique_number == max((len(c) for c in nx.find_cliques(gx)), default=0)
+    assert inv.girth == oracles.girth(g)
+    assert inv.girth == min((len(c) for c in nx.minimum_cycle_basis(gx)), default=INF)
 
 
 @settings(max_examples=300, deadline=None)
