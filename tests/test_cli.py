@@ -37,6 +37,19 @@ def test_ring_describe_json(runner):
     assert doc["is_local"] is False
 
 
+@pytest.mark.parametrize(
+    "spec, stem",
+    [("Zn:72", "Zn72"), ("Zni:10", "Zni10"), ("prod:(Zn:4,Zni:3)", "prod_Zn4_Zni3"),
+     ("cat:cvA3", "cat_cvA3")],
+)
+def test_ring_describe_matches_golden(runner, spec, stem):
+    # pins the properties, nilpotents and L(R) of each family, in text and JSON
+    for args, ext in [([], "txt"), (["--json"], "json")]:
+        result = runner.invoke(main, ["ring", "describe", spec, *args])
+        assert result.exit_code == 0
+        assert result.output == golden(f"ring_describe_{stem}.{ext}"), ext
+
+
 def test_ring_describe_invalid(runner):
     result = runner.invoke(main, ["ring", "describe", "Zn:one"])
     assert result.exit_code == 2
