@@ -5,11 +5,13 @@ Rings are described by a small spec grammar (``Zn:6``, ``Zni:9``, ``GF:8``,
 A ring holds its moduli and, for a product, its two factor rings; its
 addition and multiplication tables and its labels are built on first use.
 Zero divisors come from a unit test per family, since in a finite
-commutative ring every nonzero element is a unit or a zero divisor, and the
-zero products among a set of elements come from the structure constants on
-their digits, so a zero-divisor graph needs no order x order table. Only a
-catalog ring, whose tables its axiom check builds at once, is scanned.
-Annihilators and the algebraic predicates are exact table scans.
+commutative ring every nonzero element is a unit or a zero divisor. One
+kernel, ``_structure_sums``, evaluates the structure constants on the
+digits of any elements: the zero products among the members, the products
+that square the non-units for the nilpotents, and the ``mul`` table, so a
+zero-divisor graph and the algebraic predicates need no order x order
+table. Only a catalog ring, whose tables its axiom check builds at once, is
+scanned. Annihilators are exact table scans.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, reduce
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -210,15 +212,15 @@ class FiniteRing:
 
     @cached_property
     def add(self) -> np.ndarray:
-        """Addition table, built from ``moduli`` on first access."""
-        return _mixed_radix_add(self.moduli)
+        """Addition table, uint16, built digit-wise from ``moduli`` on first
+        access."""
+        return _table(self.order, lambda xs, ys: _sums(self.moduli, xs, ys))
 
     @cached_property
     def mul(self) -> np.ndarray:
-        """Multiplication table, uint16, built on first access."""
-        if self.factors:
-            return _product_mul(*self.factors)
-        return _build_structure(_structure_entry(self.spec))
+        """Multiplication table, uint16, built from the structure constants
+        on first access."""
+        return _table(self.order, lambda xs, ys: _products(self.spec, xs, ys))
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -318,19 +320,6 @@ def _term_label(coeffs: Iterable[int], basis: tuple[str, ...] | list[str]) -> st
     return "+".join(parts) if parts else "0"
 
 
-def _product_mul(r1: FiniteRing, r2: FiniteRing) -> np.ndarray:
-    """Multiplication table of A x B with (a, b) at index a * |B| + b, so
-    the mixed-radix moduli are B's followed by A's.
-
-    The broadcast stays in uint16: every entry m_A * |B| + m_B is below the
-    order, which build_ring has capped at MAX_TABLE_ORDER.
-    """
-    o2 = r2.order
-    order = r1.order * o2
-    mul = r1.mul[:, None, :, None] * np.uint16(o2) + r2.mul[None, :, None, :]
-    return mul.reshape(order, order)
-
-
 # ---------------------------------------------------------------------------
 # structure-constant catalog
 # ---------------------------------------------------------------------------
@@ -354,6 +343,29 @@ class CatalogEntry:
     table: dict[tuple[int, int], tuple[int, ...]]
     cut_vertex_claim: bool = False
     note: str = ""
+
+    @cached_property
+    def _sum_terms(self) -> tuple[type, tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """The dtype of the structure sums, and for each coordinate t the
+        terms (i, j, w_t), w_t != 0, of basis[i] * basis[j] = sum_t w_t
+        basis[t] over every ordered pair (i, j). The sums run in int32
+        unless their largest possible value needs int64."""
+        moduli = self.moduli
+        k = len(moduli)
+        unit = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+        consts = {
+            (i, j): unit[i + j] if i == 0 or j == 0 else self.table[min(i, j), max(i, j)]
+            for i in range(k)
+            for j in range(k)
+        }
+        terms = tuple(
+            tuple((i, j, w[t]) for (i, j), w in consts.items() if w[t]) for t in range(k)
+        )
+        largest = max(
+            sum(w * (moduli[i] - 1) * (moduli[j] - 1) for i, j, w in coordinate)
+            for coordinate in terms
+        )
+        return (np.int32 if largest <= np.iinfo(np.int32).max else np.int64), terms
 
 
 def _z(k: int) -> tuple[int, ...]:
@@ -449,26 +461,31 @@ def _resolve_catalog(entry_id: str) -> CatalogEntry | None:
 
 def _structure_entry(spec: RingSpec) -> CatalogEntry:
     """A non-product spec as coefficients over a basis with fixed products."""
-    name = spec.to_text()
-    if spec.family is Family.ZN:
-        return CatalogEntry(name, (spec.n,), ("1",), {})
-    if spec.family is Family.ZN_GAUSS:
-        n = spec.n
+    if spec.family is Family.CATALOG:
+        entry = _resolve_catalog(spec.catalog_id)
+        if entry is None:
+            raise CatalogError(f"unknown catalog id {spec.catalog_id!r}")
+        return entry
+    return _family_entry(spec.family, spec.n)
+
+
+@lru_cache(maxsize=1024)
+def _family_entry(family: Family, n: int) -> CatalogEntry:
+    """The entry of ``Zn:n``, ``Zni:n`` or ``GF:n``. Cached: a ring, its
+    labels, its zero products and each squaring read the entry, which
+    keeps its ``_sum_terms``, and finding a GF modulus costs more than the
+    rest of a small graph. Bounded, as every order up to the cap has an
+    entry."""
+    name = f"{family.value}:{n}"
+    if family is Family.ZN:
+        return CatalogEntry(name, (n,), ("1",), {})
+    if family is Family.ZN_GAUSS:
         return CatalogEntry(name, (n, n), ("1", "i"), {(1, 1): (n - 1, 0)})
-    if spec.family is Family.GF:
-        return _gf_entry(spec.n)
-    entry = _resolve_catalog(spec.catalog_id)
-    if entry is None:
-        raise CatalogError(f"unknown catalog id {spec.catalog_id!r}")
-    return entry
+    return _gf_entry(n)
 
 
-@cache
 def _gf_entry(q: int) -> CatalogEntry:
-    """GF(p^k) as Z_p adjoin a root w of the modulus; GF(p) is Z_p.
-
-    Cached: a ring, its labels and its zero products each read the entry,
-    and finding the modulus costs more than the rest of a small graph."""
+    """GF(p^k) as Z_p adjoin a root w of the modulus; GF(p) is Z_p."""
     p, k = _prime_power(q)  # validated at parse time
     low = _gf_modulus(p, k) if k > 1 else ()
     # powers[d] = w**d, reduced by w**k = -sum(c_i w**i) for d >= k
@@ -480,119 +497,85 @@ def _gf_entry(q: int) -> CatalogEntry:
     return CatalogEntry(f"GF:{q}", (p,) * k, ("1", "w", "w^2")[:k], table)
 
 
-def _build_structure(entry: CatalogEntry) -> np.ndarray:
-    """Multiplication table of the ring an entry describes, as uint16,
-    summed from one small table per term.
-
-    Element x has coefficient (x // prod(moduli[:t])) % moduli[t] on basis[t],
-    so index 1 is the unity. Coordinate t of x*y is the sum over basis pairs
-    (i, j) of w_t * c_i(x) * c_j(y), reduced mod moduli[t], where
-    basis[i] * basis[j] = sum_t w_t basis[t]. The term (i, j) depends on two
-    digits only, so its table is moduli[i] x moduli[j] and lies on those two
-    axes of the (x digits, y digits) tensor; for Zn it is the whole table.
-    """
-    moduli = entry.moduli
-    return _mixed_radix_sum(moduli, (
-        [_on_axes(moduli, i, j, _product_table(w[t], m, moduli[i], moduli[j]))
-         for (i, j), w in _structure_constants(entry).items() if w[t]]
-        for t, m in enumerate(moduli)
-    )).astype(np.uint16, copy=False)
-
-
-def _structure_constants(entry: CatalogEntry) -> dict[tuple[int, int], tuple[int, ...]]:
-    """basis[i] * basis[j] as coefficients, for every ordered pair (i, j)."""
-    k = len(entry.moduli)
-    unit = [tuple(int(t == i) for t in range(k)) for i in range(k)]
-    return {
-        (i, j): unit[i + j] if i == 0 or j == 0 else entry.table[min(i, j), max(i, j)]
-        for i in range(k)
-        for j in range(k)
-    }
-
-
-def _fold_dtype(m: int):
-    """The smallest unsigned dtype in which a sum of two residues mod m, and
-    the wrap-around of that sum minus m, stay exact."""
-    return np.uint16 if 2 * (m - 1) < 1 << 16 else np.uint32
-
-
-def _fold_add(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(a + b) mod m for residues a, b < m, broadcast, in their unsigned dtype,
-    written to ``out`` when given.
-
-    Where a + b < m, a + b - m wraps around to above a + b, so the minimum
-    picks a + b; elsewhere it picks a + b - m.
-    """
-    total = np.add(a, b, out=out)
-    return np.minimum(total, total - total.dtype.type(m), out=total)
-
-
-def _product_table(w: int, m: int, rows: int, cols: int) -> np.ndarray:
-    """w * a * b mod m for a < rows and b < cols, built by row doubling:
-    rows [h, 2h) are rows [0, h) plus row h, and row 2h is row h doubled.
-    Every sum is folded back below m in ``_fold_dtype(m)``; only the first
-    row is computed in int64."""
-    dtype = _fold_dtype(m)
-    table = np.zeros((rows, cols), dtype)
-    step = (np.arange(cols, dtype=np.int64) * (w % m) % m).astype(dtype)
-    h = 1
-    while h < rows:
-        span = min(h, rows - h)
-        _fold_add(table[:span], step, m, out=table[h:h + span])
-        h *= 2
-        if h < rows:
-            step = _fold_add(step, step, m)
-    return table
-
-
-def _on_axes(moduli: tuple[int, ...], i: int, j: int, table: np.ndarray) -> np.ndarray:
-    """A table over (digit i of x, digit j of y) as an array on those two axes
-    of the (x digits, y digits) tensor, whose axes run most significant digit
-    first so that it reshapes to order x order."""
-    k = len(moduli)
-    shape = [1] * (2 * k)
-    shape[k - 1 - i] = moduli[i]
-    shape[2 * k - 1 - j] = moduli[j]
-    return table.reshape(shape)
-
-
-def _mixed_radix_sum(moduli: tuple[int, ...], terms: Iterable[list[np.ndarray]]) -> np.ndarray:
-    """The order x order table whose entry at (x, y) is the element with
-    digit t equal to the sum, mod moduli[t], of coordinate t's terms there.
-
-    Each term holds residues on some axes of the (x digits, y digits)
-    tensor; the terms of all coordinates together span every axis. Each
-    coordinate's sum is scaled by its place value in place, so a term may
-    be overwritten. Entries stay below the order, which build_ring has
-    capped at MAX_TABLE_ORDER, so none overflows.
-    """
-    total = None
-    scale = 1
-    for m, coordinate in zip(moduli, terms):
-        digit = reduce(lambda a, b: _fold_add(a, b, m), coordinate)
-        if scale > 1:
-            digit *= digit.dtype.type(scale)
-        total = digit if total is None else total + digit
-        scale *= m
-    return total.reshape(scale, scale)
-
-
 def _digits(moduli: tuple[int, ...], xs: np.ndarray) -> list[np.ndarray]:
-    """The mixed-radix digits of the elements ``xs``, one array per digit."""
-    return [xs // math.prod(moduli[:t]) % m for t, m in enumerate(moduli)]
+    """The mixed-radix digits of the elements ``xs``, one array per digit.
+    Elements are below the order, so what is left after the low digits is
+    the last digit, and an element of ``Zn`` is its own digit."""
+    digits = []
+    for m in moduli[:-1]:
+        xs, low = np.divmod(xs, m)
+        digits.append(low)
+    return digits + [xs]
 
 
-def _mixed_radix_add(moduli: tuple[int, ...]) -> np.ndarray:
-    """Addition table of digit-wise sums modulo ``moduli``, as uint16: one
-    term per coordinate, the addition table of its digit."""
+def _structure_sums(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> Iterator[tuple]:
+    """For each coordinate t of a non-product ring, its modulus m_t, its
+    place value and the unreduced sum of w_t * c_i(x) * c_j(y) over the
+    structure constants basis[i] * basis[j] = sum_t w_t basis[t], on the
+    digits of the broadcast index arrays ``xs`` and ``ys``.
 
-    def residue_sums(m: int) -> np.ndarray:
-        r = np.arange(m, dtype=_fold_dtype(m))
-        return _fold_add(r[:, None], r, m)
+    Coordinate t of x * y is that sum mod m_t. The sums run in int32 unless
+    their largest possible value needs int64. Every scalar carries the
+    dtype, so promotion is the same with or without NEP 50.
+    """
+    entry = _structure_entry(spec)
+    dtype, terms = entry._sum_terms
+    dx = [d.astype(dtype, copy=False) for d in _digits(entry.moduli, xs)]
+    dy = [d.astype(dtype, copy=False) for d in _digits(entry.moduli, ys)]
+    place = 1
+    for m, coordinate in zip(entry.moduli, terms):
+        total = sum((dx[i] * dtype(w) * dy[j] for i, j, w in coordinate), dtype(0))
+        yield dtype(m), dtype(place), total
+        place *= m
 
-    return _mixed_radix_sum(
-        moduli, ([_on_axes(moduli, t, t, residue_sums(m))] for t, m in enumerate(moduli))
-    ).astype(np.uint16, copy=False)
+
+def _products(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The indices of x * y for the broadcast index arrays ``xs`` and ``ys``.
+
+    A product ring multiplies componentwise, with (a, b) at a * |B| + b.
+    """
+    if spec.family is Family.PRODUCT:
+        left, right = spec.children
+        o2 = spec_order(right)
+        return _products(left, xs // o2, ys // o2) * o2 + _products(right, xs % o2, ys % o2)
+    # a floor division by a scalar is much faster than a remainder
+    return sum((total - total // m * m) * place for m, place, total in _structure_sums(spec, xs, ys))
+
+
+def _sums(moduli: tuple[int, ...], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The indices of x + y for the broadcast index arrays ``xs`` and
+    ``ys``: digit-wise sums modulo ``moduli``, in int32, as every index is
+    below MAX_TABLE_ORDER."""
+    total = np.int32(0)
+    place = 1
+    for a, b, m in zip(_digits(moduli, xs), _digits(moduli, ys), moduli):
+        s = np.add(a, b, dtype=np.int32)
+        np.subtract(s, np.int32(m), out=s, where=s >= m)
+        total = total + s * np.int32(place)
+        place *= m
+    return total
+
+
+# Entries per row chunk of a block or table: a chunk's int32 sums take
+# about 256 KB and stay in cache, where the temporaries of a whole block
+# would be fresh pages, faulted in on every build.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_chunks(rows: int, cols: int) -> list[slice]:
+    step = max(1, _CHUNK_ENTRIES // max(cols, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _table(order: int, op) -> np.ndarray:
+    """The order x order uint16 table of ``op`` on index arrays, a chunk of
+    rows at a time. Entries are indices, below the order, which build_ring
+    has capped at MAX_TABLE_ORDER."""
+    idx = np.arange(order)
+    table = np.empty((order, order), dtype=np.uint16)
+    for rows in _row_chunks(order, order):
+        table[rows] = op(idx[rows, None], idx)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -686,27 +669,17 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
     return nonunit
 
 
-# Entries per row chunk of a zero-product block: a chunk's int32 sums take
-# about 256 KB and stay in cache, where the temporaries of a whole block
-# would be fresh pages, faulted in on every build.
-_CHUNK_ENTRIES = 1 << 16
-
-
 def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
     """The boolean block of x * y == 0 over the elements ``xs`` x ``xs``,
     with no table of the ring, computed a chunk of rows at a time.
 
     On a product, the AND of its factors' blocks, each computed on the
-    distinct component indices and gathered, columns first. Otherwise
-    coordinate t of x * y is the sum over structure constants of
-    w_t * c_i(x) * c_j(y), reduced mod moduli[t], on the digits of ``xs``;
-    the sums run in int32 unless their largest possible value needs int64.
-    Every scalar carries the dtype, so promotion is the same with or
-    without NEP 50.
+    distinct component indices and gathered, columns first. Otherwise each
+    coordinate's sum from ``_structure_sums`` is tested for a multiple of
+    its modulus, in place.
     """
     n = len(xs)
-    step = max(1, _CHUNK_ENTRIES // n)
-    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    chunks = _row_chunks(n, n)
     if spec.family is Family.PRODUCT:
         left, right = spec.children
         o2 = spec_order(right)
@@ -719,25 +692,10 @@ def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
         for rows in chunks:
             np.logical_and(a.take(at_a[rows], axis=0), b.take(at_b[rows], axis=0), out=block[rows])
         return block
-    entry = _structure_entry(spec)
-    moduli = entry.moduli
-    consts = _structure_constants(entry)
-    largest = max(
-        sum(w[t] * (moduli[i] - 1) * (moduli[j] - 1) for (i, j), w in consts.items())
-        for t in range(len(moduli))
-    )
-    dtype = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-    digits = [d.astype(dtype) for d in _digits(moduli, xs)]
     block = np.ones((n, n), dtype=bool)
     for rows in chunks:
-        for t, m in enumerate(moduli):
-            total = sum(
-                (np.multiply.outer(digits[i][rows] * dtype(w[t]), digits[j])
-                 for (i, j), w in consts.items() if w[t]),
-                dtype(0),
-            )
-            # a floor division by a scalar is much faster than a remainder
-            block[rows] &= total // dtype(m) * dtype(m) == total
+        for m, _, total in _structure_sums(spec, xs[rows, None], xs):
+            block[rows] &= total // m * m == total
     return block
 
 
@@ -762,26 +720,24 @@ class RingProps:
 
 
 def ring_properties(ring: FiniteRing) -> RingProps:
-    """Algebraic predicates, computed exhaustively from the tables."""
-    zds = zero_divisors(ring)
-    # In a finite commutative ring every element is 0, a unit, or a zero
-    # divisor, so non-units are exactly {0} together with L(R).
-    nonunits = np.zeros(ring.order, dtype=bool)
-    nonunits[0] = True
-    for x in zds.members:
-        nonunits[x] = True
-    nu_idx = np.flatnonzero(nonunits)
-    closed = bool(nonunits[ring.add[np.ix_(nu_idx, nu_idx)]].all())
+    """Algebraic predicates from the unit test and the structure constants,
+    with no table.
 
-    # x is nilpotent iff x**(2**b) = 0 for 2**b >= order
-    power = np.arange(ring.order, dtype=np.intp)
-    for _ in range(max(1, ring.order.bit_length())):
-        power = ring.mul[power, power].astype(np.intp)
-    nilpotents = tuple(int(x) for x in np.flatnonzero(power == 0))
-
+    R is local iff 1 + x is a unit for every non-unit x (Atiyah-Macdonald,
+    Prop. 1.6). A unit is never nilpotent, so only the non-units are
+    squared. If x is nilpotent, the ideals R > (x) > (x^2) > .. > (x^k) = 0
+    shrink strictly, each to at most half the last, so x^k = 0 for some
+    k <= log2(order), and x is nilpotent iff x**(2**b) = 0 for 2**b >= k.
+    """
+    nonunit = _nonunits(ring)
+    nonunits = np.flatnonzero(nonunit)
+    power = nonunits
+    for _ in range((ring.order.bit_length() - 1).bit_length()):
+        power = _products(ring.spec, power, power)
+    nilpotents = tuple(nonunits[power == 0].tolist())
     return RingProps(
-        is_field=not zds.members,
-        is_local=closed,
+        is_field=len(nonunits) == 1,
+        is_local=not nonunit[_sums(ring.moduli, nonunits, ring.one)].any(),
         is_reduced=nilpotents == (0,),
         nilpotents=nilpotents,
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ZDGraph, _bits
+from .graphs import ZDGraph, _bits, _is_clique_class
 
 BUDGET_ENV_VAR = "ZDRLAB_BUDGET_MS"
 
@@ -413,8 +413,7 @@ def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResul
     clock = _Clock("gamma", budget)
     tops: list[int] = []
     for cls in g.classes:
-        clique = len(cls) > 1 and g.adj[cls[0]] >> cls[1] & 1
-        tops.extend(cls[:1] if clique else cls)
+        tops.extend(cls[:1] if _is_clique_class(g.adj, cls) else cls)
     value, witness = _search(g, clock, tuple(sorted(tops)), dominate=True)
     return QuantityResult(value, witness, "exhaustive", clock.elapsed_ms, clock.checks)
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import families as fam
 from .graphs import (
     INF,
@@ -39,6 +41,7 @@ from .graphs import (
 )
 from .rings import (
     CatalogError,
+    _zero_products,
     build_ring,
     cut_vertex_entry_ids,
     factorize,
@@ -315,7 +318,7 @@ _CASE_FIELDS: dict[str, Callable[[_Case], object]] = {
     "path3": lambda c: {"path3"} if c.shape == "P3" else set(),  # the tag of erratum E1
     "zd": lambda c: zero_divisors(c.ring).members,
     "nilpotent": lambda c: set(c.zd) <= set(ring_properties(c.ring).nilpotents),
-    "square_zero": lambda c: all(c.ring.mul_of(x, y) == 0 for x in c.zd for y in c.zd),
+    "square_zero": lambda c: bool(_zero_products(c.ring.spec, np.array(c.zd, dtype=np.intp)).all()),
     "undefined": lambda c: "undefined (empty graph)" if c.empty else "graph built",
     "finite": lambda c: f"finite ({c.ddim})",
 }

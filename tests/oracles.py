@@ -225,6 +225,23 @@ def zero_block(ring, members) -> np.ndarray:
     return (ring.mul.take(at, axis=0) == 0).take(at, axis=1)
 
 
+def ring_properties(ring) -> tuple[bool, bool, bool, tuple[int, ...]]:
+    """is_field, is_local, is_reduced and the nilpotents by scans of the
+    tables: local when the non-units are closed under ``ring.add``, and x
+    nilpotent when x**(2**b) = 0 for 2**b >= order, squaring through
+    ``ring.mul``."""
+    nonunits = np.zeros(ring.order, dtype=bool)
+    nonunits[0] = True
+    nonunits[list(zero_divisors(ring))] = True
+    nu_idx = np.flatnonzero(nonunits)
+    closed = bool(nonunits[ring.add[np.ix_(nu_idx, nu_idx)]].all())
+    power = np.arange(ring.order, dtype=np.intp)
+    for _ in range(max(1, ring.order.bit_length())):
+        power = ring.mul[power, power].astype(np.intp)
+    nilpotents = tuple(int(x) for x in np.flatnonzero(power == 0))
+    return len(nu_idx) == 1, closed, nilpotents == (0,), nilpotents
+
+
 def structure_tables(entry) -> tuple[list[list[int]], list[list[int]]]:
     """Add and mul tables of a ring given by structure constants, one element
     pair at a time from the digits of the mixed-radix indices, in Python

@@ -27,7 +27,7 @@ from zdrlab.rings import (
     unregister_catalog_entry,
     zero_divisors,
 )
-from zdrlab.rings import _build_structure, _mixed_radix_add, _product_table, _zero_products
+from zdrlab.rings import FiniteRing, _products, _zero_products
 
 import oracles
 
@@ -377,8 +377,12 @@ def test_zero_product_sums_widen_past_int32():
     # graph on them is K_222, the block is all zero products with the
     # diagonal. Their digit products reach (222 * 223)^2, past int32.
     xs = np.arange(223, 49729, 223)
-    block = _zero_products(RingSpec(Family.ZN, n=49729), xs)
+    spec = RingSpec(Family.ZN, n=49729)
+    block = _zero_products(spec, xs)
     assert block.shape == (222, 222) and block.all()
+    ys = np.array([1, 2, 222, 224, 49727, 49728])
+    expected = [[x * y % 49729 for y in ys.tolist()] for x in xs.tolist()]
+    assert _products(spec, xs[:, None], ys).tolist() == expected
 
 
 @pytest.mark.parametrize("n", [46341, 46342])
@@ -386,9 +390,12 @@ def test_zero_products_at_the_int32_edge(n):
     # (n - 1)^2 is the largest sum: it just fits int32 for 46341, and the
     # sums for 46342 run in int64
     xs = np.array([1, 2, 3, 7, 9, 19, 271, n // 2, n // 3, n - 2, n - 1])
-    block = _zero_products(RingSpec(Family.ZN, n=n), xs)
+    spec = RingSpec(Family.ZN, n=n)
+    block = _zero_products(spec, xs)
     expected = [[x * y % n == 0 for y in xs.tolist()] for x in xs.tolist()]
     assert block.tolist() == expected
+    products = [[x * y % n for y in xs.tolist()] for x in xs.tolist()]
+    assert _products(spec, xs[:, None], xs).tolist() == products
 
 
 @st.composite
@@ -402,28 +409,31 @@ def structure_entries(draw):
         for i in range(1, k)
         for j in range(i, k)
     }
-    return CatalogEntry("random", moduli, ("1", "r", "s")[:k], table)
+    return CatalogEntry("testRANDOM", moduli, ("1", "r", "s")[:k], table)
 
 
 @settings(max_examples=40, deadline=None)
 @given(entry=structure_entries())
 def test_structure_tables_match_digit_oracle(entry):
-    mul = _build_structure(entry)
-    add_ref, mul_ref = oracles.structure_tables(entry)
-    assert mul.dtype == np.uint16 and mul.tolist() == mul_ref
-    add = _mixed_radix_add(entry.moduli)
-    assert add.dtype == np.uint16 and add.tolist() == add_ref
+    # the ring is made directly, past build_ring's axiom check, which a
+    # random entry may fail
+    register_catalog_entry(entry)
+    try:
+        spec = RingSpec(Family.CATALOG, catalog_id=entry.entry_id)
+        ring = FiniteRing(spec, math.prod(entry.moduli), 1, entry.moduli)
+        add_ref, mul_ref = oracles.structure_tables(entry)
+        assert ring.mul.dtype == np.uint16 and ring.mul.tolist() == mul_ref
+        assert ring.add.dtype == np.uint16 and ring.add.tolist() == add_ref
+    finally:
+        unregister_catalog_entry(entry.entry_id)
 
 
-# 32768 is the largest modulus whose residue sums fit uint16; past it the
-# tables widen to uint32
-@pytest.mark.parametrize("m, dtype", [(32768, np.uint16), (32769, np.uint32), (65521, np.uint32)])
-@pytest.mark.parametrize("rows, cols", [(4, 70), (70, 4)])
-@pytest.mark.parametrize("shift", [1, 2])
-def test_product_table_at_the_dtype_edge(m, dtype, rows, cols, shift):
-    w = m - shift  # residues near m, so row sums come close to 2m
-    table = _product_table(w, m, rows, cols)
-    a = np.arange(rows, dtype=np.int64)[:, None]
-    b = np.arange(cols, dtype=np.int64)[None, :]
-    assert table.dtype == dtype
-    assert np.array_equal(table.astype(np.int64), w * a * b % m)
+@settings(max_examples=100, deadline=None)
+@given(spec=ring_specs(max_order=512))
+def test_ring_properties_match_table_scan(spec):
+    ring = build_ring(spec)
+    props = ring_properties(ring)
+    expected = oracles.ring_properties(build_ring(spec))
+    assert (props.is_field, props.is_local, props.is_reduced, props.nilpotents) == expected
+    assert "mul" not in ring.__dict__ or spec.startswith("cat:")
+    assert "add" not in ring.__dict__ or spec.startswith("cat:")

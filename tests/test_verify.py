@@ -285,3 +285,24 @@ def test_claim_runner_calls_traceable_module_names(monkeypatch):
     for claim in ("T2.1", "T2.2", "T2.3", "T2.4", "TAB1"):
         verify_theorem(claim)
     assert set(calls) == set(names)
+
+
+def test_suite_builds_tables_of_catalog_rings_only(monkeypatch):
+    # properties, nilpotents and L(R)^2 = 0 come from the unit test and the
+    # structure constants; only a catalog ring's axiom check builds tables
+    built = []
+    original = verify_mod.build_ring
+
+    def spy(*args, **kwargs):
+        ring = original(*args, **kwargs)
+        built.append(ring)
+        return ring
+
+    monkeypatch.setattr(verify_mod, "build_ring", spy)
+    run_suite()
+    assert built
+    rings = list(built)
+    for ring in rings:
+        rings.extend(ring.factors)
+    with_tables = {r.name for r in rings if "mul" in r.__dict__ or "add" in r.__dict__}
+    assert with_tables and all(name.startswith("cat:") for name in with_tables), with_tables
