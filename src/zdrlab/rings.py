@@ -243,10 +243,11 @@ class FiniteRing:
         return self.spec.to_text()
 
     def mul_of(self, x: int, y: int) -> int:
+        """The index of x * y, from the structure constants: no table is built."""
         for e in (x, y):
             if not 0 <= e < self.order:
                 raise ValueError(f"element {e} out of range for ring of order {self.order}")
-        return int(self.mul[x, y])
+        return int(_products(self.spec, np.array([x]), np.array([y]))[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteRing({self.name}, order={self.order})"
@@ -700,10 +701,11 @@ def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def annihilator(ring: FiniteRing, x: int) -> tuple[int, ...]:
-    """All y with x*y = 0; always contains 0."""
+    """All y with x*y = 0; always contains 0. Builds no table."""
     if not 0 <= x < ring.order:
         raise ValueError(f"element {x} out of range for ring of order {ring.order}")
-    return tuple(int(y) for y in np.flatnonzero(ring.mul[x] == 0))
+    products = _products(ring.spec, np.array([x]), np.arange(ring.order))
+    return tuple(np.flatnonzero(products == 0).tolist())
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,11 @@ quantities asked for, ddim starts at max(gamma, dim). The witness comes
 from a descent over the tops in index order that keeps each top the oracle
 can complete, reusing the last completion, so it is the lex-least minimum
 set. One check is one node of an oracle search, whether the size search or
-the descent called it; the kernel counts checks itself and hands the count
-to the clock only where a cap is due to be tested. No heuristic answer is
-ever returned; if the configured budget runs out the search raises instead.
+the descent called it; a node with one pick left tests its options inside
+that one check and opens no node for them. The kernel counts checks itself
+and hands the count to the clock only where a cap is due to be tested. No
+heuristic answer is ever returned; if the configured budget runs out the
+search raises instead.
 """
 
 from __future__ import annotations
@@ -277,8 +279,11 @@ def _search(
     with the fewest covers (then the lowest bit), over its covers still
     available in index order, dropping each from the later branches once
     tried, and cuts a node when more vertices are undominated than its picks
-    left can cover (max degree + 1 each). Its stack is explicit. Each node
-    is one check, handed to the clock only when a cap is due to be tested.
+    left can cover (max degree + 1 each). A node with one pick left scans
+    those options in the same order and returns with the first that leaves
+    nothing open (and resolves, when ``checked``): the leaf the search
+    would have accepted first. Its stack is explicit. Each node is one
+    check, handed to the clock only when a cap is due to be tested.
     """
     n = g.order
     dist = g.dist
@@ -353,6 +358,13 @@ def _search(
                 if options is None:
                     options = covers[e] = int.from_bytes(pair_rows[e - n].tobytes(), "little")
                 options &= avail
+            if left == 1:  # each option would open a leaf: test them here
+                while options:
+                    low = options & -options
+                    t = low.bit_length() - 1
+                    if not open_ & keep[t] and not (checked and unresolved(fixed + picks + [t])):
+                        return picks + [t]
+                    options ^= low
             if options:
                 frames.append([open_, avail, options])
                 picks.append(-1)

@@ -126,7 +126,7 @@ def test_annihilator_examples():
 def test_mul_of_rejects_elements_out_of_range():
     ring = build_ring("Zn:6")
     assert ring.mul_of(5, 5) == 1
-    # -1 would wrap to row 5, and 6 is past the table
+    # neither -1 nor 6 is an element, though the digits of each give a product
     for x, y in [(-1, 5), (5, -1), (6, 1), (1, 6)]:
         with pytest.raises(ValueError, match="out of range"):
             ring.mul_of(x, y)
@@ -137,6 +137,18 @@ def test_annihilator_cache_matches():
     zds = zero_divisors(ring)
     for x in zds.members:
         assert len(annihilator(ring, x)) >= 2  # 0 plus a nonzero partner
+
+
+@pytest.mark.parametrize("spec", ["Zn:2048", "Zni:45", "prod:(Zn:32,Zni:3)", "cat:cvA3"])
+def test_mul_of_and_annihilator_build_no_table(spec):
+    ring = build_ring(spec)
+    ring.__dict__.pop("mul", None)  # a catalog ring keeps the table of its axiom check
+    xs = sorted({0, ring.one, ring.order - 1, *range(3, ring.order, max(1, ring.order // 37))})
+    products = [[ring.mul_of(x, y) for y in xs] for x in xs]
+    zeros = [annihilator(ring, x) for x in xs]
+    assert "mul" not in ring.__dict__
+    assert products == ring.mul[np.ix_(xs, xs)].tolist()
+    assert zeros == [tuple(np.flatnonzero(ring.mul[x] == 0).tolist()) for x in xs]
 
 
 def test_nilpotent_self_annihilates():

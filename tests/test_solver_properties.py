@@ -4,11 +4,14 @@ import random
 from unittest import mock
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdrlab import solver
 from zdrlab.graphs import INF, graph_from_edges, graph_invariants
 from zdrlab.solver import (
+    Budget,
+    BudgetExceededError,
     domination_number,
     dominant_metric_dimension,
     is_dominating,
@@ -129,6 +132,25 @@ def test_solver_matches_brute_force_with_capped_pairs(g, per_vertex):
     # resolving test, branching on a pair it leaves unresolved
     with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
         _assert_matches_brute_force(g)
+
+
+@SETTINGS
+@given(
+    g=st.one_of(connected_graphs(max_n=10), sparse_connected_graphs(), blown_up_graphs()),
+    per_vertex=st.sampled_from([0, 1, solver.PAIRS_PER_VERTEX]),
+)
+def test_check_budget_is_exact_on_random_graphs(g, per_vertex):
+    # a node with one pick left tests its options inside its one check, so
+    # a budget of exactly the checks a solve takes lets it finish, and one
+    # fewer raises at the last check, at the cardinality that solved
+    with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
+        for quantity in ("gamma", "dim", "ddim"):
+            res = getattr(solve_dimensions(g, quantity), quantity)
+            capped = getattr(solve_dimensions(g, quantity, Budget(max_checks=res.checks)), quantity)
+            assert (capped.value, capped.witness, capped.checks) == (res.value, res.witness, res.checks)
+            with pytest.raises(BudgetExceededError) as err:
+                solve_dimensions(g, quantity, Budget(max_checks=res.checks - 1))
+            assert (err.value.checks, err.value.cardinality) == (res.checks, res.value)
 
 
 @SETTINGS
