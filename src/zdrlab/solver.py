@@ -16,15 +16,19 @@ An oracle decides whether a partial set can be completed within a number of
 picks: it branches on the open element with the fewest covers, as in
 Knuth's "Dancing Links" (arXiv cs/0011047). The value is the least size at
 which the oracle succeeds, starting from the size bounds; with all three
-quantities asked for, ddim starts at max(gamma, dim). The witness comes
-from a descent over the tops in index order that keeps each top the oracle
-can complete, reusing the last completion, so it is the lex-least minimum
-set. One check is one node of an oracle search, whether the size search or
-the descent called it; a node with one pick left tests its options inside
-that one check and opens no node for them. The kernel counts checks itself
-and hands the count to the clock only where a cap is due to be tested. No
-heuristic answer is ever returned; if the configured budget runs out the
-search raises instead.
+quantities asked for, ddim starts at max(gamma, dim). A
+``solve_dimensions`` call builds the resolve elements (the shared cells,
+the pairs as cover elements with their cover counts, each top's separated
+pairs) once: the first resolving search builds them inside its own clock
+and budget, the second reads them, and they live no longer than the call.
+The witness comes from a descent over the tops in index order that keeps
+each top the oracle can complete, reusing the last completion, so it is the
+lex-least minimum set. One check is one node of an oracle search, whether
+the size search or the descent called it; a node with one pick left tests
+its options inside that one check and opens no node for them. The kernel
+counts checks itself and hands the count to the clock only where a cap is
+due to be tested. No heuristic answer is ever returned; if the configured
+budget runs out the search raises instead.
 """
 
 from __future__ import annotations
@@ -218,14 +222,17 @@ def _pair_elements(g: ZDGraph, tops: tuple[int, ...], groups: list[list[int]], c
     else those among each group's first members, at most ``cap`` in all,
     building no other. A top covers a pair when its distances to the two
     differ. Returns each pair's covers (packed bytes of a vertex bitset),
-    their number, and each top's covered pairs as a bitset. Only the pairs'
-    distance rows become an array, compared in slices of ~2**18 entries."""
+    the pairs by their number of covers (cover count: pair bitset), and for
+    each top every bit but the pairs it covers; pair p is bit n + p of those
+    bitsets. Only the pairs' distance rows become an array, compared
+    in slices of ~2**18 entries."""
     n, ends, us, vs = g.order, [], [], []
     for members in groups:
         size = min(len(members), (1 + math.isqrt(1 + 8 * cap)) // 2)
         if size < 2:
             break
-        i, j = np.triu_indices(size, 1)
+        a = np.arange(size)
+        i, j = np.nonzero(a[:, None] < a)  # the pairs i < j, in row order
         us.append(i + len(ends))
         vs.append(j + len(ends))
         ends += members[:size]
@@ -253,8 +260,46 @@ def _pair_elements(g: ZDGraph, tops: tuple[int, ...], groups: list[list[int]], c
     by_vertex = np.empty((n, len(by_top)), dtype=np.uint8)
     for i in range(0, len(by_top), 512):
         by_vertex[:, i:i + 512] = by_top[i:i + 512].T
-    del by_top
-    return by_pair, counts, {t: int.from_bytes(by_vertex[t].tobytes(), "little") for t in tops}
+    del by_top, rows, at
+    tiers = _tiers(counts, n)  # before the tops' bitsets, so its temporaries set no new peak
+    return by_pair, tiers, {t: ~pairs for t, pairs in zip(tops, _row_ints(by_vertex, n, tops))}
+
+
+def _tiers(counts: np.ndarray, shift: int) -> dict[int, int]:
+    """Pairs by their number of covers (cover count: pair bitset, shifted),
+    one byte row per count: pair p sets bit p % 8 of byte p // 8 in its
+    count's row, in one pass over the pairs."""
+    width = (len(counts) + 7) // 8
+    start = np.bincount(counts)  # then, per count, where its row starts
+    values = np.flatnonzero(start)
+    start[values] = np.arange(0, len(values) * width, width)
+    p = np.arange(len(counts))
+    rows = np.zeros(len(values) * width, dtype=np.uint8)
+    np.bitwise_or.at(rows, start[counts] + (p >> 3), (1 << np.arange(8, dtype=np.uint8))[p & 7])
+    return dict(zip(values.tolist(), _row_ints(rows.reshape(-1, width), shift, range(len(values)))))
+
+
+def _row_ints(rows: np.ndarray, shift: int, which):
+    """Rows ``which`` of a C-ordered 2-D uint8 array as little-endian ints, shifted."""
+    data, width = memoryview(rows).cast("B"), rows.shape[1]
+    for i in which:
+        yield int.from_bytes(data[i * width:(i + 1) * width], "little") << shift
+
+
+def _resolve_elements(g: ZDGraph, tops: tuple[int, ...], covers: list[int]):
+    """What a resolving search over ``tops`` needs besides the vertices'
+    ``covers``: the shared cells, whether only some of their pairs are
+    tracked (``checked``), every element's covers (a pair's are None until a
+    search reads them from ``pair_rows``), ``pair_rows``, the tracked pairs
+    by cover count, and per top every element bit but the pairs it resolves.
+    Element bits as in ``_search``."""
+    n = g.order
+    groups = _shared_cells(g)
+    checked = sum(len(m) * (len(m) - 1) // 2 for m in groups) > PAIRS_PER_VERTEX * n
+    if not (groups and PAIRS_PER_VERTEX):  # no pair fits a cap of 0
+        return groups, checked, covers, None, {}, {}
+    pair_rows, tiers, keep = _pair_elements(g, tops, groups, PAIRS_PER_VERTEX * n)
+    return groups, checked, covers + [None] * len(pair_rows), pair_rows, tiers, keep
 
 
 def _search(
@@ -264,6 +309,7 @@ def _search(
     resolve: bool = False,
     dominate: bool = False,
     lower: int = 1,
+    shared: list | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Least, then lex-least, set of the base plus some ``tops`` that
     dominates (``dominate``) and/or resolves (``resolve``: the base is then
@@ -284,6 +330,13 @@ def _search(
     nothing open (and resolves, when ``checked``): the leaf the search
     would have accepted first. Its stack is explicit. Each node is one
     check, handed to the clock only when a cap is due to be tested.
+
+    A resolving search reads its pair elements (the shared cells, the pairs'
+    covers and cover-count tiers, each top's ``keep`` bits) from
+    ``shared``, building them first, on its own clock, when it is empty.
+    ``solve_dimensions`` hands dim and ddim one list, so the two searches of
+    one call build them once; covers a search reads from ``pair_rows`` stay
+    converted for the next.
     """
     n = g.order
     dist = g.dist
@@ -293,6 +346,14 @@ def _search(
     base = [v for cls in g.classes for v in cls[:-1]] if resolve else []
     keep = [~c for c in closed] if dominate else [-1] * n
     covers = [c & top_mask for c in closed]
+    groups, checked, pair_rows, pair_tiers = [], False, None, {}
+    if resolve:
+        shared = [] if shared is None else shared
+        if not shared:
+            shared.append(_resolve_elements(g, tops, covers))
+        groups, checked, covers, pair_rows, pair_tiers, resolve_keep = shared[0]
+        for t, rest in resolve_keep.items():
+            keep[t] = keep[t] & rest if dominate else rest
     vertices = open_base = (1 << n) - 1 if dominate else 0
     for v in base:
         open_base &= keep[v]
@@ -300,17 +361,9 @@ def _search(
     for v in _bits(open_base):
         count = covers[v].bit_count()
         tiers[count] = tiers.get(count, 0) | 1 << v
-    groups = _shared_cells(g) if resolve else []
-    checked = sum(len(m) * (len(m) - 1) // 2 for m in groups) > PAIRS_PER_VERTEX * n
-    if groups and PAIRS_PER_VERTEX:  # no pair fits a cap of 0
-        pair_rows, counts, separated = _pair_elements(g, tops, groups, PAIRS_PER_VERTEX * n)
-        covers += [None] * len(counts)  # read from pair_rows on first use
-        open_base |= (1 << len(counts)) - 1 << n
-        for t in tops:
-            keep[t] &= ~(separated.pop(t) << n)
-        for count in np.unique(counts).tolist():
-            bits = np.packbits(counts == count, bitorder="little").tobytes()
-            tiers[count] = tiers.get(count, 0) | int.from_bytes(bits, "little") << n
+    for count, pairs in pair_tiers.items():
+        tiers[count] = tiers.get(count, 0) | pairs
+    open_base |= (1 << len(covers) - n) - 1 << n
     rarest = [tiers[count] for count in sorted(tiers)]
 
     def unresolved(picks: list[int]) -> int:
@@ -444,33 +497,43 @@ def _twin_setup(g: ZDGraph) -> tuple[tuple[int, ...], str]:
     return tops, "twin_reduced" if len(tops) < g.order else "exhaustive"
 
 
-def metric_dimension(g: ZDGraph, budget: Budget | None = None) -> QuantityResult:
-    """Minimum resolving set of a connected graph."""
+def metric_dimension(
+    g: ZDGraph, budget: Budget | None = None, *, _shared: list | None = None
+) -> QuantityResult:
+    """Minimum resolving set of a connected graph.
+
+    ``_shared`` is internal: ``solve_dimensions`` passes one list to dim and
+    ddim, and the first search leaves its resolve elements there for the
+    second.
+    """
     _require_connected(g, "metric dimension")
     clock = _Clock("dim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "exhaustive", clock.elapsed_ms, 0)
     tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, resolve=True)
+    value, witness = _search(g, clock, tops, resolve=True, shared=_shared)
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
 def dominant_metric_dimension(
-    g: ZDGraph, budget: Budget | None = None, *, _lower: int = 1
+    g: ZDGraph, budget: Budget | None = None, *, _lower: int = 1, _shared: list | None = None
 ) -> QuantityResult:
     """Minimum set that is simultaneously resolving and dominating.
 
     A single-vertex graph returns 0 by convention (with an empty witness,
     which by that same convention is exempt from the dominating check).
-    ``_lower`` is internal: ``solve_dimensions`` passes a size known to be
-    at most ddim, and the search starts there.
+    ``_lower`` and ``_shared`` are internal: ``solve_dimensions`` passes a
+    size known to be at most ddim, where the search starts, and the list in
+    which the dim search left its resolve elements.
     """
     _require_connected(g, "dominant metric dimension")
     clock = _Clock("ddim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "convention", clock.elapsed_ms, 0)
     tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, resolve=True, dominate=True, lower=_lower)
+    value, witness = _search(
+        g, clock, tops, resolve=True, dominate=True, lower=_lower, shared=_shared
+    )
     return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
@@ -480,15 +543,18 @@ def solve_dimensions(
     """Solve the requested quantities; ``which`` is gamma, dim, ddim, or all.
 
     With ``all``, the ddim search starts at max(gamma, dim): a resolving
-    dominating set is both, so neither can exceed ddim.
+    dominating set is both, so neither can exceed ddim. It also reads the
+    resolve elements the dim search built, on dim's clock; they live only as
+    long as this call.
     """
     if which not in {"gamma", "dim", "ddim", "all"}:
         raise ValueError(f"unknown quantity {which!r}")
     wants = {"gamma", "dim", "ddim"} if which == "all" else {which}
+    shared: list = []
     gamma = domination_number(g, budget) if "gamma" in wants else None
-    dim = metric_dimension(g, budget) if "dim" in wants else None
+    dim = metric_dimension(g, budget, _shared=shared) if "dim" in wants else None
     ddim = None
     if "ddim" in wants:
         lower = max(gamma.value, dim.value) if which == "all" else 1
-        ddim = dominant_metric_dimension(g, budget, _lower=lower)
+        ddim = dominant_metric_dimension(g, budget, _lower=lower, _shared=shared)
     return DimensionReport(gamma, dim, ddim)

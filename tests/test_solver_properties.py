@@ -153,6 +153,47 @@ def test_check_budget_is_exact_on_random_graphs(g, per_vertex):
             assert (err.value.checks, err.value.cardinality) == (res.checks, res.value)
 
 
+def _outputs(*results):
+    return [(res.value, res.witness, res.checks, res.method) for res in results]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.one_of(connected_graphs(max_n=10), sparse_connected_graphs(), blown_up_graphs()),
+    per_vertex=st.sampled_from([0, 1, solver.PAIRS_PER_VERTEX]),
+)
+def test_all_matches_the_separate_solves(g, per_vertex):
+    # with all three asked for, ddim reads the resolve elements the dim
+    # search built; each quantity solved alone builds its own. With 0 or 1
+    # tracked pairs per vertex the shared set-up is the capped one, whose
+    # covered sets get the full resolving test
+    with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
+        report = solve_dimensions(g, "all")
+        gamma, dim = domination_number(g), metric_dimension(g)
+        ddim = dominant_metric_dimension(g, _lower=max(gamma.value, dim.value))
+    assert _outputs(report.gamma, report.dim, report.ddim) == _outputs(gamma, dim, ddim)
+
+
+def test_solve_dimensions_leaves_nothing_on_the_graph():
+    # twin-free with 325 pairs in one cell, all tracked: the shared set-up
+    # lives only as long as one call, so a second call on the same graph
+    # object does the same work, also after a budget ran out inside dim
+    g = oracles.random_connected_graph(random.Random(16), 26)
+    keys = set(vars(g))
+    first = solve_dimensions(g, "all")
+    expected = _outputs(first.gamma, first.dim, first.ddim)
+    assert set(vars(g)) == keys
+    again = solve_dimensions(g, "all")
+    assert _outputs(again.gamma, again.dim, again.ddim) == expected
+    assert first.gamma.checks < 100 < first.dim.checks
+    with pytest.raises(BudgetExceededError) as err:
+        solve_dimensions(g, "all", Budget(max_checks=100))
+    assert err.value.quantity == "dim"
+    assert set(vars(g)) == keys
+    again = solve_dimensions(g, "all")
+    assert _outputs(again.gamma, again.dim, again.ddim) == expected
+
+
 @SETTINGS
 @given(g=sparse_connected_graphs())
 def test_solver_matches_brute_force_on_sparse_graphs(g):
