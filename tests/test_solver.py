@@ -1,7 +1,10 @@
 import functools
+import json
 import random
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -369,3 +372,30 @@ def test_large_ring_values(quantity, spec, value, reached, max_checks):
         assert oracles.resolving_def(g.dist, g.order, res.witness)
     if quantity == "gamma":
         assert res.witness == GAMMA_WITNESSES[spec]
+
+
+GOLDEN_RANDOM = Path(__file__).parent / "golden" / "solver_random.json"
+
+# random connected graphs of order 16 to 26, each solved with every
+# same-cell pair tracked and with at most one tracked pair per vertex (each
+# covered set then gets the full resolving test)
+RANDOM_CASES = [(seed, 16 + seed % 11, per_vertex) for seed in range(24) for per_vertex in (32, 1)]
+
+
+def solver_random_outputs(seed: int, n: int, per_vertex: int) -> dict:
+    """``(value, witness, checks, method)`` of gamma, dim and ddim, solved
+    together, on ``random_connected_graph`` of order ``n`` from ``seed``."""
+    g = oracles.random_connected_graph(random.Random(seed), n)
+    with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
+        report = solve_dimensions(g, "all")
+    return {
+        q: [res.value, list(res.witness), res.checks, res.method]
+        for q, res in (("gamma", report.gamma), ("dim", report.dim), ("ddim", report.ddim))
+    }
+
+
+@pytest.mark.parametrize("seed, n, per_vertex", RANDOM_CASES, ids=[f"s{s}-n{n}-p{p}" for s, n, p in RANDOM_CASES])
+def test_random_graphs_match_golden(seed, n, per_vertex):
+    # values, lex-least witnesses, check counts and method labels, pinned
+    golden = json.loads(GOLDEN_RANDOM.read_text(encoding="utf-8"))
+    assert solver_random_outputs(seed, n, per_vertex) == golden[f"seed={seed} n={n} pairs={per_vertex}"]
