@@ -157,7 +157,8 @@ def dims() -> None:
                    f"included (default: {BUDGET_ENV_VAR} env var)")
 @click.option("--budget-checks", type=int, default=None,
               help="cap on checks: nodes of the exact cover oracle, whether "
-                   "called to find the size or the witness")
+                   "called to find the size or the witness; the cap applies "
+                   "to each quantity's search")
 def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budget_checks):
     """Solve gamma, dim, and ddim with witnesses on a ring spec or graph file."""
     if (spec is None) == (graph_file is None):
@@ -177,11 +178,8 @@ def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budge
             source = graph_file
     except (RingError, EmptyGraphError, ValueError) as exc:
         _fail(str(exc), EXIT_INVALID)
-    if budget.max_ms is not None:  # the solver gets what the build left, at least 0
-        spent_ms = (time.monotonic() - start) * 1000.0
-        budget = replace(budget, max_ms=max(budget.max_ms - spent_ms, 0.0))
     try:
-        report = solve_dimensions(g, which, budget)
+        report = solve_dimensions(g, which, budget.left_after(start))  # what the build left
     except BudgetExceededError as exc:
         _fail(str(exc), EXIT_BUDGET)
     except (DisconnectedGraphError, ValueError) as exc:

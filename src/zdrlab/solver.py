@@ -25,10 +25,14 @@ The witness comes from a descent over the tops in index order that keeps
 each top the oracle can complete, reusing the last completion, so it is the
 lex-least minimum set. One check is one node of an oracle search, whether
 the size search or the descent called it; a node with one pick left tests
-its options inside that one check and opens no node for them. The kernel
-counts checks itself and hands the count to the clock only where a cap is
-due to be tested. No heuristic answer is ever returned; if the configured
-budget runs out the search raises instead.
+its options inside that one check and opens no node for them. Such a last
+pick must cover every open element, so its options, the rarest element's
+covers, are first narrowed to the covers of a second open element. A node
+with two picks left runs its children in place, each still one check,
+pushing no frame for them. The kernel counts checks itself and hands the
+count to the clock only where a cap is due to be tested. No heuristic
+answer is ever returned; if the configured budget runs out the search
+raises instead.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +74,14 @@ class Budget:
     def __post_init__(self) -> None:
         if not all(cap is None or cap >= 0 for cap in (self.max_ms, self.max_checks)):
             raise ValueError(f"a budget cap must be a non-negative number: {self}")
+
+    def left_after(self, start: float) -> Budget:
+        """This budget with its time cap cut by the time since ``start``, a
+        ``time.monotonic()`` reading, to at least 0."""
+        if self.max_ms is None:
+            return self
+        spent_ms = (time.monotonic() - start) * 1000.0
+        return replace(self, max_ms=max(self.max_ms - spent_ms, 0.0))
 
 
 class _Clock:
@@ -328,7 +340,12 @@ def _search(
     left can cover (max degree + 1 each). A node with one pick left scans
     those options in the same order and returns with the first that leaves
     nothing open (and resolves, when ``checked``): the leaf the search
-    would have accepted first. Its stack is explicit. Each node is one
+    would have accepted first. That pick covers every open element, so
+    before the scan its options are narrowed to the covers of the highest
+    open element too; this only drops options that would fail. A node with
+    two picks left runs each child, one pick left, in place, in the order
+    of its options, pushing no frame; each child is still a node, one
+    check, counted before its scan. The stack is explicit. Each node is one
     check, handed to the clock only when a cap is due to be tested.
 
     A resolving search reads its pair elements (the shared cells, the pairs'
@@ -385,6 +402,11 @@ def _search(
 
     checks, due = clock.checks, clock.due()
 
+    def convert(e: int) -> int:
+        """Pair element e's covers, read from ``pair_rows`` and kept."""
+        covers[e] = found = int.from_bytes(pair_rows[e - n].tobytes(), "little")
+        return found
+
     def complete(open_: int, avail: int, r: int, fixed: list[int]) -> list[int] | None:
         """At most ``r`` picks from ``avail`` that, with ``fixed``, cover
         ``open_`` (and resolve, when ``checked``), or None."""
@@ -409,8 +431,14 @@ def _search(
                 e = (low & -low).bit_length() - 1
                 options = covers[e]
                 if options is None:
-                    options = covers[e] = int.from_bytes(pair_rows[e - n].tobytes(), "little")
+                    options = convert(e)
                 options &= avail
+                if left == 1:  # the last pick covers every open element, the highest too
+                    e = open_.bit_length() - 1
+                    second = covers[e]
+                    if second is None:
+                        second = convert(e)
+                    options &= second
             if left == 1:  # each option would open a leaf: test them here
                 while options:
                     low = options & -options
@@ -418,6 +446,43 @@ def _search(
                     if not open_ & keep[t] and not (checked and unresolved(fixed + picks + [t])):
                         return picks + [t]
                     options ^= low
+            elif left == 2:  # each option opens a node with one pick left: one check, run here
+                while options:
+                    low = options & -options
+                    options ^= low
+                    avail ^= low
+                    t = low.bit_length() - 1
+                    checks += 1
+                    if checks >= due:
+                        due = clock.test(checks)
+                    after = open_ & keep[t]
+                    if not after:
+                        split = checked and unresolved(fixed + picks + [t])
+                        if not split:
+                            return picks + [t]
+                        last = split & avail
+                    elif (after & vertices).bit_count() <= spread:
+                        # the rarest open element's covers, narrowed as above
+                        for tier in rarest:
+                            if low := after & tier:
+                                break
+                        e = (low & -low).bit_length() - 1
+                        last = covers[e]
+                        if last is None:
+                            last = convert(e)
+                        e = after.bit_length() - 1
+                        second = covers[e]
+                        if second is None:
+                            second = convert(e)
+                        last &= second & avail
+                    else:
+                        continue
+                    while last:
+                        low = last & -last
+                        u = low.bit_length() - 1
+                        if not after & keep[u] and not (checked and unresolved(fixed + picks + [t, u])):
+                            return picks + [t, u]
+                        last ^= low
             if options:
                 frames.append([open_, avail, options])
                 picks.append(-1)
@@ -545,16 +610,19 @@ def solve_dimensions(
     With ``all``, the ddim search starts at max(gamma, dim): a resolving
     dominating set is both, so neither can exceed ddim. It also reads the
     resolve elements the dim search built, on dim's clock; they live only as
-    long as this call.
+    long as this call. The time cap bounds the whole call: each quantity
+    gets what the ones before it left, at least 0. The check cap applies to
+    each quantity's search.
     """
     if which not in {"gamma", "dim", "ddim", "all"}:
         raise ValueError(f"unknown quantity {which!r}")
     wants = {"gamma", "dim", "ddim"} if which == "all" else {which}
+    budget, start = budget or Budget(), time.monotonic()
     shared: list = []
     gamma = domination_number(g, budget) if "gamma" in wants else None
-    dim = metric_dimension(g, budget, _shared=shared) if "dim" in wants else None
+    dim = metric_dimension(g, budget.left_after(start), _shared=shared) if "dim" in wants else None
     ddim = None
     if "ddim" in wants:
         lower = max(gamma.value, dim.value) if which == "all" else 1
-        ddim = dominant_metric_dimension(g, budget, _lower=lower, _shared=shared)
+        ddim = dominant_metric_dimension(g, budget.left_after(start), _lower=lower, _shared=shared)
     return DimensionReport(gamma, dim, ddim)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import tracemalloc
@@ -307,6 +308,26 @@ def test_time_budget_is_tested_every_1024_checks(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         metric_dimension(g, Budget(max_ms=1_000))
     assert (err.value.checks, err.value.cardinality) == (1024, 5)
+
+
+def test_time_budget_bounds_a_solve_of_all_three(monkeypatch):
+    # a clock that reads 1 ms later at each reading: gamma, dim and ddim
+    # each fit a 15 ms cap alone, but not together, since each quantity
+    # gets only what the ones before it left of the cap
+    g = oracles.random_connected_graph(random.Random(16), 26)
+    expected = solve_dimensions(g, "all")
+    readings = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(readings) / 1000.0))
+    for quantity in ("gamma", "dim", "ddim"):
+        res = getattr(solve_dimensions(g, quantity, Budget(max_ms=15)), quantity)
+        assert res.elapsed_ms < 15
+    with pytest.raises(BudgetExceededError) as err:
+        solve_dimensions(g, "all", Budget(max_ms=15))
+    assert err.value.quantity == "ddim"
+    report = solve_dimensions(g, "all", Budget(max_ms=30))
+    for quantity in ("gamma", "dim", "ddim"):
+        res, want = getattr(report, quantity), getattr(expected, quantity)
+        assert (res.value, res.witness, res.checks) == (want.value, want.witness, want.checks)
 
 
 def _long_path(n: int) -> ZDGraph:

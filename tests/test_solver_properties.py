@@ -153,6 +153,27 @@ def test_check_budget_is_exact_on_random_graphs(g, per_vertex):
             assert (err.value.checks, err.value.cardinality) == (res.checks, res.value)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(connected_graphs(max_n=14), sparse_connected_graphs(), blown_up_graphs()),
+    per_vertex=st.sampled_from([0, 1, solver.PAIRS_PER_VERTEX]),
+    data=st.data(),
+)
+def test_check_budget_stops_at_the_cap(g, per_vertex, data):
+    # any cap below a solve's checks stops it at the check one past the
+    # cap, also when that check is a child that a node with two picks left
+    # runs in place
+    with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
+        for quantity in ("gamma", "dim", "ddim"):
+            checks = getattr(solve_dimensions(g, quantity), quantity).checks
+            if not checks:
+                continue
+            cap = data.draw(st.integers(min_value=0, max_value=checks - 1), label=quantity)
+            with pytest.raises(BudgetExceededError) as err:
+                solve_dimensions(g, quantity, Budget(max_checks=cap))
+            assert (err.value.quantity, err.value.checks) == (quantity, cap + 1)
+
+
 def _outputs(*results):
     return [(res.value, res.witness, res.checks, res.method) for res in results]
 
