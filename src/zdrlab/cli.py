@@ -17,6 +17,7 @@ import click
 
 from .graphs import (
     EmptyGraphError,
+    _ascii_int,
     build_zdgraph,
     export_graph,
     parse_edgelist,
@@ -50,11 +51,27 @@ def _fail(message: str, code: int) -> None:
 
 def _budget_from(budget_ms: float | None, budget_checks: int | None) -> Budget:
     """The budget the flags ask for, the time cap falling back to the env
-    var. A NaN or negative cap raises ValueError."""
+    var. A NaN, negative or unreadable cap raises ValueError."""
     if budget_ms is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        budget_ms = float(env) if env else None
+        try:
+            budget_ms = float(env) if env else None
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be a number of milliseconds, "
+                             f"not {env!r}") from None
     return Budget(max_ms=budget_ms, max_checks=budget_checks)
+
+
+def _n_values(text: str) -> list[int]:
+    """The comma-separated integers of ``--n``, read as edge-list ids are:
+    ASCII digits only. A bad token raises ValueError naming it."""
+    ns = []
+    for token in text.split(","):
+        n = _ascii_int(token.strip())
+        if n is None:
+            raise ValueError(f"--n expects comma-separated integers, got {token!r}")
+        ns.append(n)
+    return ns
 
 
 @click.group()
@@ -271,9 +288,7 @@ def table_emit(which, n_list, fmt):
     try:
         if which == "table1":
             config = SuiteConfig()
-            ns = (
-                [int(x) for x in n_list.split(",")] if n_list else list(config.table1_n)
-            )
+            ns = _n_values(n_list) if n_list else list(config.table1_n)
             tab = emit_table1(ns, config)
         else:
             if n_list:

@@ -7,17 +7,17 @@ addition and multiplication tables and its labels are built on first use.
 Zero divisors come from a unit test per family, since in a finite
 commutative ring every nonzero element is a unit or a zero divisor. One
 kernel, ``_structure_sums``, evaluates the structure constants on the
-digits of any elements: the zero products among the members, the products
-that square the non-units for the nilpotents, and the ``mul`` table, so a
-zero-divisor graph and the algebraic predicates need no order x order
-table. Only a catalog ring, whose tables its axiom check builds at once, is
-scanned. Annihilators are exact table scans.
+digits of any elements: the zero products among the members (among all
+elements, for a catalog ring's non-units), the products that square the
+non-units for the nilpotents, the products of the basis elements for the
+axiom check, and the ``mul`` table, which no program path reads: a
+zero-divisor graph, the algebraic predicates, annihilators and the axiom
+check all read the structure constants, exactly, and build no op table.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -29,11 +29,6 @@ DEFAULT_ORDER_CAP = 4096
 
 # Op tables are stored as uint16, so no cap may admit a larger order.
 MAX_TABLE_ORDER = 1 << 16
-
-# Exhaustive axiom checking is cubic in the order; above this we fall back to
-# a seeded random sample of triples.
-EXHAUSTIVE_AXIOM_LIMIT = 256
-
 
 class RingError(Exception):
     """Base class for ring spec and construction errors."""
@@ -587,48 +582,31 @@ def _table(order: int, op) -> np.ndarray:
 def ring_axiom_failures(ring: FiniteRing) -> list[str]:
     """Check the commutative-ring axioms; returns failure descriptions.
 
-    Exhaustive over all triples for order <= EXHAUSTIVE_AXIOM_LIMIT, else a
-    seeded random sample of triples.
+    Exact at every order, and reads no table. Addition is digit-wise, so R
+    is the group of the sums c_0 b_0 + .. + c_{k-1} b_{k-1} of its basis
+    elements b_t with c_t modulo m_t, and products are keyed by the
+    unordered pair, so multiplication is commutative. R is then a ring with
+    unity ``one`` iff m_i (b_i b_j) = 0 for every i, j (else x = b_i and
+    (m_i - 1) b_i sum to 0 while their products with b_j do not, and
+    otherwise the product is bilinear), ``one`` b_j = b_j for every j, and
+    (b_i b_j) b_k = b_i (b_j b_k) for every basis triple. A product ring is
+    one iff its factors are.
     """
-    A = ring.add.astype(np.intp)
-    M = ring.mul.astype(np.intp)
-    n = ring.order
-    idx = np.arange(n)
+    if ring.factors:
+        return [failure for factor in ring.factors for failure in ring_axiom_failures(factor)]
+    moduli = ring.moduli
+    basis = np.cumprod((1,) + moduli[:-1])
+    products = _products(ring.spec, basis[:, None], basis)
     failures: list[str] = []
-    if not np.array_equal(A, A.T):
-        failures.append("addition not commutative")
-    if not np.array_equal(M, M.T):
-        failures.append("multiplication not commutative")
-    if not np.array_equal(A[0], idx):
-        failures.append("0 is not the additive identity")
-    if not (A == 0).any(axis=1).all():
-        failures.append("some element has no additive inverse")
-    if not np.array_equal(M[ring.one], idx):
+    m_i = np.array(moduli, dtype=np.int64)[:, None]
+    if any((d * m_i % m).any() for d, m in zip(_digits(moduli, products), moduli)):
+        failures.append("distributivity fails")
+    if not np.array_equal(_products(ring.spec, np.array(ring.one), basis), basis):
         failures.append("designated unity is not a multiplicative identity")
-    if n <= EXHAUSTIVE_AXIOM_LIMIT:
-        if not np.array_equal(A[A, :], A[:, A]):
-            failures.append("addition not associative")
-        if not np.array_equal(M[M, :], M[:, M]):
-            failures.append("multiplication not associative")
-        left = M[:, A]
-        right = A[M[:, :, None], M[:, None, :]]
-        if not np.array_equal(left, right):
-            failures.append("distributivity fails")
-    else:
-        rng = random.Random(0)
-        for _ in range(20000):
-            x = rng.randrange(n)
-            y = rng.randrange(n)
-            z = rng.randrange(n)
-            if A[A[x, y], z] != A[x, A[y, z]]:
-                failures.append("addition not associative (sampled)")
-                break
-            if M[M[x, y], z] != M[x, M[y, z]]:
-                failures.append("multiplication not associative (sampled)")
-                break
-            if M[x, A[y, z]] != A[M[x, y], M[x, z]]:
-                failures.append("distributivity fails (sampled)")
-                break
+    left = _products(ring.spec, products[:, :, None], basis)
+    right = _products(ring.spec, basis[:, None, None], products)
+    if not np.array_equal(left, right):
+        failures.append("multiplication not associative")
     return failures
 
 
@@ -652,7 +630,7 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
     x in Zn:n when gcd(x, n) > 1; a + bi in Zni:n when its norm a^2 + b^2,
     a unit exactly when a + bi is, shares a factor with n; only 0 in a
     field; (a, b) in a product when a or b is; in a catalog ring, x with a
-    nonzero partner y, x * y = 0, found by a scan of the table.
+    nonzero partner y, x * y = 0, from the zero products of all elements.
     """
     spec = ring.spec
     if ring.factors:
@@ -665,7 +643,7 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
         return (np.gcd(a[:, None] + a[None, :], np.int64(spec.n)) > 1).ravel()
     if spec.family is Family.GF:
         return np.arange(ring.order) == 0
-    nonunit = (ring.mul == 0)[:, 1:].any(axis=1)
+    nonunit = _zero_products(spec, np.arange(ring.order))[:, 1:].any(axis=1)
     nonunit[0] = True
     return nonunit
 

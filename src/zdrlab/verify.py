@@ -519,7 +519,11 @@ def _below_three(c: _Case) -> str:
     return "" if len(c.zd) >= 3 else f"|L(R)| = {len(c.zd)} below the stated 3"
 
 
-def _prime_mod4(p: int, r: int) -> bool:
+def _prime_mod4(c: _Case, p: int, r: int) -> bool:
+    """Whether p is a prime with p = r mod 4. The case's ring is read
+    first, and its build checks the order against the cap, so a huge p
+    raises OrderCapError instead of running trial division."""
+    c.ring
     # p is prime iff its least prime factor is p itself, once
     return next(factorize(p), None) == (p, 1) and p % 4 == r
 
@@ -689,7 +693,7 @@ _CLAIMS: tuple[_Row, ...] = (
           _Aspect("ddim", lambda c: c.p * c.p - 2, "p^2 - 2 = {}")),
          lambda wb, ps: (_Case(wb, f"case=1,p={p}", f"Zni:{p * p}", p=p) for p in ps),
          key="case1", skip="ddim",
-         gate=lambda c: None if _prime_mod4(c.p, 3) else "p must be a prime with p = 3 mod 4"),
+         gate=lambda c: None if _prime_mod4(c, c.p, 3) else "p must be a prime with p = 3 mod 4"),
     _Row("T2123", lambda cfg: cfg.gauss_case2,
          (_Aspect("shape", lambda c: "K{},{}".format(*sorted((c.p1**2 - 1, c.p2**2 - 1)))),
           _Aspect("ddim", lambda c: c.p1**2 - c.p2**2 - 2 * c.omega,
@@ -699,7 +703,7 @@ _CLAIMS: tuple[_Row, ...] = (
          lambda wb, pairs: (_Case(wb, f"case=2,p1={p1},p2={p2}", f"Zni:{p1 * p2}", p1=p1, p2=p2)
                             for p1, p2 in pairs),
          key="case2", skip="ddim",
-         gate=lambda c: None if _prime_mod4(c.p1, 3) and _prime_mod4(c.p2, 3) and c.p1 != c.p2
+         gate=lambda c: None if _prime_mod4(c, c.p1, 3) and _prime_mod4(c, c.p2, 3) and c.p1 != c.p2
          else "p1, p2 must be distinct primes with p = 3 mod 4"),
     _Row("T2123", lambda cfg: cfg.gauss_case3,
          (_Aspect("shape", lambda c: f"K{c.p - 1},{c.p - 1}"),
@@ -707,7 +711,7 @@ _CLAIMS: tuple[_Row, ...] = (
           _Aspect("ddim", lambda c: 2 * c.p - c.gr, "2p - gr = {}", tags={"case3"})),
          lambda wb, ps: (_Case(wb, f"case=3,p={p}", f"Zni:{p}", p=p) for p in ps),
          key="case3", skip="ddim",
-         gate=lambda c: None if _prime_mod4(c.p, 1) else "p must be a prime with p = 1 mod 4"),
+         gate=lambda c: None if _prime_mod4(c, c.p, 1) else "p must be a prime with p = 1 mod 4"),
     _Row("TAB1", lambda cfg: cfg.table1_n,
          lambda c: _TAB1_PRIME if c.claim.kind == "prime" else _TAB1_COMPOSITE,
          lambda wb, ns: _zn_cases(wb, sorted(set(ns))), key="ns", gate=_uncovered, skip="row"),

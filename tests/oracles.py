@@ -242,6 +242,32 @@ def ring_properties(ring) -> tuple[bool, bool, bool, tuple[int, ...]]:
     return len(nu_idx) == 1, closed, nilpotents == (0,), nilpotents
 
 
+def table_axiom_failures(ring) -> list[str]:
+    """The commutative-ring axioms checked on every triple of elements
+    through the op tables, whose uint16 entries index them; cubic in the
+    order."""
+    A, M = ring.add, ring.mul
+    idx = np.arange(ring.order)
+    failures: list[str] = []
+    if not np.array_equal(A, A.T):
+        failures.append("addition not commutative")
+    if not np.array_equal(M, M.T):
+        failures.append("multiplication not commutative")
+    if not np.array_equal(A[0], idx):
+        failures.append("0 is not the additive identity")
+    if not (A == 0).any(axis=1).all():
+        failures.append("some element has no additive inverse")
+    if not np.array_equal(M[ring.one], idx):
+        failures.append("designated unity is not a multiplicative identity")
+    if not np.array_equal(A[A, :], A[:, A]):
+        failures.append("addition not associative")
+    if not np.array_equal(M[M, :], M[:, M]):
+        failures.append("multiplication not associative")
+    if not np.array_equal(M[:, A], A[M[:, :, None], M[:, None, :]]):
+        failures.append("distributivity fails")
+    return failures
+
+
 def structure_tables(entry) -> tuple[list[list[int]], list[list[int]]]:
     """Add and mul tables of a ring given by structure constants, one element
     pair at a time from the digits of the mixed-radix indices, in Python

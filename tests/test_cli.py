@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from zdrlab import cli as cli_mod
 from zdrlab import verify as verify_mod
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def golden(name: str) -> str:
@@ -218,6 +223,12 @@ def test_dims_solve_rejects_nan_or_negative_env_budget(runner, value):
     assert "must be a non-negative number" in result.output
 
 
+def test_dims_solve_names_the_env_var_of_an_unreadable_budget(runner):
+    result = runner.invoke(main, ["dims", "solve", "Zn:6"], env={"ZDRLAB_BUDGET_MS": "abc"})
+    assert result.exit_code == 2, result.output
+    assert "ZDRLAB_BUDGET_MS must be a number of milliseconds, not 'abc'" in result.output
+
+
 @pytest.mark.parametrize("config", [
     {"budget_ms": float("nan")}, {"budget_ms": -3}, {"budget_checks": -3},
 ])
@@ -330,6 +341,17 @@ def test_table_emit_table1(runner):
         assert result.output == golden(name), name
 
 
+@pytest.mark.parametrize("n_list, token", [
+    ("1_0", "1_0"),  # int() reads it as 10
+    ("\u0668", "\u0668"),  # Arabic-Indic eight, which int() reads as 8
+    ("4,,8", ""),
+])
+def test_table_emit_table1_rejects_non_ascii_n(runner, n_list, token):
+    result = runner.invoke(main, ["table", "emit", "table1", "--n", n_list])
+    assert result.exit_code == 2, result.output
+    assert f"--n expects comma-separated integers, got {token!r}" in result.output
+
+
 def test_table_emit_table2(runner):
     result = runner.invoke(main, ["table", "emit", "table2"])
     assert result.exit_code == 0
@@ -343,3 +365,42 @@ def test_table_emit_table2(runner):
 def test_table_emit_rejects_n_for_table2(runner):
     result = runner.invoke(main, ["table", "emit", "table2", "--n", "4"])
     assert result.exit_code == 2
+
+
+def test_verify_run_caps_a_gaussian_order_before_factoring(runner, tmp_path, monkeypatch):
+    # Zni:p^2 has order p^4, far above the cap: the gate reads the ring, and
+    # so fails at the cap, before any trial division of p
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before the order was checked")
+
+    monkeypatch.setattr(verify_mod, "factorize", no_factoring)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gauss_case1": [1000000000000000003], "only": ["T2123"]}))
+    result = runner.invoke(main, ["verify", "run", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "above the cap 4096" in result.output
+
+
+def _run_console_script(*args: str) -> subprocess.CompletedProcess:
+    """Run ``zdrlab`` as its console script does: a fresh interpreter calls
+    the entry point that pyproject.toml declares, with the script's name as
+    ``sys.argv[0]``, and exits with its return value. The package comes
+    from this checkout's ``src``."""
+    declared = re.search(r'^zdrlab = "([\w.]+):(\w+)"$',
+                         (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    module, func = declared.groups()
+    code = f"import sys; from {module} import {func}; sys.argv[0] = 'zdrlab'; sys.exit({func}())"
+    env = {k: v for k, v in os.environ.items() if k != "ZDRLAB_BUDGET_MS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("args, name", [
+    (["verify", "run", "--deterministic"], "verify_run.txt"),
+    (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
+])
+def test_console_script_matches_golden(args, name):
+    result = _run_console_script(*args)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN / name).read_bytes()

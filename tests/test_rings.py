@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from zdrlab.graphs import EmptyGraphError, build_zdgraph
 from zdrlab.rings import (
@@ -58,7 +58,7 @@ AXIOM_CORPUS = [
 
 # Specs whose op tables are pinned in golden/ring_tables.json: the axiom corpus
 # plus large Zn/Zni tables, GF orders whose modulus comes from the fallback
-# search, and a catalog ring above EXHAUSTIVE_AXIOM_LIMIT (sampled axiom check).
+# search, and a catalog ring above order 256.
 TABLE_SPECS = AXIOM_CORPUS + [
     "Zn:2048",
     "Zni:45",
@@ -142,7 +142,6 @@ def test_annihilator_cache_matches():
 @pytest.mark.parametrize("spec", ["Zn:2048", "Zni:45", "prod:(Zn:32,Zni:3)", "cat:cvA3"])
 def test_mul_of_and_annihilator_build_no_table(spec):
     ring = build_ring(spec)
-    ring.__dict__.pop("mul", None)  # a catalog ring keeps the table of its axiom check
     xs = sorted({0, ring.one, ring.order - 1, *range(3, ring.order, max(1, ring.order // 37))})
     products = [[ring.mul_of(x, y) for y in xs] for x in xs]
     zeros = [annihilator(ring, x) for x in xs]
@@ -243,6 +242,30 @@ def test_broken_catalog_entry_rejected():
         unregister_catalog_entry("testBROKEN")
 
 
+def test_broken_catalog_entry_above_order_256_rejected():
+    # a 2-torsion unity beside a basis element of order 4 breaks
+    # distributivity, whatever the products, at order 296
+    register_catalog_entry(
+        CatalogEntry("testBROKEN296", (2, 4, 37), ("1", "r", "s"),
+                     {(1, 1): (0, 0, 0), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)})
+    )
+    try:
+        with pytest.raises(CatalogError, match="distributivity fails"):
+            build_ring("cat:testBROKEN296")
+    finally:
+        unregister_catalog_entry("testBROKEN296")
+
+
+def test_large_catalog_ring_builds_no_table():
+    # the axiom check reads the basis products, and the non-units come
+    # from the zero-product block
+    ring = build_ring("cat:Zpr.r2:61")
+    assert len(zero_divisors(ring).members) == 60  # the nonzero multiples of r
+    props = ring_properties(ring)
+    assert props.is_local and not props.is_reduced and len(props.nilpotents) == 61
+    assert "add" not in ring.__dict__ and "mul" not in ring.__dict__
+
+
 def test_gf_arithmetic():
     gf9 = build_ring("GF:9")
     # w^2 = -1 in GF(9) built from x^2 + 1
@@ -332,8 +355,8 @@ def test_graph_build_leaves_mul_unbuilt(spec):
         assert "mul" not in r.__dict__, r.name
 
 
-# every GF order the default cap admits; Zpr.r2:p up to order 121, as the
-# axiom check of a catalog ring is cubic in its order
+# every GF order the default cap admits; Zpr.r2:p up to order 121, which
+# keeps the table-scan oracles of the tests below quick
 _PRIME_POWERS = [q for q in range(2, 4097) if len(f := list(factorize(q))) == 1 and f[0][1] <= 3]
 _ZPR_PRIMES = [2, 3, 5, 7, 11]
 
@@ -428,14 +451,22 @@ def structure_entries(draw):
 @given(entry=structure_entries())
 def test_structure_tables_match_digit_oracle(entry):
     # the ring is made directly, past build_ring's axiom check, which a
-    # random entry may fail
+    # random entry may fail; the check on the basis fails exactly when the
+    # check of every triple on the tables does, and only where it does
     register_catalog_entry(entry)
     try:
         spec = RingSpec(Family.CATALOG, catalog_id=entry.entry_id)
         ring = FiniteRing(spec, math.prod(entry.moduli), 1, entry.moduli)
+        failures = ring_axiom_failures(ring)
+        assert "add" not in ring.__dict__ and "mul" not in ring.__dict__
         add_ref, mul_ref = oracles.structure_tables(entry)
         assert ring.mul.dtype == np.uint16 and ring.mul.tolist() == mul_ref
         assert ring.add.dtype == np.uint16 and ring.add.tolist() == add_ref
+        if ring.order <= 256:  # the table check is cubic
+            reference = oracles.table_axiom_failures(ring)
+            assert (failures == []) == (reference == [])
+            assert set(failures) <= set(reference)
+            event("ring" if not failures else "not a ring")
     finally:
         unregister_catalog_entry(entry.entry_id)
 
@@ -447,5 +478,4 @@ def test_ring_properties_match_table_scan(spec):
     props = ring_properties(ring)
     expected = oracles.ring_properties(build_ring(spec))
     assert (props.is_field, props.is_local, props.is_reduced, props.nilpotents) == expected
-    assert "mul" not in ring.__dict__ or spec.startswith("cat:")
-    assert "add" not in ring.__dict__ or spec.startswith("cat:")
+    assert "mul" not in ring.__dict__ and "add" not in ring.__dict__
