@@ -64,12 +64,15 @@ def _budget_from(budget_ms: float | None, budget_checks: int | None) -> Budget:
 
 def _n_values(text: str) -> list[int]:
     """The comma-separated integers of ``--n``, read as edge-list ids are:
-    ASCII digits only. A bad token raises ValueError naming it."""
+    ASCII digits only, each at least 2 as in a ``Zn:n`` spec. A bad token
+    raises ValueError naming it."""
     ns = []
     for token in text.split(","):
         n = _ascii_int(token.strip())
         if n is None:
             raise ValueError(f"--n expects comma-separated integers, got {token!r}")
+        if n < 2:
+            raise ValueError(f"--n expects integers n >= 2, as Zn:n does, got {token!r}")
         ns.append(n)
     return ns
 

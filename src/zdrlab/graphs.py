@@ -7,7 +7,10 @@ the twin quotient, which has one vertex per class: twins have equal rows
 outside their own class. Cut vertices, the clique number and the girth
 are read off the same quotient. Graphs come from three sources:
 zero-divisor graphs of rings, generated named families, and parsed
-edge-list files.
+edge-list files. A ring graph is built on associate classes: x and ux (u a
+unit) have one row of zero products but their own bit, so the block is
+evaluated on one representative per class, and its labels are made on
+first read.
 """
 
 from __future__ import annotations
@@ -20,13 +23,28 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, _zero_products, zero_divisors
+from .rings import FiniteRing, _associate_reps, _zero_products, zero_divisors
 
 INF = math.inf
 
 
 class EmptyGraphError(Exception):
     """The ring is an integral domain: L(R) is empty, no graph exists."""
+
+
+class _Labels:
+    """The ``labels`` field: set to a sequence, or to a function of the
+    external ids (a ring's ``labels_of``) that makes them on first read."""
+
+    def __get__(self, g, owner=None):
+        if g is None:  # the dataclass field has no default
+            raise AttributeError("labels")
+        if callable(labels := g.__dict__["labels"]):
+            labels = g.__dict__["labels"] = tuple(labels(g.external_ids))
+        return labels
+
+    def __set__(self, g, labels):
+        g.__dict__["labels"] = labels if callable(labels) else tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -45,7 +63,7 @@ class ZDGraph:
     """
 
     order: int
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = _Labels()
     external_ids: tuple[int, ...]
     adj: tuple[int, ...]
     dist: tuple[array, ...]
@@ -187,12 +205,12 @@ def _all_pairs_bfs(
     return tuple(rows)
 
 
-def _graph(adj: tuple[int, ...], labels: Sequence[str], ids: Sequence[int], source: str) -> ZDGraph:
+def _graph(adj: tuple[int, ...], labels, ids: Sequence[int], source: str) -> ZDGraph:
     """The graph on these adjacency bitsets: its twin classes, computed here
     and only here, then its distances from them."""
     classes = neighbourhood_twin_classes(adj)
     dist = _all_pairs_bfs(adj, classes)
-    return ZDGraph(len(adj), tuple(labels), tuple(ids), adj, dist, classes, source)
+    return ZDGraph(len(adj), labels, tuple(ids), adj, dist, classes, source)
 
 
 def graph_from_edges(
@@ -219,21 +237,25 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     """Zero-divisor graph: vertices L(R), edge x-y iff x != y and x*y = 0.
 
     A nilpotent x with x*x = 0 contributes no self-loop; the graph is simple.
-    Each adjacency bitset is one row of the members' zero-product block,
-    computed without any order x order table and packed little-endian so
-    that bit v is column v.
+    Members with one associate representative u x (``_associate_reps``)
+    share one row of the representatives' zero-product block, computed
+    without any order x order table, gathered to the members and packed
+    little-endian so that bit v is column v; each member's own bit is then
+    cleared. Labels are made on first read.
     """
     members = zero_divisors(ring).members
     if not members:
         raise EmptyGraphError(
             f"{ring.name} is an integral domain; its zero-divisor graph is empty"
         )
+    reps: dict[int, int] = {}
     at = np.array(members, dtype=np.intp)
-    sub = _zero_products(ring.spec, at)
-    np.fill_diagonal(sub, False)
-    rows = np.packbits(sub, axis=1, bitorder="little")
-    adj = tuple(int.from_bytes(row, "little") for row in rows)
-    return _graph(adj, ring.labels_of(at), members, ring.name)
+    class_of = [reps.setdefault(r, len(reps)) for r in _associate_reps(ring.spec, at).tolist()]
+    block = _zero_products(ring.spec, np.array(list(reps), dtype=np.intp))
+    packed = np.packbits(block.take(class_of, axis=1), axis=1, bitorder="little")
+    rows = [int.from_bytes(row, "little") for row in packed]
+    adj = tuple(rows[c] & ~(1 << v) for v, c in enumerate(class_of))
+    return _graph(adj, ring.labels_of, members, ring.name)
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +276,24 @@ class GraphInvariants:
 
 
 def graph_invariants(g: ZDGraph) -> GraphInvariants:
+    """The invariants, each read once per twin class: twins have equal
+    degrees."""
     n = g.order
-    degrees = [g.degree(v) for v in range(n)]
     if n == 0:
         return GraphInvariants(0, 0, 0, INF, 0, 0, (), ())
     _, quotient = _quotient(g.adj, g.classes)
+    degrees = [g.degree(cls[0]) for cls in g.classes]
     return GraphInvariants(
         order=n,
-        size=g.size,
+        size=sum(d * len(cls) for d, cls in zip(degrees, g.classes)) // 2,
         diameter=INF if not g.is_connected else _diameter(g),
         girth=_girth(g, quotient),
         clique_number=_clique_number(g, quotient),
         max_degree=max(degrees),
         cut_vertices=_cut_vertices(g, quotient),
-        degree_one_vertices=tuple(v for v in range(n) if degrees[v] == 1),
+        degree_one_vertices=tuple(
+            sorted(v for d, cls in zip(degrees, g.classes) if d == 1 for v in cls)
+        ),
     )
 
 

@@ -5,14 +5,17 @@ Rings are described by a small spec grammar (``Zn:6``, ``Zni:9``, ``GF:8``,
 A ring holds its moduli and, for a product, its two factor rings; its
 addition and multiplication tables and its labels are built on first use.
 Zero divisors come from a unit test per family, since in a finite
-commutative ring every nonzero element is a unit or a zero divisor. One
-kernel, ``_structure_sums``, evaluates the structure constants on the
-digits of any elements: the zero products among the members (among all
-elements, for a catalog ring's non-units), the products that square the
-non-units for the nilpotents, the products of the basis elements for the
-axiom check, and the ``mul`` table, which no program path reads: a
-zero-divisor graph, the algebraic predicates, annihilators and the axiom
-check all read the structure constants, exactly, and build no op table.
+commutative ring every nonzero element is a unit or a zero divisor, and
+``_associate_reps`` maps each element to a unit multiple of it, one rule
+per family, so a graph evaluates one row per associate class. One kernel,
+``_structure_sums``, evaluates the structure constants on the digits of
+any elements: the zero products among the representatives (among all
+elements, a chunk of rows at a time, for a catalog ring's non-units), the
+products that square the non-units for the nilpotents, the products of
+the basis elements for the axiom check, and the ``mul`` table, which no
+program path reads: a zero-divisor graph, the algebraic predicates,
+annihilators and the axiom check all read the structure constants,
+exactly, and build no op table.
 """
 
 from __future__ import annotations
@@ -222,8 +225,9 @@ class FiniteRing:
         """Every element's label, built on first access."""
         return tuple(self.labels_of(np.arange(self.order)))
 
-    def labels_of(self, xs: np.ndarray) -> list[str]:
+    def labels_of(self, xs: Iterable[int]) -> list[str]:
         """The labels of the elements at the indices ``xs``."""
+        xs = np.asarray(xs)
         if self.factors:
             left, right = self.factors
             a, b = left.labels, right.labels
@@ -630,7 +634,8 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
     x in Zn:n when gcd(x, n) > 1; a + bi in Zni:n when its norm a^2 + b^2,
     a unit exactly when a + bi is, shares a factor with n; only 0 in a
     field; (a, b) in a product when a or b is; in a catalog ring, x with a
-    nonzero partner y, x * y = 0, from the zero products of all elements.
+    nonzero partner y, x * y = 0, from the zero products of all elements, a
+    chunk of rows at a time, each reduced as it is made.
     """
     spec = ring.spec
     if ring.factors:
@@ -643,9 +648,35 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
         return (np.gcd(a[:, None] + a[None, :], np.int64(spec.n)) > 1).ravel()
     if spec.family is Family.GF:
         return np.arange(ring.order) == 0
-    nonunit = _zero_products(spec, np.arange(ring.order))[:, 1:].any(axis=1)
+    xs = np.arange(ring.order)
+    chunks = _row_chunks(ring.order, ring.order)
+    nonunit = np.concatenate([_zero_rows(spec, xs[rows], xs[1:]).any(axis=1) for rows in chunks])
     nonunit[0] = True
     return nonunit
+
+
+def _associate_reps(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
+    """An associate u x (u a unit) of each element x of ``xs``, shared by
+    the associates the family's rule sees: gcd(x, n) in Zn:n, 1 for x != 0
+    in a field, the least index of c i^k x over the units c of Z_n in
+    Zni:n, componentwise in a product, x itself in a catalog ring. Since
+    x u = 0 iff x = 0, x y = 0 iff the representatives multiply to 0."""
+    if spec.family is Family.PRODUCT:
+        left, right = spec.children
+        o2 = spec_order(right)
+        return _associate_reps(left, xs // o2) * o2 + _associate_reps(right, xs % o2)
+    n = spec.n
+    if spec.family is Family.ZN:
+        return np.gcd(xs, n) % n
+    if spec.family is Family.GF:
+        return np.minimum(xs, 1)
+    if spec.family is Family.CATALOG:
+        return xs
+    # c x = ca + cb i and c i x = -cb + ca i; -1 is a unit c, so k < 2 will do
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
+    b, a = np.divmod(xs, n)
+    ca, cb = units * a % n, units * b % n
+    return np.minimum(ca + cb * n, (n - cb) % n + ca * n).min(axis=0)
 
 
 def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
@@ -653,9 +684,8 @@ def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
     with no table of the ring, computed a chunk of rows at a time.
 
     On a product, the AND of its factors' blocks, each computed on the
-    distinct component indices and gathered, columns first. Otherwise each
-    coordinate's sum from ``_structure_sums`` is tested for a multiple of
-    its modulus, in place.
+    distinct component indices and gathered, columns first. Otherwise a
+    chunk of rows is one ``_zero_rows`` block.
     """
     n = len(xs)
     chunks = _row_chunks(n, n)
@@ -671,11 +701,19 @@ def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
         for rows in chunks:
             np.logical_and(a.take(at_a[rows], axis=0), b.take(at_b[rows], axis=0), out=block[rows])
         return block
-    block = np.ones((n, n), dtype=bool)
+    block = np.empty((n, n), dtype=bool)
     for rows in chunks:
-        for m, _, total in _structure_sums(spec, xs[rows, None], xs):
-            block[rows] &= total // m * m == total
+        block[rows] = _zero_rows(spec, xs[rows], xs)
     return block
+
+
+def _zero_rows(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The block of x * y == 0 over ``xs`` x ``ys`` of a non-product spec:
+    each coordinate's sum is tested for a multiple of its modulus."""
+    zero = np.ones((len(xs), len(ys)), dtype=bool)
+    for m, _, total in _structure_sums(spec, xs[:, None], ys):
+        zero &= total // m * m == total
+    return zero
 
 
 def annihilator(ring: FiniteRing, x: int) -> tuple[int, ...]:

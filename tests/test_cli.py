@@ -352,6 +352,14 @@ def test_table_emit_table1_rejects_non_ascii_n(runner, n_list, token):
     assert f"--n expects comma-separated integers, got {token!r}" in result.output
 
 
+@pytest.mark.parametrize("n", ["-5", "0", "1"])
+def test_table_emit_table1_rejects_n_below_two(runner, n):
+    # as Zn:n does; the row used to read UNSUPPORTED with exit 0
+    result = runner.invoke(main, ["table", "emit", "table1", "--n", f"4,{n}"])
+    assert result.exit_code == 2, result.output
+    assert f"--n expects integers n >= 2, as Zn:n does, got {n!r}" in result.output
+
+
 def test_table_emit_table2(runner):
     result = runner.invoke(main, ["table", "emit", "table2"])
     assert result.exit_code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -13,7 +14,7 @@ from zdrlab.graphs import (
     graph_invariants,
     parse_edgelist,
 )
-from zdrlab import graphs
+from zdrlab import graphs, rings
 from zdrlab.rings import build_ring, catalog_ids, zero_divisors
 from zdrlab.solver import solve_dimensions, twin_classes
 
@@ -300,6 +301,19 @@ def test_one_bfs_per_twin_class(spec, monkeypatch):
     k = len(twin_classes(g).classes)
     assert k < g.order
     assert runs == [(k, k, c) for c in range(k)]
+
+
+def test_ring_graph_labels_are_made_on_first_read(monkeypatch):
+    calls = []
+    term_label = rings._term_label
+    monkeypatch.setattr(rings, "_term_label", lambda *a: calls.append(a) or term_label(*a))
+    g = build_zdgraph(build_ring("Zn:12"))
+    assert calls == []
+    assert g.labels == ("2", "3", "4", "6", "8", "9", "10")
+    assert len(calls) == 7
+    assert g.labels == ("2", "3", "4", "6", "8", "9", "10") and len(calls) == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.labels = ()
 
 
 # a 5-cycle with vertex 0 blown up into an open class {0, 5} and vertex 2

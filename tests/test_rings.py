@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from zdrlab.graphs import EmptyGraphError, build_zdgraph
+from zdrlab.graphs import EmptyGraphError, build_zdgraph, graph_from_edges
 from zdrlab.rings import (
     CatalogEntry,
     CatalogError,
@@ -27,7 +28,7 @@ from zdrlab.rings import (
     unregister_catalog_entry,
     zero_divisors,
 )
-from zdrlab.rings import FiniteRing, _products, _zero_products
+from zdrlab.rings import FiniteRing, _associate_reps, _products, _zero_products
 
 import oracles
 
@@ -266,6 +267,20 @@ def test_large_catalog_ring_builds_no_table():
     assert "add" not in ring.__dict__ and "mul" not in ring.__dict__
 
 
+def test_catalog_nonunits_build_no_order_squared_block():
+    # each chunk of rows of the zero products is reduced as it is made: the
+    # whole boolean block of cat:Zpr.r2:61 (order 3,721) would take 13.8 MB
+    tracemalloc.start()
+    try:
+        ring = build_ring("cat:Zpr.r2:61")
+        zero_divisors(ring)
+        ring_properties(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_gf_arithmetic():
     gf9 = build_ring("GF:9")
     # w^2 = -1 in GF(9) built from x^2 + 1
@@ -405,6 +420,62 @@ def test_table_free_graph_matches_table_scan(spec):
         assert g.adj == tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
         assert g.labels == tuple(ring.labels[x] for x in members)
         assert g.external_ids == members
+
+
+def _full_block_graph(ring):
+    """The zero-divisor graph from the whole members x members block of the
+    multiplication table, labelled from the ring's labels."""
+    members = oracles.zero_divisors(ring)
+    block = np.triu(oracles.zero_block(ring, members), 1)
+    edges = [(u, v) for u, v in np.argwhere(block).tolist()]
+    return graph_from_edges(
+        len(members), edges, [ring.labels[x] for x in members], members, ring.name
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=ring_specs(max_order=256))
+def test_graph_on_associate_classes_matches_full_block(spec):
+    # one block row per representative, gathered to the members, against
+    # the build on the members' whole block
+    ring = build_ring(spec)
+    members = zero_divisors(ring).members
+    if not members:
+        event("integral domain")
+        return
+    g = build_zdgraph(ring)
+    k = len(set(_associate_reps(ring.spec, np.array(members)).tolist()))
+    event("k < n" if k < len(members) else "k = n")
+    ref = _full_block_graph(build_ring(spec))
+    assert g.adj == ref.adj
+    assert g.classes == ref.classes
+    assert [(row.typecode, bytes(row)) for row in g.dist] == [
+        (row.typecode, bytes(row)) for row in ref.dist
+    ]
+    assert g.labels == ref.labels and g.external_ids == ref.external_ids
+    assert g == ref
+
+
+# the axiom corpus up to order 128, more Gaussian rings and products with
+# Gaussian and field factors
+ASSOCIATE_SPECS = [s for s in AXIOM_CORPUS if spec_order(parse_ring_spec(s)) <= 128] + [
+    "Zni:6", "Zni:8", "Zni:10", "prod:(Zni:3,Zn:4)", "prod:(GF:4,Zni:5)", "prod:(Zn:6,GF:9)",
+]
+
+
+@pytest.mark.parametrize("spec", ASSOCIATE_SPECS)
+def test_associate_reps_are_unit_multiples(spec):
+    # each representative is u x for a unit u, by brute force over the
+    # units of the table; the Zn, GF and product rules give one per class
+    ring = build_ring(spec)
+    mul = ring.mul
+    units = np.flatnonzero((mul == ring.one).any(axis=1))
+    reps = _associate_reps(ring.spec, np.arange(ring.order)).tolist()
+    for x, rep in enumerate(reps):
+        assert rep in mul[units, x], (x, rep)
+    if "Zni" not in spec and "cat" not in spec:
+        classes = {frozenset(mul[units, x].tolist()) for x in range(ring.order)}
+        assert len(set(reps)) == len(classes)
 
 
 def test_zero_product_sums_widen_past_int32():
