@@ -19,7 +19,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -205,7 +205,9 @@ def _all_pairs_bfs(
     return tuple(rows)
 
 
-def _graph(adj: tuple[int, ...], labels, ids: Sequence[int], source: str) -> ZDGraph:
+def _graph(
+    adj: tuple[int, ...], labels: Sequence[str] | Callable, ids: Sequence[int], source: str
+) -> ZDGraph:
     """The graph on these adjacency bitsets: its twin classes, computed here
     and only here, then its distances from them."""
     classes = neighbourhood_twin_classes(adj)
@@ -248,8 +250,8 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
         raise EmptyGraphError(
             f"{ring.name} is an integral domain; its zero-divisor graph is empty"
         )
-    reps: dict[int, int] = {}
     at = np.array(members, dtype=np.intp)
+    reps: dict[int, int] = {}
     class_of = [reps.setdefault(r, len(reps)) for r in _associate_reps(ring.spec, at).tolist()]
     block = _zero_products(ring.spec, np.array(list(reps), dtype=np.intp))
     packed = np.packbits(block.take(class_of, axis=1), axis=1, bitorder="little")

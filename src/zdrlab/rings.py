@@ -225,7 +225,7 @@ class FiniteRing:
         """Every element's label, built on first access."""
         return tuple(self.labels_of(np.arange(self.order)))
 
-    def labels_of(self, xs: Iterable[int]) -> list[str]:
+    def labels_of(self, xs: np.ndarray | tuple[int, ...]) -> list[str]:
         """The labels of the elements at the indices ``xs``."""
         xs = np.asarray(xs)
         if self.factors:
