@@ -426,8 +426,7 @@ def _full_block_graph(ring):
     """The zero-divisor graph from the whole members x members block of the
     multiplication table, labelled from the ring's labels."""
     members = oracles.zero_divisors(ring)
-    block = np.triu(oracles.zero_block(ring, members), 1)
-    edges = [(u, v) for u, v in np.argwhere(block).tolist()]
+    edges = np.argwhere(np.triu(oracles.zero_block(ring, members), 1)).tolist()
     return graph_from_edges(
         len(members), edges, [ring.labels[x] for x in members], members, ring.name
     )
