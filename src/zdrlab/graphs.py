@@ -552,7 +552,7 @@ def parse_edgelist(text: str) -> ZDGraph:
 
     Edge lines hold two non-negative ids; a ``# vertex <id> [label]`` line
     declares a vertex, and other ``#`` lines are comments. A malformed line
-    raises ValueError naming its line number.
+    or a self-loop ``u u`` raises ValueError naming its line number.
     """
     declared: dict[int, str] = {}
     raw_edges: list[tuple[int, int]] = []
@@ -574,6 +574,10 @@ def parse_edgelist(text: str) -> ZDGraph:
         uv = [_ascii_int(p) for p in line.split()]
         if len(uv) != 2 or None in uv or min(uv) < 0:
             raise ValueError(f"line {lineno}: expected 'u v' with integer ids, got {line!r}")
+        if uv[0] == uv[1]:
+            raise ValueError(
+                f"line {lineno}: self-loop at vertex {uv[0]} not allowed in a simple graph"
+            )
         raw_edges.append((uv[0], uv[1]))
     ids = sorted(set(declared) | {u for e in raw_edges for u in e})
     index = {ext: i for i, ext in enumerate(ids)}

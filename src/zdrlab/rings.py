@@ -2,20 +2,20 @@
 
 Rings are described by a small spec grammar (``Zn:6``, ``Zni:9``, ``GF:8``,
 ``prod:(Zn:2,GF:3)``, ``cat:Z3r.r2``) over a mixed-radix element indexing.
-A ring holds its moduli and, for a product, its two factor rings; its
-addition and multiplication tables and its labels are built on first use.
-Zero divisors come from a unit test per family, since in a finite
+A ring is its spec, order, unity and moduli and, for a product, its two
+factor rings; its labels are built on first use, and it holds no operation
+table. Zero divisors come from a unit test per family, since in a finite
 commutative ring every nonzero element is a unit or a zero divisor, and
 ``_associate_reps`` maps each element to a unit multiple of it, one rule
 per family, so a graph evaluates one row per associate class. One kernel,
-``_structure_sums``, evaluates the structure constants on the digits of
+``_structure_totals``, evaluates the structure constants on the digits of
 any elements: the zero products among the representatives (among all
 elements, a chunk of rows at a time, for a catalog ring's non-units), the
 products that square the non-units for the nilpotents, the products of
-the basis elements for the axiom check, and the ``mul`` table, which no
-program path reads: a zero-divisor graph, the algebraic predicates,
-annihilators and the axiom check all read the structure constants,
-exactly, and build no op table.
+the basis elements for the axiom check, and the products of one element
+for ``mul_of`` and ``annihilator``. Addition is digit-wise modulo the
+moduli; the one sum a program path takes, 1 + x for the local test,
+moves digit 0 only.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 4096
 
-# Op tables are stored as uint16, so no cap may admit a larger order.
-MAX_TABLE_ORDER = 1 << 16
+# The largest order of any ring: spec parsing checks a GF base and a
+# Zpr.r2 order against it before factoring, and a caller's ``max_order``
+# cannot raise the cap past it.
+MAX_ORDER = 1 << 16
 
 class RingError(Exception):
     """Base class for ring spec and construction errors."""
@@ -170,7 +172,7 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
         yield n, 1
 
 
-def _check_order(name: str, order: int, cap: int = MAX_TABLE_ORDER) -> None:
+def _check_order(name: str, order: int, cap: int = MAX_ORDER) -> None:
     # Spec parsing calls this before factoring, so a huge GF or Zpr.r2 base
     # fails here instead of in trial division.
     if order > cap:
@@ -197,9 +199,10 @@ class FiniteRing:
     ``one`` the unity (index 1 whenever the encoding allows). Element x has
     mixed-radix digits (x // prod(moduli[:t])) % moduli[t], little-endian,
     and addition is digit-wise modulo ``moduli``. A product ring keeps its
-    two factor rings in ``factors``. The op tables and the labels are built
-    on first access and cached; do not mutate them. Equality and hashing
-    are by identity.
+    two factor rings in ``factors``. It holds no operation table: products
+    come from the structure constants (``mul_of``). The labels are built on
+    first access and cached; do not mutate them. Equality and hashing are
+    by identity.
     """
 
     spec: RingSpec
@@ -207,18 +210,6 @@ class FiniteRing:
     one: int
     moduli: tuple[int, ...]
     factors: tuple["FiniteRing", ...] = ()
-
-    @cached_property
-    def add(self) -> np.ndarray:
-        """Addition table, uint16, built digit-wise from ``moduli`` on first
-        access."""
-        return _table(self.order, lambda xs, ys: _sums(self.moduli, xs, ys))
-
-    @cached_property
-    def mul(self) -> np.ndarray:
-        """Multiplication table, uint16, built from the structure constants
-        on first access."""
-        return _table(self.order, lambda xs, ys: _products(self.spec, xs, ys))
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -269,7 +260,7 @@ def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> Fini
     """Build the concrete ring for a spec (or spec string)."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
-    _check_order(spec.to_text(), spec_order(spec), min(max_order, MAX_TABLE_ORDER))
+    _check_order(spec.to_text(), spec_order(spec), min(max_order, MAX_ORDER))
     return _ring(spec)
 
 
@@ -508,7 +499,7 @@ def _digits(moduli: tuple[int, ...], xs: np.ndarray) -> list[np.ndarray]:
     return digits + [xs]
 
 
-def _structure_sums(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> Iterator[tuple]:
+def _structure_totals(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> Iterator[tuple]:
     """For each coordinate t of a non-product ring, its modulus m_t, its
     place value and the unreduced sum of w_t * c_i(x) * c_j(y) over the
     structure constants basis[i] * basis[j] = sum_t w_t basis[t], on the
@@ -539,24 +530,10 @@ def _products(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         o2 = spec_order(right)
         return _products(left, xs // o2, ys // o2) * o2 + _products(right, xs % o2, ys % o2)
     # a floor division by a scalar is much faster than a remainder
-    return sum((total - total // m * m) * place for m, place, total in _structure_sums(spec, xs, ys))
+    return sum((total - total // m * m) * place for m, place, total in _structure_totals(spec, xs, ys))
 
 
-def _sums(moduli: tuple[int, ...], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The indices of x + y for the broadcast index arrays ``xs`` and
-    ``ys``: digit-wise sums modulo ``moduli``, in int32, as every index is
-    below MAX_TABLE_ORDER."""
-    total = np.int32(0)
-    place = 1
-    for a, b, m in zip(_digits(moduli, xs), _digits(moduli, ys), moduli):
-        s = np.add(a, b, dtype=np.int32)
-        np.subtract(s, np.int32(m), out=s, where=s >= m)
-        total = total + s * np.int32(place)
-        place *= m
-    return total
-
-
-# Entries per row chunk of a block or table: a chunk's int32 sums take
+# Entries per row chunk of a zero-product block: a chunk's int32 sums take
 # about 256 KB and stay in cache, where the temporaries of a whole block
 # would be fresh pages, faulted in on every build.
 _CHUNK_ENTRIES = 1 << 16
@@ -565,17 +542,6 @@ _CHUNK_ENTRIES = 1 << 16
 def _row_chunks(rows: int, cols: int) -> list[slice]:
     step = max(1, _CHUNK_ENTRIES // max(cols, 1))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _table(order: int, op) -> np.ndarray:
-    """The order x order uint16 table of ``op`` on index arrays, a chunk of
-    rows at a time. Entries are indices, below the order, which build_ring
-    has capped at MAX_TABLE_ORDER."""
-    idx = np.arange(order)
-    table = np.empty((order, order), dtype=np.uint16)
-    for rows in _row_chunks(order, order):
-        table[rows] = op(idx[rows, None], idx)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +677,7 @@ def _zero_rows(spec: RingSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The block of x * y == 0 over ``xs`` x ``ys`` of a non-product spec:
     each coordinate's sum is tested for a multiple of its modulus."""
     zero = np.ones((len(xs), len(ys)), dtype=bool)
-    for m, _, total in _structure_sums(spec, xs[:, None], ys):
+    for m, _, total in _structure_totals(spec, xs[:, None], ys):
         zero &= total // m * m == total
     return zero
 
@@ -742,10 +708,13 @@ def ring_properties(ring: FiniteRing) -> RingProps:
     with no table.
 
     R is local iff 1 + x is a unit for every non-unit x (Atiyah-Macdonald,
-    Prop. 1.6). A unit is never nilpotent, so only the non-units are
-    squared. If x is nilpotent, the ideals R > (x) > (x^2) > .. > (x^k) = 0
-    shrink strictly, each to at most half the last, so x^k = 0 for some
-    k <= log2(order), and x is nilpotent iff x**(2**b) = 0 for 2**b >= k.
+    Prop. 1.6). A product of two nonzero rings never is: (1, 0) and (0, 1)
+    are non-units that sum to 1. In any other ring the unity is basis[0],
+    so 1 + x only moves digit 0 of x. A unit is never nilpotent, so only
+    the non-units are squared. If x is nilpotent, the ideals
+    R > (x) > (x^2) > .. > (x^k) = 0 shrink strictly, each to at most half
+    the last, so x^k = 0 for some k <= log2(order), and x is nilpotent iff
+    x**(2**b) = 0 for 2**b >= k.
     """
     nonunit = _nonunits(ring)
     nonunits = np.flatnonzero(nonunit)
@@ -753,9 +722,11 @@ def ring_properties(ring: FiniteRing) -> RingProps:
     for _ in range((ring.order.bit_length() - 1).bit_length()):
         power = _products(ring.spec, power, power)
     nilpotents = tuple(nonunits[power == 0].tolist())
+    m = ring.moduli[0]
+    low = nonunits % m
     return RingProps(
         is_field=len(nonunits) == 1,
-        is_local=not nonunit[_sums(ring.moduli, nonunits, ring.one)].any(),
+        is_local=not ring.factors and not nonunit[nonunits - low + (low + 1) % m].any(),
         is_reduced=nilpotents == (0,),
         nilpotents=nilpotents,
     )

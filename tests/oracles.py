@@ -7,6 +7,7 @@ definitions, and subsets are enumerated without any pruning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -197,6 +198,33 @@ def girth(g) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def op_tables(ring) -> tuple[np.ndarray, np.ndarray]:
+    """The order x order uint16 add and mul tables of a ring, read-only, a
+    block of rows at a time: sums digit-wise modulo ``ring.moduli``,
+    products from ``rings._products`` on the grid of index pairs. The last
+    ring's tables are kept, as an oracle often scans one ring twice."""
+    from zdrlab.rings import _products
+
+    idx = np.arange(ring.order)
+    places = np.cumprod((1,) + ring.moduli[:-1])
+    digits = [(idx // place % m).astype(np.int32) for m, place in zip(ring.moduli, places)]
+    add = np.empty((ring.order, ring.order), dtype=np.uint16)
+    mul = np.empty_like(add)
+    step = max(1, (1 << 16) // ring.order)
+    for lo in range(0, ring.order, step):
+        rows = slice(lo, lo + step)
+        sums = np.zeros((len(idx[rows]), ring.order), dtype=np.int32)
+        for m, place, d in zip(ring.moduli, places.tolist(), digits):
+            s = d[rows, None] + d
+            np.subtract(s, np.int32(m), out=s, where=s >= m)
+            sums += s * np.int32(place)
+        add[rows] = sums
+        mul[rows] = _products(ring.spec, idx[rows, None], idx)
+    add.flags.writeable = mul.flags.writeable = False
+    return add, mul
+
+
 def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
     """Add and mul tables of r1 x r2, (a, b) at index a * |r2| + b, by
     gathering each factor's table at every pair of coordinates in int64."""
@@ -208,13 +236,14 @@ def product_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
         t1, t2 = t1.astype(np.int64), t2.astype(np.int64)
         return t1[i1[:, None], i1[None, :]] * o2 + t2[i2[:, None], i2[None, :]]
 
-    return combine(r1.add, r2.add), combine(r1.mul, r2.mul)
+    (add1, mul1), (add2, mul2) = op_tables(r1), op_tables(r2)
+    return combine(add1, add2), combine(mul1, mul2)
 
 
 def zero_divisors(ring) -> tuple[int, ...]:
     """L(R) by a scan of the multiplication table: each nonzero x with a
     nonzero partner y, x * y = 0."""
-    nonzero_partner = (ring.mul == 0)[:, 1:].any(axis=1)
+    nonzero_partner = (op_tables(ring)[1] == 0)[:, 1:].any(axis=1)
     return tuple(int(x) for x in np.flatnonzero(nonzero_partner) if x != 0)
 
 
@@ -222,22 +251,23 @@ def zero_block(ring, members) -> np.ndarray:
     """The members x members block of x * y == 0, gathered from the
     multiplication table."""
     at = np.array(members, dtype=np.intp)
-    return (ring.mul.take(at, axis=0) == 0).take(at, axis=1)
+    return (op_tables(ring)[1].take(at, axis=0) == 0).take(at, axis=1)
 
 
 def ring_properties(ring) -> tuple[bool, bool, bool, tuple[int, ...]]:
     """is_field, is_local, is_reduced and the nilpotents by scans of the
-    tables: local when the non-units are closed under ``ring.add``, and x
-    nilpotent when x**(2**b) = 0 for 2**b >= order, squaring through
-    ``ring.mul``."""
+    op tables: local when the non-units are closed under addition, and x
+    nilpotent when x**(2**b) = 0 for 2**b >= order, squaring through the
+    mul table."""
+    add, mul = op_tables(ring)
     nonunits = np.zeros(ring.order, dtype=bool)
     nonunits[0] = True
     nonunits[list(zero_divisors(ring))] = True
     nu_idx = np.flatnonzero(nonunits)
-    closed = bool(nonunits[ring.add[np.ix_(nu_idx, nu_idx)]].all())
+    closed = bool(nonunits[add[np.ix_(nu_idx, nu_idx)]].all())
     power = np.arange(ring.order, dtype=np.intp)
     for _ in range(max(1, ring.order.bit_length())):
-        power = ring.mul[power, power].astype(np.intp)
+        power = mul[power, power].astype(np.intp)
     nilpotents = tuple(int(x) for x in np.flatnonzero(power == 0))
     return len(nu_idx) == 1, closed, nilpotents == (0,), nilpotents
 
@@ -246,7 +276,7 @@ def table_axiom_failures(ring) -> list[str]:
     """The commutative-ring axioms checked on every triple of elements
     through the op tables, whose uint16 entries index them; cubic in the
     order."""
-    A, M = ring.add, ring.mul
+    A, M = op_tables(ring)
     idx = np.arange(ring.order)
     failures: list[str] = []
     if not np.array_equal(A, A.T):

@@ -227,6 +227,9 @@ def test_parse_edgelist_errors():
         parse_edgelist("0 1 2\n")
     with pytest.raises(ValueError):
         parse_edgelist("0 zero\n")
+    # the file's own id and line, not the internal vertex index
+    with pytest.raises(ValueError, match=r"^line 2: self-loop at vertex 7 "):
+        parse_edgelist("1 2\n7 7\n")
 
 
 # str.isdigit accepts these ids; int() reads the first as 2 and rejects the others

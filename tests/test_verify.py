@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,7 +6,13 @@ import pytest
 
 from zdrlab import verify as verify_mod
 
-from zdrlab.rings import CatalogEntry, Family, register_catalog_entry, unregister_catalog_entry
+from zdrlab.rings import (
+    CatalogEntry,
+    Family,
+    FiniteRing,
+    register_catalog_entry,
+    unregister_catalog_entry,
+)
 from zdrlab.verify import (
     CLAIM_REGISTRY,
     ERRATA,
@@ -289,7 +296,8 @@ def test_claim_runner_calls_traceable_module_names(monkeypatch):
 
 def test_suite_builds_no_ring_tables(monkeypatch):
     # properties, nilpotents, L(R)^2 = 0 and the axiom check of a catalog
-    # ring come from the unit test and the structure constants
+    # ring come from the unit test and the structure constants: no ring of
+    # the suite caches anything but its labels
     built = []
     original = verify_mod.build_ring
 
@@ -305,5 +313,6 @@ def test_suite_builds_no_ring_tables(monkeypatch):
     for ring in rings:
         rings.extend(ring.factors)
     assert any(r.spec.family is Family.CATALOG for r in rings)
-    with_tables = {r.name for r in rings if "mul" in r.__dict__ or "add" in r.__dict__}
-    assert not with_tables, with_tables
+    kept = {f.name for f in dataclasses.fields(FiniteRing)} | {"labels"}
+    cached = {r.name: sorted(set(r.__dict__) - kept) for r in rings}
+    assert not any(cached.values()), cached
