@@ -23,16 +23,9 @@ from .graphs import (
     parse_edgelist,
 )
 from .rings import RingError, build_ring, ring_properties, zero_divisors
-from .solver import (
-    BUDGET_ENV_VAR,
-    Budget,
-    BudgetExceededError,
-    DisconnectedGraphError,
-    solve_dimensions,
-)
+from .solver import BUDGET_ENV_VAR, Budget, BudgetExceededError, solve_dimensions
 from .verify import (
     SuiteConfig,
-    UnknownClaimError,
     emit_table1,
     emit_table2,
     load_suite_config,
@@ -77,7 +70,20 @@ def _n_values(text: str) -> list[int]:
     return ns
 
 
-@click.group()
+class _Main(click.Group):
+    """The one exit path of every command: a budget error exits 4, an
+    invalid input 2, each with one ``error:`` line on stderr."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BudgetExceededError as exc:
+            _fail(str(exc), EXIT_BUDGET)
+        except (RingError, EmptyGraphError, ValueError) as exc:
+            _fail(str(exc), EXIT_INVALID)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact workbench for zero-divisor graphs of finite commutative rings."""
 
@@ -95,10 +101,7 @@ def ring() -> None:
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def ring_describe(spec: str, as_json: bool) -> None:
     """Order, algebraic properties, zero divisors, and element labels."""
-    try:
-        r = build_ring(spec)
-    except RingError as exc:
-        _fail(str(exc), EXIT_INVALID)
+    r = build_ring(spec)
     props = ring_properties(r)
     zds = zero_divisors(r)
     if as_json:
@@ -149,10 +152,7 @@ def graph() -> None:
               default="edgelist", show_default=True)
 def graph_build(spec: str, fmt: str) -> None:
     """Construct the zero-divisor graph of a ring spec and print it."""
-    try:
-        g = build_zdgraph(build_ring(spec))
-    except (RingError, EmptyGraphError) as exc:
-        _fail(str(exc), EXIT_INVALID)
+    g = build_zdgraph(build_ring(spec))
     click.echo(export_graph(g, fmt), nl=False)
 
 
@@ -182,28 +182,17 @@ def dims() -> None:
 def dims_solve(spec, graph_file, which, as_json, deterministic, budget_ms, budget_checks):
     """Solve gamma, dim, and ddim with witnesses on a ring spec or graph file."""
     if (spec is None) == (graph_file is None):
-        _fail("provide exactly one of a ring spec or --graph FILE", EXIT_INVALID)
+        raise ValueError("provide exactly one of a ring spec or --graph FILE")
     start = time.monotonic()
-    try:
-        budget = _budget_from(budget_ms, budget_checks)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INVALID)
-    try:
-        if spec is not None:
-            g = build_zdgraph(build_ring(spec))
-            source = spec
-        else:
-            with open(graph_file, "r", encoding="utf-8") as fh:
-                g = parse_edgelist(fh.read())
-            source = graph_file
-    except (RingError, EmptyGraphError, ValueError) as exc:
-        _fail(str(exc), EXIT_INVALID)
-    try:
-        report = solve_dimensions(g, which, budget.left_after(start))  # what the build left
-    except BudgetExceededError as exc:
-        _fail(str(exc), EXIT_BUDGET)
-    except (DisconnectedGraphError, ValueError) as exc:
-        _fail(str(exc), EXIT_INVALID)
+    budget = _budget_from(budget_ms, budget_checks)
+    if spec is not None:
+        g = build_zdgraph(build_ring(spec))
+        source = spec
+    else:
+        with open(graph_file, "r", encoding="utf-8") as fh:
+            g = parse_edgelist(fh.read())
+        source = graph_file
+    report = solve_dimensions(g, which, budget.left_after(start))  # what the build left
 
     def quantity_doc(res):
         if res is None:
@@ -256,15 +245,10 @@ def verify_group() -> None:
 @click.option("--deterministic", is_flag=True, help="zero timing fields in the report")
 def verify_run(config_file, only_ids, as_json, deterministic):
     """Run the verification suite; exit 3 if any claim FAILs."""
-    try:
-        config = load_suite_config(config_file) if config_file else SuiteConfig()
-        if only_ids:
-            config = replace(config, only=tuple(x.strip() for x in only_ids.split(",")))
-        report = run_suite(config)
-    except (UnknownClaimError, ValueError, RingError) as exc:
-        _fail(str(exc), EXIT_INVALID)
-    except BudgetExceededError as exc:
-        _fail(str(exc), EXIT_BUDGET)
+    config = load_suite_config(config_file) if config_file else SuiteConfig()
+    if only_ids:
+        config = replace(config, only=tuple(x.strip() for x in only_ids.split(",")))
+    report = run_suite(config)
     click.echo(
         report.to_json(deterministic) if as_json else report.to_text(deterministic),
         nl=False,
@@ -288,19 +272,13 @@ def table() -> None:
               default="text", show_default=True)
 def table_emit(which, n_list, fmt):
     """Reproduce a summary table against computed values."""
-    try:
-        if which == "table1":
-            config = SuiteConfig()
-            ns = _n_values(n_list) if n_list else list(config.table1_n)
-            tab = emit_table1(ns, config)
-        else:
-            if n_list:
-                _fail("--n applies only to table1", EXIT_INVALID)
-            tab = emit_table2()
-    except (RingError, ValueError) as exc:
-        _fail(str(exc), EXIT_INVALID)
-    except BudgetExceededError as exc:
-        _fail(str(exc), EXIT_BUDGET)
+    if which == "table1":
+        config = SuiteConfig()
+        tab = emit_table1(_n_values(n_list) if n_list else config.table1_n, config)
+    elif n_list:
+        raise ValueError("--n applies only to table1")
+    else:
+        tab = emit_table2()
     click.echo(tab.to_csv() if fmt == "csv" else tab.to_text(), nl=False)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, _associate_reps, _zero_products, zero_divisors
+from .rings import ORDER_CAP, FiniteRing, _associate_reps, _zero_products, zero_divisors
 
 INF = math.inf
 
@@ -222,6 +222,9 @@ def graph_from_edges(
     external_ids: Sequence[int] | None = None,
     source: str = "",
 ) -> ZDGraph:
+    if order > ORDER_CAP:  # before the order x order distance rows are built
+        raise ValueError(f"a graph of {order} vertices is above the order cap "
+                         f"ORDER_CAP = {ORDER_CAP}")
     adj = [0] * order
     for u, v in edges:
         if not (0 <= u < order and 0 <= v < order):
@@ -551,8 +554,9 @@ def parse_edgelist(text: str) -> ZDGraph:
     """Parse the module's own edge-list format back into a graph.
 
     Edge lines hold two non-negative ids; a ``# vertex <id> [label]`` line
-    declares a vertex, and other ``#`` lines are comments. A malformed line
-    or a self-loop ``u u`` raises ValueError naming its line number.
+    declares a vertex with a non-negative id, and other ``#`` lines are
+    comments. A malformed line or a self-loop ``u u`` raises ValueError
+    naming its line number.
     """
     declared: dict[int, str] = {}
     raw_edges: list[tuple[int, int]] = []
@@ -564,10 +568,10 @@ def parse_edgelist(text: str) -> ZDGraph:
             parts = line[1:].split(maxsplit=2)
             if parts[:1] == ["vertex"]:
                 ext = _ascii_int(parts[1]) if len(parts) > 1 else None
-                if ext is None:
+                if ext is None or ext < 0:
                     raise ValueError(
-                        f"line {lineno}: expected '# vertex <id> [label]' with an "
-                        f"integer id, got {line!r}"
+                        f"line {lineno}: expected '# vertex <id> [label]' with a "
+                        f"non-negative integer id, got {line!r}"
                     )
                 declared[ext] = parts[2] if len(parts) > 2 else parts[1]
             continue

@@ -28,12 +28,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-DEFAULT_ORDER_CAP = 4096
-
-# The largest order of any ring: spec parsing checks a GF base and a
-# Zpr.r2 order against it before factoring, and a caller's ``max_order``
-# cannot raise the cap past it.
-MAX_ORDER = 1 << 16
+# The largest order of any ring or graph: ``build_ring`` checks every spec
+# against it, and spec parsing a GF base or a Zpr.r2 order before factoring.
+ORDER_CAP = 4096
 
 class RingError(Exception):
     """Base class for ring spec and construction errors."""
@@ -48,7 +45,7 @@ class SpecSyntaxError(RingError):
 
 
 class OrderCapError(RingError):
-    """Requested ring exceeds the configured order cap."""
+    """Requested ring exceeds ``ORDER_CAP``."""
 
 
 class CatalogError(RingError):
@@ -172,11 +169,11 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
         yield n, 1
 
 
-def _check_order(name: str, order: int, cap: int = MAX_ORDER) -> None:
+def _check_order(name: str, order: int) -> None:
     # Spec parsing calls this before factoring, so a huge GF or Zpr.r2 base
     # fails here instead of in trial division.
-    if order > cap:
-        raise OrderCapError(f"{name} has order {order}, above the cap {cap}")
+    if order > ORDER_CAP:
+        raise OrderCapError(f"{name} has order {order}, above the cap {ORDER_CAP}")
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -256,11 +253,12 @@ def spec_order(spec: RingSpec) -> int:
     return math.prod(_structure_entry(spec).moduli)
 
 
-def build_ring(spec: RingSpec | str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Build the concrete ring for a spec (or spec string)."""
+def build_ring(spec: RingSpec | str) -> FiniteRing:
+    """Build the concrete ring for a spec (or spec string) of order at most
+    ``ORDER_CAP``."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
-    _check_order(spec.to_text(), spec_order(spec), min(max_order, MAX_ORDER))
+    _check_order(spec.to_text(), spec_order(spec))
     return _ring(spec)
 
 

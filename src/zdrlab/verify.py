@@ -41,6 +41,7 @@ from .graphs import (
 )
 from .rings import (
     CatalogError,
+    _check_order,
     _zero_products,
     build_ring,
     cut_vertex_entry_ids,
@@ -448,7 +449,9 @@ class _ZnClaim(NamedTuple):
 
 
 def _zn_claim(n: int) -> _ZnClaim | None:
-    """The claim on Zn, or None for an n of a shape T2.6 does not cover."""
+    """The claim on Zn, or None for an n of a shape T2.6 does not cover. An n
+    above the order cap raises OrderCapError before n is factored."""
+    _check_order(f"Zn:{n}", n)
     f = list(factorize(n))
     if len(f) == 1 and f[0][1] == 1:
         return _ZnClaim("prime")

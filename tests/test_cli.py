@@ -11,6 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 from zdrlab.cli import main
+from zdrlab.graphs import EmptyGraphError
+from zdrlab.rings import RingError
+from zdrlab.solver import BudgetExceededError
 from zdrlab import cli as cli_mod
 from zdrlab import verify as verify_mod
 
@@ -412,3 +415,61 @@ def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("args, callee", [
+    (["ring", "describe", "Zn:6"], "build_ring"),
+    (["graph", "build", "Zn:6"], "build_zdgraph"),
+    (["dims", "solve", "Zn:6"], "solve_dimensions"),
+    (["verify", "run"], "run_suite"),
+    (["table", "emit", "table1"], "emit_table1"),
+], ids=["ring-describe", "graph-build", "dims-solve", "verify-run", "table-emit"])
+@pytest.mark.parametrize("error, code", [
+    (RingError("boom"), 2),
+    (EmptyGraphError("boom"), 2),
+    (ValueError("boom"), 2),
+    (BudgetExceededError("gamma", 1, 2), 4),
+], ids=["ring", "empty-graph", "value", "budget"])
+def test_every_command_exits_through_one_path(runner, monkeypatch, args, callee, error, code):
+    def fail(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, callee, fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == f"error: {error}\n"
+
+
+def test_table_emit_table1_caps_n_before_factoring(runner, monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before the order was checked")
+
+    monkeypatch.setattr(verify_mod, "factorize", no_factoring)
+    result = runner.invoke(main, ["table", "emit", "table1", "--n", "1000000000000000003"])
+    assert result.exit_code == 2, result.output
+    assert "above the cap 4096" in result.output
+
+
+def test_verify_run_caps_the_t26_range_before_factoring(runner, tmp_path, monkeypatch):
+    # n = 2..4096 are factored; 4097 stops the run at the cap, not in trial division
+    factor = verify_mod.factorize
+
+    def factor_below_the_cap(n):
+        assert n <= 4096, f"factored {n} before the order was checked"
+        return factor(n)
+
+    monkeypatch.setattr(verify_mod, "factorize", factor_below_the_cap)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t26_max_n": 100000000, "only": ["T2.6"]}))
+    result = runner.invoke(main, ["verify", "run", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: Zn:4097 has order 4097, above the cap 4096\n"
+
+
+def test_dims_solve_caps_an_edge_list_graph_order(runner, tmp_path):
+    f = tmp_path / "big.edges"
+    f.write_text("".join(f"# vertex {i}\n" for i in range(4097)) + "0 1\n")
+    result = runner.invoke(main, ["dims", "solve", "--graph", str(f), "--which", "gamma"])
+    assert result.exit_code == 2, result.output
+    assert "above the order cap" in result.output

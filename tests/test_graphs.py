@@ -15,6 +15,7 @@ from zdrlab.graphs import (
     parse_edgelist,
 )
 from zdrlab import graphs, rings
+from zdrlab.families import generate_family, path
 from zdrlab.rings import build_ring, catalog_ids, zero_divisors
 from zdrlab.solver import solve_dimensions, twin_classes
 
@@ -230,6 +231,9 @@ def test_parse_edgelist_errors():
     # the file's own id and line, not the internal vertex index
     with pytest.raises(ValueError, match=r"^line 2: self-loop at vertex 7 "):
         parse_edgelist("1 2\n7 7\n")
+    # a declared id obeys the edge lines' rule: non-negative
+    with pytest.raises(ValueError, match=r"^line 1: expected '# vertex <id> \[label\]'"):
+        parse_edgelist("# vertex -3 neg\n0 1\n")
 
 
 # str.isdigit accepts these ids; int() reads the first as 2 and rejects the others
@@ -245,6 +249,15 @@ def test_parse_edgelist_rejects_non_ascii_ids(text, lineno):
 def test_graph_from_edges_rejects_loops():
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 0)])
+
+
+def test_graph_order_is_capped():
+    # the cap stops a huge graph before its order x order distance rows
+    with pytest.raises(ValueError, match="above the order cap ORDER_CAP = 4096"):
+        graph_from_edges(4097, [])
+    with pytest.raises(ValueError, match="above the order cap"):
+        generate_family(path(4097))
+    assert graph_from_edges(4096, []).order == 4096
 
 
 def test_disconnected_distances():

@@ -80,12 +80,12 @@ def test_spec_order():
 def test_order_cap():
     with pytest.raises(OrderCapError):
         build_ring("Zni:65")  # 65^2 = 4225 > 4096
-    assert build_ring("Zn:100", max_order=100).order == 100
-    with pytest.raises(OrderCapError):
-        build_ring("Zn:101", max_order=100)
-    # tables are uint16, so a raised cap still stops at 65536, before allocating
-    with pytest.raises(OrderCapError, match="above the cap 65536"):
-        build_ring("Zn:65537", max_order=100000)
+    assert build_ring("Zn:4096").order == 4096
+    with pytest.raises(OrderCapError, match="^Zn:4097 has order 4097, above the cap 4096$"):
+        build_ring("Zn:4097")
+    # a GF base is checked while parsing, before its exponent is read
+    with pytest.raises(OrderCapError, match="^GF:8192 has order 8192, above the cap 4096$"):
+        parse_ring_spec("GF:8192")
 
 
 @pytest.mark.parametrize(
@@ -100,4 +100,4 @@ def test_huge_prime_base_rejected_before_factoring(text):
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "above the cap 65536" in proc.stderr
+    assert "above the cap 4096" in proc.stderr
