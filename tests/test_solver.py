@@ -398,9 +398,9 @@ def test_large_ring_values(quantity, spec, value, reached, max_checks):
 GOLDEN_RANDOM = Path(__file__).parent / "golden" / "solver_random.json"
 
 # random connected graphs of order 16 to 26, each solved with every
-# same-cell pair tracked and with at most one tracked pair per vertex (each
-# covered set then gets the full resolving test)
-RANDOM_CASES = [(seed, 16 + seed % 11, per_vertex) for seed in range(24) for per_vertex in (32, 1)]
+# same-cell pair tracked, with at most one tracked pair per vertex and with
+# none (each covered set then gets the full resolving test)
+RANDOM_CASES = [(seed, 16 + seed % 11, per_vertex) for seed in range(24) for per_vertex in (32, 1, 0)]
 
 
 def solver_random_outputs(seed: int, n: int, per_vertex: int) -> dict:
