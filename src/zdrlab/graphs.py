@@ -490,7 +490,8 @@ def export_graph(g: ZDGraph, fmt: str) -> str:
 def _export_dot(g: ZDGraph) -> str:
     lines = ["graph zdgraph {"]
     for v in range(g.order):
-        lines.append(f'  v{g.external_ids[v]} [label="{g.labels[v]}"];')
+        label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{g.external_ids[v]} [label="{label}"];')
     for u, v in sorted((min(a, b), max(a, b)) for a, b in _ext_edges(g)):
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

@@ -622,8 +622,8 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
 def _associate_reps(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
     """An associate u x (u a unit) of each element x of ``xs``, shared by
     the associates the family's rule sees: gcd(x, n) in Zn:n, 1 for x != 0
-    in a field, the least index of c i^k x over the units c of Z_n in
-    Zni:n, componentwise in a product, x itself in a catalog ring. Since
+    in a field, the least index of c x and c i x over the units c of Z_n
+    in Zni:n, componentwise in a product, x itself in a catalog ring. Since
     x u = 0 iff x = 0, x y = 0 iff the representatives multiply to 0."""
     if spec.family is Family.PRODUCT:
         left, right = spec.children

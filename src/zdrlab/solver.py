@@ -9,18 +9,23 @@ quotient: a resolving set misses at most one vertex of each twin class, and
 swapping twins is an automorphism, so the lex-least witness holds every
 class member but the largest (the base) and the search only picks among the
 classes' largest members (the tops). The pairs left to resolve are those
-that share a cell of the base's distance partition. The domination search
-offers only the least member of a clique class (see ``domination_number``).
+that share a cell of the base's distance partition, tracked as cover
+elements up to ``PAIRS_PER_VERTEX`` per vertex; a cell with an untracked
+pair is an untracked cell. A set covering every tracked pair resolves when
+it also splits each untracked cell into singletons: the full resolving
+test, never run without an untracked cell. The domination search offers
+only the least member of a clique class (see ``domination_number``).
 
 An oracle decides whether a partial set can be completed within a number of
 picks: it branches on the open element with the fewest covers, as in
 Knuth's "Dancing Links" (arXiv cs/0011047). The value is the least size at
 which the oracle succeeds, starting from the size bounds; with all three
 quantities asked for, ddim starts at max(gamma, dim). A
-``solve_dimensions`` call builds the resolve elements (the shared cells,
-the pairs as cover elements with their cover counts, each top's separated
-pairs) once: the first resolving search builds them inside its own clock
-and budget, the second reads them, and they live no longer than the call.
+``solve_dimensions`` call builds the resolve elements (the untracked
+cells, the pairs as cover elements with their cover counts, each top's
+separated pairs) once: the first resolving search builds them inside its
+own clock and budget, the second reads them, and they live no longer than
+the call.
 The witness comes from a descent over the tops in index order that keeps
 each top the oracle can complete, reusing the last completion, so it is the
 lex-least minimum set. One check is one node of an oracle search, whether
@@ -93,7 +98,7 @@ class _Clock:
         self.cardinality = 0
 
     def begin(self, cardinality: int) -> None:
-        """Start a cardinality; the time cap is checked here as well as
+        """Start a cardinality; the time cap is tested here as well as
         every 1024 checks, so short searches honour it too."""
         self.cardinality = cardinality
         b = self.budget
@@ -229,54 +234,6 @@ def _shared_cells(g: ZDGraph) -> list[list[int]]:
     return [cell for cell in cells.values() if len(cell) > 1]
 
 
-def _pair_elements(g: ZDGraph, tops: tuple[int, ...], groups: list[list[int]], cap: int):
-    """Pairs in one group as cover elements: all of them if at most ``cap``,
-    else those among each group's first members, at most ``cap`` in all,
-    building no other. A top covers a pair when its distances to the two
-    differ. Returns each pair's covers (packed bytes of a vertex bitset),
-    the pairs by their number of covers (cover count: pair bitset), and for
-    each top every bit but the pairs it covers; pair p is bit n + p of those
-    bitsets. Only the pairs' distance rows become an array, compared
-    in slices of ~2**18 entries."""
-    n, ends, us, vs = g.order, [], [], []
-    for members in groups:
-        size = min(len(members), (1 + math.isqrt(1 + 8 * cap)) // 2)
-        if size < 2:
-            break
-        a = np.arange(size)
-        i, j = np.nonzero(a[:, None] < a)  # the pairs i < j, in row order
-        us.append(i + len(ends))
-        vs.append(j + len(ends))
-        ends += members[:size]
-        cap -= len(i)
-    rows = np.array([g.dist[v] for v in ends], dtype=np.min_scalar_type(-n))
-    m = sum(map(len, us))
-    # pair p joins rows at[0, p] and at[1, p]; padding to whole bytes joins row 0 to itself
-    at = np.zeros((2, m + -m % 8), dtype=np.intp)
-    at[:, :m] = np.concatenate(us), np.concatenate(vs)
-    is_top = np.zeros(n, dtype=bool)
-    is_top[list(tops)] = True
-    bit = (1 << np.arange(8, dtype=np.uint8))[:, None]
-    by_pair = np.empty((m, (n + 7) // 8), dtype=np.uint8)
-    counts = np.empty(m, dtype=np.min_scalar_type(n))
-    by_top = np.empty((at.shape[1] // 8, n), dtype=np.uint8)  # pair p: bit p % 8 of row p // 8
-    step = max(8, (1 << 18) // n // 8 * 8)
-    for p in range(0, m, step):
-        sep = rows[at[0, p:p + step]] != rows[at[1, p:p + step]]
-        sep &= is_top
-        by_pair[p:p + step] = np.packbits(sep[:m - p], axis=1, bitorder="little")
-        counts[p:p + step] = sep[:m - p].view(np.uint8).sum(axis=1, dtype=counts.dtype)
-        by_top[p // 8:(p + step) // 8] = (sep.reshape(-1, 8, n) * bit).sum(axis=1, dtype=np.uint8)
-    # by_top.T, moved 512 rows at a time: one plain copy of the 12,000 x 3,000
-    # bytes of a long path's pairs takes four times as long
-    by_vertex = np.empty((n, len(by_top)), dtype=np.uint8)
-    for i in range(0, len(by_top), 512):
-        by_vertex[:, i:i + 512] = by_top[i:i + 512].T
-    del by_top, rows, at
-    tiers = _tiers(counts, n)  # before the tops' bitsets, so its temporaries set no new peak
-    return by_pair, tiers, {t: ~pairs for t, pairs in zip(tops, _row_ints(by_vertex, n, tops))}
-
-
 def _tiers(counts: np.ndarray, shift: int) -> dict[int, int]:
     """Pairs by their number of covers (cover count: pair bitset, shifted),
     one byte row per count: pair p sets bit p % 8 of byte p // 8 in its
@@ -300,18 +257,54 @@ def _row_ints(rows: np.ndarray, shift: int, which):
 
 def _resolve_elements(g: ZDGraph, tops: tuple[int, ...], covers: list[int]):
     """What a resolving search over ``tops`` needs besides the vertices'
-    ``covers``: the shared cells, whether only some of their pairs are
-    tracked (``checked``), every element's covers (a pair's are None until a
-    search reads them from ``pair_rows``), ``pair_rows``, the tracked pairs
-    by cover count, and per top every element bit but the pairs it resolves.
-    Element bits as in ``_search``."""
-    n = g.order
-    groups = _shared_cells(g)
-    checked = sum(len(m) * (len(m) - 1) // 2 for m in groups) > PAIRS_PER_VERTEX * n
-    if not (groups and PAIRS_PER_VERTEX):  # no pair fits a cap of 0
-        return groups, checked, covers, None, {}, {}
-    pair_rows, tiers, keep = _pair_elements(g, tops, groups, PAIRS_PER_VERTEX * n)
-    return groups, checked, covers + [None] * len(pair_rows), pair_rows, tiers, keep
+    ``covers``: the untracked cells, every element's covers (a pair's are
+    None until a search reads its packed vertex bitset from ``pair_rows``),
+    ``pair_rows``, the tracked pairs by cover count, and per top every
+    element bit but the pairs it resolves; element bits as in ``_search``.
+    Each cell's first members take what the cells before it left of the
+    cap on tracked pairs. A top covers a pair when its distances to the two
+    differ; only the pairs' distance rows become an array, compared in
+    slices of ~2**18 entries."""
+    n, cap = g.order, PAIRS_PER_VERTEX * g.order
+    untracked, ends, us, vs = [], [], [], []
+    for cell in _shared_cells(g):
+        size = min(len(cell), (1 + math.isqrt(1 + 8 * cap)) // 2)
+        if size < len(cell):
+            untracked.append(cell)
+        if size < 2:
+            continue
+        a = np.arange(size)
+        i, j = np.nonzero(a[:, None] < a)  # the pairs i < j, in row order
+        us.append(i + len(ends))
+        vs.append(j + len(ends))
+        ends += cell[:size]
+        cap -= len(i)
+    if not ends:
+        return untracked, covers, None, {}, {}
+    rows = np.array([g.dist[v] for v in ends], dtype=np.min_scalar_type(-n))
+    us, vs = np.concatenate(us), np.concatenate(vs)  # pair p joins rows us[p] and vs[p]
+    m = len(us)
+    is_top = np.zeros(n, dtype=bool)
+    is_top[list(tops)] = True
+    pair_rows = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    counts = np.empty(m, dtype=np.min_scalar_type(n))
+    by_top = np.empty(((m + 7) // 8, n), dtype=np.uint8)  # pair p: bit p % 8 of row p // 8
+    step = max(8, (1 << 18) // n // 8 * 8)
+    for p in range(0, m, step):
+        sep = rows[us[p:p + step]] != rows[vs[p:p + step]]
+        sep &= is_top
+        pair_rows[p:p + step] = np.packbits(sep, axis=1, bitorder="little")
+        counts[p:p + step] = sep.view(np.uint8).sum(axis=1, dtype=counts.dtype)
+        by_top[p // 8:(p + step) // 8] = np.packbits(sep, axis=0, bitorder="little")
+    # by_top.T, moved 512 rows at a time: one plain copy of the 12,000 x 3,000
+    # bytes of a long path's pairs takes four times as long
+    by_vertex = np.empty((n, len(by_top)), dtype=np.uint8)
+    for i in range(0, len(by_top), 512):
+        by_vertex[:, i:i + 512] = by_top[i:i + 512].T
+    del by_top, rows, us, vs
+    tiers = _tiers(counts, n)  # before the tops' bitsets, so its temporaries set no new peak
+    keep = {t: ~pairs for t, pairs in zip(tops, _row_ints(by_vertex, n, tops))}
+    return untracked, covers + [None] * m, pair_rows, tiers, keep
 
 
 def _search(
@@ -328,32 +321,29 @@ def _search(
     every member of each twin class but its top).
 
     Element bits: v < n is the vertex v, open while undominated, and n + p
-    the p-th pair of ``_pair_elements``, open while unresolved. ``covers[e]``
-    holds the tops covering element e as a vertex bitset, and ``keep[t]``
-    the elements picking t leaves open. With every pair that shares a cell
-    tracked, covering is resolving; otherwise (``checked``) a covered set
-    gets the full resolving test, and if it fails branches on the covers of
-    a pair it leaves unresolved. ``complete`` branches on the open element
-    with the fewest covers (then the lowest bit), over its covers still
-    available in index order, dropping each from the later branches once
-    tried, and cuts a node when more vertices are undominated than its picks
-    left can cover (max degree + 1 each). A node with one pick left scans
-    those options in the same order and returns with the first that leaves
-    nothing open (and resolves, when ``checked``): the leaf the search
-    would have accepted first. That pick covers every open element, so
-    before the scan its options are narrowed to the covers of the highest
-    open element too; this only drops options that would fail. A node with
-    two picks left runs each child, one pick left, in place, in the order
-    of its options, pushing no frame; each child is still a node, one
-    check, counted before its scan. The stack is explicit. Each node is one
-    check, handed to the clock only when a cap is due to be tested.
+    the p-th tracked pair of ``_resolve_elements``, open while unresolved.
+    ``covers[e]`` holds the tops covering element e as a vertex bitset, and
+    ``keep[t]`` the elements picking t leaves open. A covered set resolves
+    unless it leaves a pair of an untracked cell unresolved, and then it
+    branches on the covers of the first such pair. ``complete`` branches on
+    the open element with the fewest covers (then the lowest bit), over its
+    covers still available in index order, dropping each from the later
+    branches once tried, and cuts a node when more vertices are undominated
+    than its picks left can cover (max degree + 1 each). A node with one
+    pick left scans those options in the same order and returns with the
+    first that leaves nothing open and no untracked cell unresolved: the
+    leaf the search would have accepted first. That pick covers every open
+    element, so before the scan its options are narrowed to the covers of
+    the highest open element too; this only drops options that would fail.
+    A node with two picks left runs each child, one pick left, in place, in
+    the order of its options, pushing no frame; each child is still a node,
+    one check, counted before its scan. The stack is explicit. Each node is
+    one check, handed to the clock only when a cap is due to be tested.
 
-    A resolving search reads its pair elements (the shared cells, the pairs'
-    covers and cover-count tiers, each top's ``keep`` bits) from
-    ``shared``, building them first, on its own clock, when it is empty.
-    ``solve_dimensions`` hands dim and ddim one list, so the two searches of
-    one call build them once; covers a search reads from ``pair_rows`` stay
-    converted for the next.
+    A resolving search reads its resolve elements from ``shared``, building
+    them first, on its own clock, when it is empty; ``solve_dimensions``
+    hands dim and ddim one list. Covers a search reads from ``pair_rows``
+    stay converted for the next.
     """
     n = g.order
     dist = g.dist
@@ -363,12 +353,12 @@ def _search(
     base = [v for cls in g.classes for v in cls[:-1]] if resolve else []
     keep = [~c for c in closed] if dominate else [-1] * n
     covers = [c & top_mask for c in closed]
-    groups, checked, pair_rows, pair_tiers = [], False, None, {}
+    untracked, pair_rows, pair_tiers = [], None, {}
     if resolve:
         shared = [] if shared is None else shared
         if not shared:
             shared.append(_resolve_elements(g, tops, covers))
-        groups, checked, covers, pair_rows, pair_tiers, resolve_keep = shared[0]
+        untracked, covers, pair_rows, pair_tiers, resolve_keep = shared[0]
         for t, rest in resolve_keep.items():
             keep[t] = keep[t] & rest if dominate else rest
     vertices = open_base = (1 << n) - 1 if dominate else 0
@@ -385,8 +375,8 @@ def _search(
 
     def unresolved(picks: list[int]) -> int:
         """The tops separating a pair that the base and ``picks`` leave
-        unresolved, or 0: each pick splits the groups by distance."""
-        split = groups
+        unresolved, or 0: each pick splits the untracked cells by distance."""
+        split = untracked
         for p in picks:
             row, parts = dist[p], []
             for group in split:
@@ -409,7 +399,7 @@ def _search(
 
     def complete(open_: int, avail: int, r: int, fixed: list[int]) -> list[int] | None:
         """At most ``r`` picks from ``avail`` that, with ``fixed``, cover
-        ``open_`` (and resolve, when ``checked``), or None."""
+        ``open_`` and resolve the untracked cells, or None."""
         nonlocal checks, due
         picks: list[int] = []
         frames: list[list[int]] = []  # per pick: [open before it, avail, covers to try]
@@ -420,7 +410,7 @@ def _search(
             left = r - len(picks)
             options = 0
             if not open_:
-                split = checked and unresolved(fixed + picks)
+                split = untracked and unresolved(fixed + picks)
                 if not split:
                     return picks
                 options = split & avail if left else 0
@@ -443,7 +433,7 @@ def _search(
                 while options:
                     low = options & -options
                     t = low.bit_length() - 1
-                    if not open_ & keep[t] and not (checked and unresolved(fixed + picks + [t])):
+                    if not open_ & keep[t] and not (untracked and unresolved(fixed + picks + [t])):
                         return picks + [t]
                     options ^= low
             elif left == 2:  # each option opens a node with one pick left: one check, run here
@@ -457,7 +447,7 @@ def _search(
                         due = clock.test(checks)
                     after = open_ & keep[t]
                     if not after:
-                        split = checked and unresolved(fixed + picks + [t])
+                        split = untracked and unresolved(fixed + picks + [t])
                         if not split:
                             return picks + [t]
                         last = split & avail
@@ -480,7 +470,7 @@ def _search(
                     while last:
                         low = last & -last
                         u = low.bit_length() - 1
-                        if not after & keep[u] and not (checked and unresolved(fixed + picks + [t, u])):
+                        if not after & keep[u] and not (untracked and unresolved(fixed + picks + [t, u])):
                             return picks + [t, u]
                         last ^= low
             if options:
@@ -548,18 +538,23 @@ def domination_number(g: ZDGraph, budget: Budget | None = None) -> QuantityResul
     return QuantityResult(value, witness, "exhaustive", clock.elapsed_ms, clock.checks)
 
 
-def _require_connected(g: ZDGraph, what: str) -> None:
+def _resolving(
+    g: ZDGraph, budget: Budget | None, dominate: bool, lower: int, shared: list | None
+) -> QuantityResult:
+    """dim, or ddim when ``dominate``: the search over the tops (each twin
+    class's largest member), the base being every member but the top."""
+    what = "dominant metric dimension" if dominate else "metric dimension"
     if g.order == 0:
         raise ValueError(f"{what} of the empty graph is undefined")
     if not g.is_connected:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
-
-
-def _twin_setup(g: ZDGraph) -> tuple[tuple[int, ...], str]:
-    """The tops (each twin class's largest member) and the method label;
-    the base is every member but the top."""
+    clock = _Clock("ddim" if dominate else "dim", budget)
+    if g.order == 1:
+        return QuantityResult(0, (), "convention" if dominate else "exhaustive", clock.elapsed_ms, 0)
     tops = tuple(sorted(cls[-1] for cls in twin_classes(g).classes))
-    return tops, "twin_reduced" if len(tops) < g.order else "exhaustive"
+    method = "twin_reduced" if len(tops) < g.order else "exhaustive"
+    value, witness = _search(g, clock, tops, resolve=True, dominate=dominate, lower=lower, shared=shared)
+    return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
 
 
 def metric_dimension(
@@ -571,13 +566,7 @@ def metric_dimension(
     ddim, and the first search leaves its resolve elements there for the
     second.
     """
-    _require_connected(g, "metric dimension")
-    clock = _Clock("dim", budget)
-    if g.order == 1:
-        return QuantityResult(0, (), "exhaustive", clock.elapsed_ms, 0)
-    tops, method = _twin_setup(g)
-    value, witness = _search(g, clock, tops, resolve=True, shared=_shared)
-    return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
+    return _resolving(g, budget, dominate=False, lower=1, shared=_shared)
 
 
 def dominant_metric_dimension(
@@ -591,15 +580,7 @@ def dominant_metric_dimension(
     size known to be at most ddim, where the search starts, and the list in
     which the dim search left its resolve elements.
     """
-    _require_connected(g, "dominant metric dimension")
-    clock = _Clock("ddim", budget)
-    if g.order == 1:
-        return QuantityResult(0, (), "convention", clock.elapsed_ms, 0)
-    tops, method = _twin_setup(g)
-    value, witness = _search(
-        g, clock, tops, resolve=True, dominate=True, lower=_lower, shared=_shared
-    )
-    return QuantityResult(value, witness, method, clock.elapsed_ms, clock.checks)
+    return _resolving(g, budget, dominate=True, lower=_lower, shared=_shared)
 
 
 def solve_dimensions(

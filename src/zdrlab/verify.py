@@ -450,7 +450,10 @@ class _ZnClaim(NamedTuple):
 
 def _zn_claim(n: int) -> _ZnClaim | None:
     """The claim on Zn, or None for an n of a shape T2.6 does not cover. An n
-    above the order cap raises OrderCapError before n is factored."""
+    below 2 raises ValueError, and one above the order cap OrderCapError,
+    before n is factored."""
+    if n < 2:
+        raise ValueError(f"Zn:{n} requires n >= 2")
     _check_order(f"Zn:{n}", n)
     f = list(factorize(n))
     if len(f) == 1 and f[0][1] == 1:

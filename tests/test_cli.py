@@ -363,6 +363,15 @@ def test_table_emit_table1_rejects_n_below_two(runner, n):
     assert f"--n expects integers n >= 2, as Zn:n does, got {n!r}" in result.output
 
 
+def test_verify_run_rejects_a_table1_n_below_two(runner, tmp_path):
+    # as --n does, a config n below 2 stops the run with exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"table1_n": [-5, 0, 1, 4], "only": ["TAB1"]}))
+    result = runner.invoke(main, ["verify", "run", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: Zn:-5 requires n >= 2\n"
+
+
 def test_table_emit_table2(runner):
     result = runner.invoke(main, ["table", "emit", "table2"])
     assert result.exit_code == 0

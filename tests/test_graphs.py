@@ -192,6 +192,13 @@ def test_export_dot_single_vertex():
     assert 'v2 [label="2"];' in dot
 
 
+def test_export_dot_escapes_labels():
+    # a quote or a backslash in a label would end the DOT string early
+    g = parse_edgelist('# vertex 1 a"b\n# vertex 2 c\\\n1 2\n')
+    lines = export_graph(g, "dot").splitlines()
+    assert lines[1:3] == ['  v1 [label="a\\"b"];', '  v2 [label="c\\\\"];']
+
+
 def test_export_json():
     g = build_zdgraph(build_ring("Zn:8"))
     doc = json.loads(export_graph(g, "json"))

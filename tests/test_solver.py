@@ -148,6 +148,26 @@ def test_leaf_keeps_the_full_resolving_test(monkeypatch):
     assert (res.value, res.witness) == oracles.brute_ddim(g)
 
 
+def test_only_untracked_cells_get_the_resolving_test(monkeypatch):
+    # the twins 3 and 6 split the other tops by their distance to 3 into
+    # two cells; with one pair per vertex (8 in all) the 6 pairs of the
+    # first are tracked and 1 of the 3 of the second, so only the second
+    # cell is split at a covered leaf
+    g = graph_from_edges(8, [
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5),
+        (1, 6), (1, 7), (2, 5), (3, 6), (3, 7), (4, 7), (5, 7), (6, 7),
+    ])
+    assert solver._shared_cells(g) == [[0, 1, 6, 7], [2, 4, 5]]
+    monkeypatch.setattr(solver, "PAIRS_PER_VERTEX", 1)
+    tops = tuple(sorted(cls[-1] for cls in g.classes))
+    untracked, _, pair_rows, _, _ = solver._resolve_elements(g, tops, [0] * g.order)
+    assert untracked == [[2, 4, 5]] and len(pair_rows) == 7
+    res = metric_dimension(g)
+    assert (res.value, res.witness) == (3, (0, 2, 3)) == oracles.brute_dim(g)
+    res = dominant_metric_dimension(g)
+    assert (res.value, res.witness) == oracles.brute_ddim(g)
+
+
 def test_capped_descent_tries_tops_that_cover_no_tracked_pair(monkeypatch):
     # with one pair per vertex only the 6 pairs among vertices 0-3 are
     # tracked; after 0 the one left open is (2, 3), which 1 does not

@@ -44,6 +44,12 @@ def test_t26_erratum_at_8_and_uncovered_skip():
     assert v12.status == "SKIPPED"
 
 
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_t26_rejects_n_below_two(n):
+    with pytest.raises(ValueError, match=f"Zn:{n} requires n >= 2"):
+        verify_theorem("T2.6", ns=[n])
+
+
 def test_t26_even_pq_restriction():
     (v,) = verify_theorem("T2.6", ns=[10])
     assert v.status == "ERRATUM" and v.erratum_id == "E6"
