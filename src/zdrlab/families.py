@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import ZDGraph, graph_from_edges
+from .graphs import ZDGraph, _rows, graph_from_edges
 
 
 class FamilyKind(str, Enum):
@@ -127,7 +127,7 @@ def recognize_family(g: ZDGraph) -> FamilyId | None:
 
 def _bipartition(g: ZDGraph) -> tuple[list[int], list[int]] | None:
     """Sides by BFS distance parity from vertex 0; g must be connected."""
-    odd = [d % 2 for d in g.dist[0]]
+    odd = [d % 2 for d in _rows(g, [0])[0]]
     if any(odd[u] == odd[v] for u, v in g.edges()):
         return None
     return [v for v in range(g.order) if not odd[v]], [v for v in range(g.order) if odd[v]]

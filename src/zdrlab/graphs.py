@@ -1,16 +1,18 @@
 """Zero-divisor graphs and their classical invariants.
 
 A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
-bitsets and a full distance matrix (-1 marks unreachable pairs), one typed
-array per row. The matrix takes one bitset BFS per distance-twin class on
-the twin quotient, which has one vertex per class: twins have equal rows
-outside their own class. Cut vertices, the clique number and the girth
-are read off the same quotient. Graphs come from three sources:
-zero-divisor graphs of rings, generated named families, and parsed
-edge-list files. A ring graph is built on associate classes: x and ux (u a
-unit) have one row of zero products but their own bit, so the block is
-evaluated on one representative per class, and its labels are made on
-first read.
+bitsets, its distance-twin classes and its distance matrix (-1 marks
+unreachable pairs), one typed array per row. Twins have equal rows outside
+their own class, so a graph is built with one row per twin class, from one
+bitset BFS per class on the twin quotient (one vertex per class); a
+vertex's row is made from its class's row when read, and the full matrix on
+its first read. Cut vertices, the clique number, the girth and the diameter
+are read off the same quotient. Graphs come from ring zero-divisor graphs,
+generated named families, and parsed edge-list files. A ring graph is built
+on associate classes: x and ux (u a unit) have one row of zero products but
+their own bit, so the block is evaluated on one representative per class,
+the twin classes merge the associate classes, and labels are made on first
+read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,21 +35,6 @@ class EmptyGraphError(Exception):
     """The ring is an integral domain: L(R) is empty, no graph exists."""
 
 
-class _Labels:
-    """The ``labels`` field: set to a sequence, or to a function of the
-    external ids (a ring's ``labels_of``) that makes them on first read."""
-
-    def __get__(self, g, owner=None):
-        if g is None:  # the dataclass field has no default
-            raise AttributeError("labels")
-        if callable(labels := g.__dict__["labels"]):
-            labels = g.__dict__["labels"] = tuple(labels(g.external_ids))
-        return labels
-
-    def __set__(self, g, labels):
-        g.__dict__["labels"] = labels if callable(labels) else tuple(labels)
-
-
 @dataclass(frozen=True)
 class ZDGraph:
     """Immutable simple graph over indexed vertices.
@@ -54,21 +42,43 @@ class ZDGraph:
     ``external_ids`` keeps the source identity of each vertex (the ring
     element index for ring-derived graphs); exports use it so that, say,
     the zero-divisor graph of Zn:6 prints its vertices as 2, 3, 4.
-    ``classes`` is the distance-twin partition (``neighbourhood_twin_classes``),
-    ordered by least member. It is computed once, when the graph is built,
-    and the distance build, the invariants and the solvers all read it.
-    ``dist[v]`` is an ``array.array`` of the narrowest signed type that holds
-    the largest distance: one byte per entry on every zero-divisor graph,
-    whose diameter is at most 3. Rows are unhashable, so a graph is too.
+    ``classes`` is the distance-twin partition, ordered by least member: of
+    a ring graph, merged from its associate classes, and of any other graph,
+    keyed by neighbourhood (``neighbourhood_twin_classes``). It is computed
+    once, when the graph is built, with the twin quotient and one distance
+    row per class, and the invariants and the solvers read them. ``dist[v]``
+    is an ``array.array`` of the narrowest signed type that holds the
+    largest distance: one byte per entry on every zero-divisor graph, whose
+    diameter is at most 3. The program reads single rows off the class rows
+    (``_rows``); ``dist`` makes all n on its first read. Rows are
+    unhashable, so a graph is too.
     """
 
     order: int
-    labels: tuple[str, ...] = _Labels()
+    labels: tuple[str, ...]
     external_ids: tuple[int, ...]
     adj: tuple[int, ...]
     dist: tuple[array, ...]
     classes: tuple[tuple[int, ...], ...]
     source: str = ""
+
+    def __post_init__(self):
+        for name in ("labels", "dist"):
+            if callable(value := self.__dict__[name]):  # kept to make the value on first read
+                self.__dict__["_" + name] = self.__dict__.pop(name)
+            else:
+                self.__dict__[name] = tuple(value)
+
+    def __getattr__(self, name: str):
+        """``labels`` or ``dist`` on first read, made by the function given in its place: a
+        ring's ``labels_of`` from the external ids, or ``_rows`` for every vertex. Later reads
+        find the value itself."""
+        if name not in ("labels", "dist") or "_" + name not in self.__dict__:
+            raise AttributeError(name)
+        args = (self.external_ids,) if name == "labels" else (self, range(self.order))
+        value = self.__dict__[name] = tuple(self.__dict__["_" + name](*args))
+        del self.__dict__["_" + name]
+        return value
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -77,11 +87,7 @@ class ZDGraph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.order):
-            mask = self.adj[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in _bits(mask))
-        return out
+        return [(u, v) for u in range(self.order) for v in _bits(self.adj[u] >> u + 1 << u + 1)]
 
     @property
     def size(self) -> int:
@@ -89,9 +95,13 @@ class ZDGraph:
 
     @property
     def is_connected(self) -> bool:
-        if self.order == 0:
-            return True
-        return -1 not in self.dist[0]
+        return self.order == 0 or -1 not in _rows(self, [0])[0]
+
+    @cached_property
+    def _twins(self) -> tuple[Sequence[int], Sequence[int], list[array], int]:
+        """The twin quotient and class rows (``_twin_quotient``): set when
+        the graph is built, and made here for a graph given its rows."""
+        return _twin_quotient(self.adj, self.classes)
 
 
 def _bits(mask: int):
@@ -110,39 +120,52 @@ def neighbourhood_twin_classes(adj: Sequence[int]) -> tuple[tuple[int, ...], ...
     N[v] is impossible (v in N(w) puts w in N(v), so w in N(w)), so one
     dict holds both keys. Classes come out ordered by least member.
     """
+    return tuple(map(tuple, _merge_twins(adj, zip(range(len(adj))))))
+
+
+def _merge_twins(adj: Sequence[int], groups: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The twin classes that join ``groups`` of twins, given in order of least member:
+    each joins the class whose founder has its first member's open or closed neighbourhood."""
     by_key: dict[int, list[int]] = {}
     classes: list[list[int]] = []
-    for v, nbrs in enumerate(adj):
-        open_key, closed_key = nbrs, nbrs | 1 << v
-        cls = by_key.get(open_key) or by_key.get(closed_key)
+    for group in groups:
+        v = group[0]
+        nbrs = adj[v]
+        cls = by_key.get(nbrs) or by_key.get(nbrs | 1 << v)
         if cls is None:
-            cls = by_key[open_key] = by_key[closed_key] = []
+            cls = by_key[nbrs] = by_key[nbrs | 1 << v] = []
             classes.append(cls)
-        cls.append(v)
-    return tuple(tuple(c) for c in classes)
+        cls += group
+    return classes
 
 
-def _bfs_row(order: int, adj: Sequence[int], s: int) -> list[int]:
-    """Distances from ``s`` by a bitset BFS, -1 where unreachable. The bit
-    loops are inline: a generator per frontier costs more than the BFS."""
-    dist = [-1] * order
-    dist[s] = 0
-    seen = frontier = 1 << s
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
+def _bfs_rows(adj: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Distances from each vertex by a bitset BFS, -1 where unreachable,
+    and the largest of them. The bit loops are inline: a generator per
+    frontier costs more than the BFS."""
+    order, rows, top = len(adj), [], 1
+    for s in range(order):
+        dist = [-1] * order
+        dist[s] = 0
+        seen = frontier = 1 << s
+        d = 0
         while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt = nxt & ~seen
-        seen |= nxt
-        while nxt:
-            low = nxt & -nxt
-            dist[low.bit_length() - 1] = d
-            nxt ^= low
-    return dist
+            d += 1
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt = nxt & ~seen
+            seen |= nxt
+            while nxt:
+                low = nxt & -nxt
+                dist[low.bit_length() - 1] = d
+                nxt ^= low
+        rows.append(dist)
+        if d > top:
+            top = d
+    return rows, top - 1  # each last level was empty
 
 
 def _is_clique_class(adj: Sequence[int], cls: Sequence[int]) -> bool:
@@ -150,79 +173,71 @@ def _is_clique_class(adj: Sequence[int], cls: Sequence[int]) -> bool:
     return len(cls) > 1 and bool(adj[cls[0]] >> cls[1] & 1)
 
 
-def _quotient(
+def _twin_quotient(
     adj: Sequence[int], classes: tuple[tuple[int, ...], ...]
-) -> tuple[Sequence[int], Sequence[int]]:
-    """Each vertex's class, and the twin quotient: one bitset per class, bit
-    d of the c-th set when classes c and d are joined. Adjacency between two
-    twin classes is all or nothing, so one member's row holds it. A
-    twin-free graph is its own quotient."""
-    if len(classes) == len(adj):
-        return range(len(adj)), adj
-    class_of = [0] * len(adj)
-    for c, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = c
-    least = sum(1 << cls[0] for cls in classes)
-    quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least)) for cls in classes]
-    return class_of, quotient
+) -> tuple[Sequence[int], Sequence[int], list[array], int]:
+    """Each vertex's class, the twin quotient (bit d of the c-th bitset when
+    classes c and d are joined), one distance row per class from one BFS
+    per class on the quotient, and the largest distance.
 
-
-def _all_pairs_bfs(
-    adj: tuple[int, ...], classes: tuple[tuple[int, ...], ...]
-) -> tuple[array, ...]:
-    """All distance rows from one BFS per twin class on the twin quotient.
-
-    The quotient has the distances between members of different classes.
-    Its BFS row from class c, read through each vertex's class, is the row
-    of every member of c except at the members themselves: any two of them
-    lie at one common distance, 1 in a clique class, 2 for open twins with
-    a neighbour and -1 for isolated vertices, and each is at 0 from itself.
-    Rows are arrays of the narrowest signed type that holds the largest
-    distance, one byte per entry up to 127.
+    Adjacency between two twin classes is all or nothing, so one member's
+    row holds it; a twin-free graph is its own quotient. The quotient's BFS
+    row from class c, read through each vertex's class, is the row of every
+    member of c but at the members: any two lie at one distance, 1 in a
+    clique class, 2 for open twins with a neighbour and -1 for isolated
+    ones. That twin distance goes on the quotient's diagonal, so one gather
+    makes the class rows; a member's row is its class's with 0 at itself.
+    Rows are of the narrowest signed type that holds the largest distance.
     """
-    class_of, quotient = _quotient(adj, classes)
     k = len(classes)
-    quotient_rows = [_bfs_row(k, quotient, c) for c in range(k)]
-    # a distance on k vertices is below k, so up to 128 classes no row needs a scan
-    top = max(map(max, quotient_rows)) if k > 128 else k - 1
+    class_of, quotient = range(k), adj
+    if k < len(adj):
+        class_of = [0] * len(adj)
+        for c, cls in enumerate(classes):
+            for v in cls:
+                class_of[v] = c
+        least = sum(1 << cls[0] for cls in classes)
+        quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least)) for cls in classes]
+    dist, top = _bfs_rows(quotient)
+    for c, (cls, nbrs) in enumerate(zip(classes, quotient)):
+        if len(cls) > 1:
+            dist[c][c] = twin = 1 if _is_clique_class(adj, cls) else 2 if nbrs else -1
+            top = max(top, twin)
     code = next(code for code in "bhiq" if top < 1 << 8 * array(code).itemsize - 1)
-    if k == len(adj):
-        return tuple(array(code, row) for row in quotient_rows)
-    rows = [None] * len(adj)
-    # one gather reads every quotient row through each vertex's class
-    for cls, nbrs, wide in zip(classes, quotient, np.array(quotient_rows, dtype=code)[:, class_of]):
-        row = array(code, wide.tobytes())
-        if len(cls) == 1:
-            rows[cls[0]] = row
-            continue
-        twin = 1 if _is_clique_class(adj, cls) else 2 if nbrs else -1
-        for v in cls:
-            row[v] = twin
-        for v in cls:
-            rows[v] = own = row[:]
-            own[v] = 0
-    return tuple(rows)
+    if k < len(adj):  # one gather reads every quotient row through each vertex's class
+        wide = np.array(dist, dtype=code)[:, class_of].tobytes()
+        dist = [wide[i:i + len(wide) // k] for i in range(0, len(wide), len(wide) // k)]
+    return class_of, quotient, [array(code, row) for row in dist], top
 
 
-def _graph(
-    adj: tuple[int, ...], labels: Sequence[str] | Callable, ids: Sequence[int], source: str
-) -> ZDGraph:
-    """The graph on these adjacency bitsets: its twin classes, computed here
-    and only here, then its distances from them."""
-    classes = neighbourhood_twin_classes(adj)
-    dist = _all_pairs_bfs(adj, classes)
-    return ZDGraph(len(adj), labels, tuple(ids), adj, dist, classes, source)
+def _rows(g: ZDGraph, vertices: Iterable[int]) -> list:
+    """Rows ``vertices`` of ``g.dist``, off the class rows until it is made: a vertex with
+    no twin gets its class's row itself, which callers only read, any other a copy with 0 at v."""
+    if "dist" in g.__dict__:
+        return [g.dist[v] for v in vertices]
+    class_of, _, rows, _ = g._twins
+    out = []
+    for v in vertices:
+        if (row := rows[class_of[v]])[v]:  # v has twins, at this distance
+            row = row[:]
+            row[v] = 0
+        out.append(row)
+    return out
+
+
+def _graph(adj: tuple[int, ...], classes, labels: Sequence[str] | Callable, ids, source: str) -> ZDGraph:
+    """The graph on these adjacency bitsets and twin classes, with its twin
+    quotient and class rows; its distance rows are made when read."""
+    g = ZDGraph(len(adj), labels, tuple(ids), adj, _rows, classes, source)
+    g.__dict__["_twins"] = _twin_quotient(adj, classes)
+    return g
 
 
 def graph_from_edges(
-    order: int,
-    edges: Iterable[tuple[int, int]],
-    labels: Sequence[str] | None = None,
-    external_ids: Sequence[int] | None = None,
-    source: str = "",
+    order: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None,
+    external_ids: Sequence[int] | None = None, source: str = "",
 ) -> ZDGraph:
-    if order > ORDER_CAP:  # before the order x order distance rows are built
+    if order > ORDER_CAP:  # before the adjacency and its BFS are built
         raise ValueError(f"a graph of {order} vertices is above the order cap "
                          f"ORDER_CAP = {ORDER_CAP}")
     adj = [0] * order
@@ -235,7 +250,7 @@ def graph_from_edges(
         adj[v] |= 1 << u
     labels = [str(i) for i in range(order)] if labels is None else labels
     ids = range(order) if external_ids is None else external_ids
-    return _graph(tuple(adj), labels, ids, source)
+    return _graph(tuple(adj), neighbourhood_twin_classes(adj), labels, ids, source)
 
 
 def build_zdgraph(ring: FiniteRing) -> ZDGraph:
@@ -246,13 +261,13 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     share one row of the representatives' zero-product block, computed
     without any order x order table, gathered to the members and packed
     little-endian so that bit v is column v; each member's own bit is then
-    cleared. Labels are made on first read.
+    cleared. Associates are twins (open when x*x != 0, closed when x*x =
+    0), so the twin classes merge the associate classes, keyed by one
+    member's row each. Labels are made on first read.
     """
     members = zero_divisors(ring).members
     if not members:
-        raise EmptyGraphError(
-            f"{ring.name} is an integral domain; its zero-divisor graph is empty"
-        )
+        raise EmptyGraphError(f"{ring.name} is an integral domain; its zero-divisor graph is empty")
     at = np.array(members, dtype=np.intp)
     reps: dict[int, int] = {}
     class_of = [reps.setdefault(r, len(reps)) for r in _associate_reps(ring.spec, at).tolist()]
@@ -260,7 +275,11 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     packed = np.packbits(block.take(class_of, axis=1), axis=1, bitorder="little")
     rows = [int.from_bytes(row, "little") for row in packed]
     adj = tuple(rows[c] & ~(1 << v) for v, c in enumerate(class_of))
-    return _graph(adj, ring.labels_of, members, ring.name)
+    groups: list[list[int]] = [[] for _ in rows]
+    for v, c in enumerate(class_of):
+        groups[c].append(v)
+    classes = tuple(tuple(sorted(cls)) for cls in _merge_twins(adj, groups))
+    return _graph(adj, classes, ring.labels_of, members, ring.name)
 
 
 # ---------------------------------------------------------------------------
@@ -281,34 +300,23 @@ class GraphInvariants:
 
 
 def graph_invariants(g: ZDGraph) -> GraphInvariants:
-    """The invariants, each read once per twin class: twins have equal
-    degrees."""
+    """The invariants, each read once per twin class off the twin quotient
+    kept from the build: twins have equal degrees."""
     n = g.order
     if n == 0:
         return GraphInvariants(0, 0, 0, INF, 0, 0, (), ())
-    _, quotient = _quotient(g.adj, g.classes)
+    _, quotient, _, top = g._twins
     degrees = [g.degree(cls[0]) for cls in g.classes]
     return GraphInvariants(
         order=n,
         size=sum(d * len(cls) for d, cls in zip(degrees, g.classes)) // 2,
-        diameter=INF if not g.is_connected else _diameter(g),
+        diameter=INF if not g.is_connected else top,
         girth=_girth(g, quotient),
         clique_number=_clique_number(g, quotient),
         max_degree=max(degrees),
         cut_vertices=_cut_vertices(g, quotient),
-        degree_one_vertices=tuple(
-            sorted(v for d, cls in zip(degrees, g.classes) if d == 1 for v in cls)
-        ),
+        degree_one_vertices=tuple(sorted(v for d, cls in zip(degrees, g.classes) if d == 1 for v in cls)),
     )
-
-
-def _diameter(g: ZDGraph) -> int:
-    """Largest eccentricity, read from one distance row per twin class.
-
-    Twins have equal distances to every other vertex and share the distance
-    between them, so their rows hold the same entries.
-    """
-    return int(np.array([g.dist[cls[0]] for cls in g.classes]).max())
 
 
 def _girth(g: ZDGraph, quotient: Sequence[int]) -> float:
@@ -478,13 +486,10 @@ def _cut_nodes(adj: Sequence[int]) -> list[int]:
 
 
 def export_graph(g: ZDGraph, fmt: str) -> str:
-    if fmt == "dot":
-        return _export_dot(g)
-    if fmt == "edgelist":
-        return _export_edgelist(g)
-    if fmt == "json":
-        return _export_json(g)
-    raise ValueError(f"unknown graph format {fmt!r} (expected dot, edgelist, or json)")
+    export = {"dot": _export_dot, "edgelist": _export_edgelist, "json": _export_json}.get(fmt)
+    if export is None:
+        raise ValueError(f"unknown graph format {fmt!r} (expected dot, edgelist, or json)")
+    return export(g)
 
 
 def _export_dot(g: ZDGraph) -> str:
@@ -515,23 +520,14 @@ def _export_edgelist(g: ZDGraph) -> str:
 
 
 def _export_json(g: ZDGraph) -> str:
-    inv = graph_invariants(g)
+    inv = {key: None if value == INF else value for key, value in asdict(graph_invariants(g)).items()}
     doc = {
         "order": g.order,
         "edges": sorted(g.edges()),
         "labels": list(g.labels),
         "external_ids": list(g.external_ids),
         "source": g.source,
-        "invariants": {
-            "order": inv.order,
-            "size": inv.size,
-            "diameter": None if inv.diameter == INF else int(inv.diameter),
-            "girth": None if inv.girth == INF else int(inv.girth),
-            "clique_number": inv.clique_number,
-            "max_degree": inv.max_degree,
-            "cut_vertices": list(inv.cut_vertices),
-            "degree_one_vertices": list(inv.degree_one_vertices),
-        },
+        "invariants": inv,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

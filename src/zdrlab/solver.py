@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import ZDGraph, _bits, _is_clique_class
+from .graphs import ZDGraph, _bits, _is_clique_class, _rows
 
 BUDGET_ENV_VAR = "ZDRLAB_BUDGET_MS"
 
@@ -183,7 +183,7 @@ def is_resolving(g: ZDGraph, vertices) -> bool:
     vs = _check_vertices(g, vertices)
     if not vs:
         return g.order <= 1
-    vectors = set(zip(*(g.dist[w] for w in vs)))
+    vectors = set(zip(*_rows(g, vs)))
     return len(vectors) == g.order
 
 
@@ -227,10 +227,10 @@ def _shared_cells(g: ZDGraph) -> list[list[int]]:
     one distance from every vertex outside their class, and a top at one
     distance from the rest of its class, so a top's distances to the base
     are read off one member of each class of two or more."""
-    reps = [cls[0] for cls in g.classes if len(cls) > 1]
+    rows = _rows(g, [cls[0] for cls in g.classes if len(cls) > 1])
     cells: dict[tuple[int, ...], list[int]] = {}
     for t in sorted(cls[-1] for cls in g.classes):
-        cells.setdefault(tuple(g.dist[r][t] for r in reps), []).append(t)
+        cells.setdefault(tuple(row[t] for row in rows), []).append(t)
     return [cell for cell in cells.values() if len(cell) > 1]
 
 
@@ -281,7 +281,7 @@ def _resolve_elements(g: ZDGraph, tops: tuple[int, ...], covers: list[int]):
         cap -= len(i)
     if not ends:
         return untracked, covers, None, {}, {}
-    rows = np.array([g.dist[v] for v in ends], dtype=np.min_scalar_type(-n))
+    rows = np.array(_rows(g, ends), dtype=np.min_scalar_type(-n))
     us, vs = np.concatenate(us), np.concatenate(vs)  # pair p joins rows us[p] and vs[p]
     m = len(us)
     is_top = np.zeros(n, dtype=bool)
@@ -346,7 +346,6 @@ def _search(
     stay converted for the next.
     """
     n = g.order
-    dist = g.dist
     closed = [g.adj[v] | 1 << v for v in range(n)]
     spread = max(map(int.bit_count, closed))  # max degree + 1
     top_mask = sum(1 << t for t in tops)
@@ -372,6 +371,7 @@ def _search(
         tiers[count] = tiers.get(count, 0) | pairs
     open_base |= (1 << len(covers) - n) - 1 << n
     rarest = [tiers[count] for count in sorted(tiers)]
+    dist = dict(zip(tops, _rows(g, tops))) if untracked else {}  # the picks' and the cells' rows
 
     def unresolved(picks: list[int]) -> int:
         """The tops separating a pair that the base and ``picks`` leave

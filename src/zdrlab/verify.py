@@ -909,7 +909,7 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     if config.only is not None:
         unknown = [i for i in config.only if i not in CLAIM_REGISTRY]
         if unknown:
-            raise UnknownClaimError(f"unknown claim ids: {', '.join(unknown)}")
+            raise UnknownClaimError(f"unknown claim ids: {', '.join(map(repr, unknown))}")
     start = time.monotonic()
     wb = _Workbench(config)
     verdicts: list[TheoremVerdict] = []

@@ -277,6 +277,17 @@ def test_verify_run_unknown_id(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("only, named", [
+    ("T2.6,", "unknown claim ids: ''\n"),
+    (" , ", "unknown claim ids: '', ''\n"),
+    ("T77", "unknown claim ids: 'T77'\n"),
+])
+def test_verify_run_names_each_unknown_id(runner, only, named):
+    result = runner.invoke(main, ["verify", "run", "--only", only])
+    assert result.exit_code == 2
+    assert result.output.endswith(named)
+
+
 def test_verify_run_fail_exit_code(runner, monkeypatch):
     from zdrlab.verify import TheoremVerdict
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import json
+import pickle
 import sys
 
 import networkx as nx
@@ -17,7 +19,7 @@ from zdrlab.graphs import (
 from zdrlab import graphs, rings
 from zdrlab.families import generate_family, path
 from zdrlab.rings import build_ring, catalog_ids, zero_divisors
-from zdrlab.solver import solve_dimensions, twin_classes
+from zdrlab.solver import Budget, BudgetExceededError, solve_dimensions, twin_classes
 
 import oracles
 
@@ -310,20 +312,20 @@ def test_distances_match_oracle_bfs():
 
 @pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])
 def test_one_bfs_per_twin_class(spec, monkeypatch):
-    # one BFS per class, each on the quotient graph of exactly one vertex
-    # per twin class
+    # one BFS per class: one pass over the quotient graph of exactly one
+    # vertex per twin class, and none over the members
     runs = []
-    bfs_row = graphs._bfs_row
+    bfs_rows = graphs._bfs_rows
 
-    def counting(order, adj, s):
-        runs.append((order, len(adj), s))
-        return bfs_row(order, adj, s)
+    def counting(adj):
+        runs.append(len(adj))
+        return bfs_rows(adj)
 
-    monkeypatch.setattr(graphs, "_bfs_row", counting)
+    monkeypatch.setattr(graphs, "_bfs_rows", counting)
     g = build_zdgraph(build_ring(spec))
     k = len(twin_classes(g).classes)
     assert k < g.order
-    assert runs == [(k, k, c) for c in range(k)]
+    assert runs == [k]
 
 
 def test_ring_graph_labels_are_made_on_first_read(monkeypatch):
@@ -343,30 +345,77 @@ def test_ring_graph_labels_are_made_on_first_read(monkeypatch):
 # into a clique class {2, 6}
 TWIN_EDGELIST = "0 1\n1 2\n2 3\n3 4\n4 0\n5 1\n5 4\n6 1\n6 3\n6 2\n"
 
+# the rows of the benchmark's ladder (quantity, spec, check budget) and the
+# specs of its graphs workload
+LADDER_ROWS = [
+    ("gamma", "Zn:240", None), ("gamma", "prod:(Zn:10,Zn:12)", None), ("dim", "Zn:60", None),
+    ("dim", "Zn:80", None), ("dim", "prod:(Zn:3,Zn:27)", None), ("ddim", "Zn:42", None),
+    ("ddim", "Zn:56", None), ("ddim", "prod:(Zn:3,Zn:27)", None), ("gamma", "Zn:210", 900_000),
+    ("dim", "Zn:128", 180_000), ("dim", "Zni:25", 45_000), ("ddim", "Zn:60", 320_000),
+    ("ddim", "prod:(Zn:8,Zn:27)", 80_000), ("ddim", "Zn:1024", 20_000),
+]
+GRAPH_SPECS = ["Zn:2048", "Zni:45", "prod:(Zn:32,Zn:64)"]
 
-@pytest.mark.parametrize("make", [
-    lambda: build_zdgraph(build_ring("Zn:42")),
-    lambda: parse_edgelist(TWIN_EDGELIST),
+
+def test_solves_and_invariants_leave_the_distance_matrix_unmade():
+    # a solve and the invariants read single rows off the class rows; the
+    # n rows of dist are made on its first read, and only then
+    for quantity, spec, budget in LADDER_ROWS:
+        g = build_zdgraph(build_ring(spec))
+        with contextlib.suppress(BudgetExceededError):
+            solve_dimensions(g, quantity, Budget(max_checks=budget))
+        assert "dist" not in vars(g), spec
+    for spec in GRAPH_SPECS:
+        g = build_zdgraph(build_ring(spec))
+        inv = graph_invariants(g)
+        assert "dist" not in vars(g), spec
+        assert len(g.dist) == g.order and vars(g)["dist"] is g.dist
+        assert inv.diameter == max(map(max, g.dist))
+    g = parse_edgelist(TWIN_EDGELIST)
+    solve_dimensions(g, "all")
+    graph_invariants(g)
+    assert "dist" not in vars(g)
+
+
+def test_graphs_pickle_before_their_rows_are_read():
+    for g in (build_zdgraph(build_ring("Zn:12")), parse_edgelist(TWIN_EDGELIST)):
+        data = pickle.dumps(g)
+        assert "dist" not in vars(g)
+        assert pickle.loads(data) == g
+
+
+@pytest.mark.parametrize("make, keyed, merged", [
+    # Zn:42 has one associate class per divisor 2, 3, 6, 7, 14 and 21
+    (lambda: build_zdgraph(build_ring("Zn:42")), lambda g: [], lambda g: [6]),
+    (lambda: parse_edgelist(TWIN_EDGELIST), lambda g: [g.order], lambda g: [g.order]),
 ], ids=["ring", "edgelist"])
-def test_twin_partition_is_computed_once_per_graph(make, monkeypatch):
-    # the graph keeps its classes; the distance build, the diameter and all
-    # three solvers read them instead of keying the adjacency again
-    calls = []
-    original = graphs.neighbourhood_twin_classes
+def test_twin_partition_is_computed_once_per_graph(make, keyed, merged, monkeypatch):
+    # the graph keeps its classes; the invariants and all three solvers read
+    # them instead of keying the adjacency again. A ring graph merges its
+    # associate classes, once, and never keys its members one by one
+    calls, merges = [], []
+    originals = graphs.neighbourhood_twin_classes, graphs._merge_twins
 
     def counting(adj):
         calls.append(len(adj))
-        return original(adj)
+        return originals[0](adj)
+
+    def merging(adj, groups):
+        groups = list(groups)
+        merges.append(len(groups))
+        return originals[1](adj, groups)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "zdrlab":
-            for key in [k for k, v in vars(module).items() if v is original]:
-                monkeypatch.setattr(module, key, counting)
+            for original, patched in zip(originals, (counting, merging)):
+                for key in [k for k, v in vars(module).items() if v is original]:
+                    monkeypatch.setattr(module, key, patched)
     g = make()
     graph_invariants(g)
     report = solve_dimensions(g, "all")
     assert report.ddim.method == "twin_reduced"
-    assert calls == [g.order]
+    assert calls == keyed(g)
+    assert merges == merged(g)
 
 
 # orders 3 to 67, only Zni:9 (8) a multiple of 8

@@ -166,6 +166,14 @@ def test_unknown_claim_id():
         run_suite(SuiteConfig(only=("nope",)))
 
 
+def test_unknown_claim_ids_are_quoted():
+    # an empty id, as a trailing comma in --only gives, reads '' instead of a blank
+    with pytest.raises(UnknownClaimError, match=r"^unknown claim ids: ''$"):
+        run_suite(SuiteConfig(only=("T2.6", "")))
+    with pytest.raises(UnknownClaimError, match=r"^unknown claim ids: 'nope', ''$"):
+        run_suite(SuiteConfig(only=("nope", "")))
+
+
 def test_emit_table1_rows():
     table = emit_table1([25, 8, 7, 12])
     rows = {row[0]: row for row in table.rows}
