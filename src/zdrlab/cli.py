@@ -3,6 +3,10 @@
 Exit codes: 0 success (and verification runs without FAIL verdicts),
 2 invalid input, 3 verification run with at least one FAIL, 4 solver budget
 exceeded.
+
+Only ``verify run`` and ``table emit`` import the claim registry
+(``zdrlab.verify``, and with it ``zdrlab.families``), inside the command, so
+the other commands and ``--help`` start without compiling it.
 """
 
 from __future__ import annotations
@@ -24,13 +28,6 @@ from .graphs import (
 )
 from .rings import RingError, build_ring, ring_properties, zero_divisors
 from .solver import BUDGET_ENV_VAR, Budget, BudgetExceededError, solve_dimensions
-from .verify import (
-    SuiteConfig,
-    emit_table1,
-    emit_table2,
-    load_suite_config,
-    run_suite,
-)
 
 EXIT_INVALID = 2
 EXIT_FAIL = 3
@@ -245,6 +242,8 @@ def verify_group() -> None:
 @click.option("--deterministic", is_flag=True, help="zero timing fields in the report")
 def verify_run(config_file, only_ids, as_json, deterministic):
     """Run the verification suite; exit 3 if any claim FAILs."""
+    from .verify import SuiteConfig, load_suite_config, run_suite
+
     config = load_suite_config(config_file) if config_file else SuiteConfig()
     if only_ids:
         config = replace(config, only=tuple(x.strip() for x in only_ids.split(",")))
@@ -272,6 +271,8 @@ def table() -> None:
               default="text", show_default=True)
 def table_emit(which, n_list, fmt):
     """Reproduce a summary table against computed values."""
+    from .verify import SuiteConfig, emit_table1, emit_table2
+
     if which == "table1":
         config = SuiteConfig()
         tab = emit_table1(_n_values(n_list) if n_list else config.table1_n, config)

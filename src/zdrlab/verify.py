@@ -330,8 +330,7 @@ def _get(field, c: _Case):
     return field(c) if callable(field) else field
 
 
-@dataclass(frozen=True)
-class _Aspect:
+class _Aspect(NamedTuple):
     """One checked aspect: ``computed``, a case field name (the aspect's
     name by default) or a function of the case, against ``claimed``.
     ``claimed``, ``tags`` and ``note`` are values or functions of the case;
@@ -356,8 +355,7 @@ def _families(wb: _Workbench, fids: Iterable[fam.FamilyId]) -> Iterator[_Case]:
     return (_Case(wb, fid.describe(), fid, n=fid.n, m=fid.m) for fid in fids)
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     """Instances of a claim and the aspects checked on each (a tuple, or a
     function of the case). ``cases`` makes the instances from the
     ``verify_theorem`` override under ``key`` or else from ``default``, a

@@ -427,9 +427,13 @@ def _run_console_script(*args: str) -> subprocess.CompletedProcess:
                           timeout=300)
 
 
+# one command of each family whose imports differ: verify and table load the
+# claim registry inside the command, ring and dims never load it
 @pytest.mark.parametrize("args, name", [
     (["verify", "run", "--deterministic"], "verify_run.txt"),
     (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
+    (["dims", "solve", "Zn:42", "--json", "--deterministic"], "dims_Zn42.json"),
+    (["table", "emit", "table2"], "table2.txt"),
 ])
 def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)
@@ -437,12 +441,14 @@ def test_console_script_matches_golden(args, name):
     assert result.stdout == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("args, callee", [
-    (["ring", "describe", "Zn:6"], "build_ring"),
-    (["graph", "build", "Zn:6"], "build_zdgraph"),
-    (["dims", "solve", "Zn:6"], "solve_dimensions"),
-    (["verify", "run"], "run_suite"),
-    (["table", "emit", "table1"], "emit_table1"),
+# verify and table import the claim registry when they run, so their callee
+# is patched where the command looks it up: on zdrlab.verify
+@pytest.mark.parametrize("args, home, callee", [
+    (["ring", "describe", "Zn:6"], cli_mod, "build_ring"),
+    (["graph", "build", "Zn:6"], cli_mod, "build_zdgraph"),
+    (["dims", "solve", "Zn:6"], cli_mod, "solve_dimensions"),
+    (["verify", "run"], verify_mod, "run_suite"),
+    (["table", "emit", "table1"], verify_mod, "emit_table1"),
 ], ids=["ring-describe", "graph-build", "dims-solve", "verify-run", "table-emit"])
 @pytest.mark.parametrize("error, code", [
     (RingError("boom"), 2),
@@ -450,11 +456,12 @@ def test_console_script_matches_golden(args, name):
     (ValueError("boom"), 2),
     (BudgetExceededError("gamma", 1, 2), 4),
 ], ids=["ring", "empty-graph", "value", "budget"])
-def test_every_command_exits_through_one_path(runner, monkeypatch, args, callee, error, code):
+def test_every_command_exits_through_one_path(runner, monkeypatch, args, home, callee, error,
+                                               code):
     def fail(*_args, **_kwargs):
         raise error
 
-    monkeypatch.setattr(cli_mod, callee, fail)
+    monkeypatch.setattr(home, callee, fail)
     result = runner.invoke(main, args)
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
