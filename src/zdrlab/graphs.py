@@ -3,16 +3,20 @@
 A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
 bitsets, its distance-twin classes and its distance matrix (-1 marks
 unreachable pairs), one typed array per row. Twins have equal rows outside
-their own class, so a graph is built with one row per twin class, from one
-bitset BFS per class on the twin quotient (one vertex per class); a
-vertex's row is made from its class's row when read, and the full matrix on
-its first read. Cut vertices, the clique number, the girth and the diameter
-are read off the same quotient. Graphs come from ring zero-divisor graphs,
-generated named families, and parsed edge-list files. A ring graph is built
-on associate classes: x and ux (u a unit) have one row of zero products but
-their own bit, so the block is evaluated on one representative per class,
-the twin classes merge the associate classes, and labels are made on first
-read.
+their own class, so a graph is built with one row per twin class, off the
+twin quotient (one vertex per class); a vertex's row is made from its
+class's row when read, and the full matrix on its first read. A connected
+zero-divisor graph has diameter at most 3 (Anderson and Livingston, 1999),
+so a quotient of ``REACH_MIN_CLASSES`` classes or more whose pairs all lie
+within 3 takes its distances from each class's two-step bitset reach: 1 on
+an edge, 2 in the reach, 3 elsewhere. Smaller quotients, and any with a
+pair farther apart or unreachable, take one bitset BFS per class. Cut
+vertices, the clique number, the girth and the diameter are read off the
+same quotient. Graphs come from ring zero-divisor graphs, generated named
+families, and parsed edge-list files. A ring graph is built on associate
+classes: x and ux (u a unit) have one row of zero products but their own
+bit, so the block is evaluated on one representative per class, the twin
+classes merge the associate classes, and labels are made on first read.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rings import ORDER_CAP, FiniteRing, _associate_reps, _zero_products, zero_divisors
+from .rings import ORDER_CAP, FiniteRing, RingSpec, _associate_reps, _zero_products, zero_divisors
 
 INF = math.inf
 
@@ -46,7 +50,9 @@ class ZDGraph:
     a ring graph, merged from its associate classes, and of any other graph,
     keyed by neighbourhood (``neighbourhood_twin_classes``). It is computed
     once, when the graph is built, with the twin quotient and one distance
-    row per class, and the invariants and the solvers read them. ``dist[v]``
+    row per class (from the two-step reach when the quotient has at least
+    ``REACH_MIN_CLASSES`` classes and diameter at most 3, else from one BFS
+    per class), and the invariants and the solvers read them. ``dist[v]``
     is an ``array.array`` of the narrowest signed type that holds the
     largest distance: one byte per entry on every zero-divisor graph, whose
     diameter is at most 3. The program reads single rows off the class rows
@@ -168,46 +174,135 @@ def _bfs_rows(adj: Sequence[int]) -> tuple[list[list[int]], int]:
     return rows, top - 1  # each last level was empty
 
 
+# The least quotient that takes its distances from the two-step reach. On
+# ring quotients (CPython 3.11, x86-64) one BFS per class is quicker at 4 to
+# 7 classes, the two are within a fifth of each other at 9 and 10, and the
+# reach is a third to a half quicker from 14 classes up.
+REACH_MIN_CLASSES = 11
+# Classes per block of unpacked reach rows: a block of (Z_2)^12's 4,094
+# classes takes 1 MB where its whole matrix would take 16.8 MB.
+REACH_BLOCK = 256
+
+
+def _reach(quotient: Sequence[int]) -> list[int] | None:
+    """Each vertex's two-step reach, the OR of its neighbours' bitsets, when
+    every pair neither joined nor in it has a path of length 3; else None,
+    as on a graph of diameter above 3 or a disconnected one."""
+    full = (1 << len(quotient)) - 1
+    reach = []
+    for nbrs in quotient:
+        two = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            two |= quotient[low.bit_length() - 1]
+            nbrs ^= low
+        reach.append(two)
+    for c, (nbrs, two) in enumerate(zip(quotient, reach)):
+        left = full & ~(nbrs | two) >> c + 1 << c + 1  # each pair once, from its lower end
+        while left and nbrs:
+            low = nbrs & -nbrs
+            left &= ~reach[low.bit_length() - 1]
+            nbrs ^= low
+        if left:
+            return None
+    return reach
+
+
 def _is_clique_class(adj: Sequence[int], cls: Sequence[int]) -> bool:
     """Whether a twin class of two or more is a clique; else it is open."""
     return len(cls) > 1 and bool(adj[cls[0]] >> cls[1] & 1)
 
 
 def _twin_quotient(
-    adj: Sequence[int], classes: tuple[tuple[int, ...], ...]
+    adj: Sequence[int], classes: tuple[tuple[int, ...], ...], class_of: Sequence[int] | None = None
 ) -> tuple[Sequence[int], Sequence[int], list[array], int]:
-    """Each vertex's class, the twin quotient (bit d of the c-th bitset when
-    classes c and d are joined), one distance row per class from one BFS
-    per class on the quotient, and the largest distance.
+    """Each vertex's class (``class_of`` when the caller has it), the twin
+    quotient (bit d of the c-th bitset when classes c and d are joined), one
+    distance row per class, and the largest distance.
 
     Adjacency between two twin classes is all or nothing, so one member's
-    row holds it; a twin-free graph is its own quotient. The quotient's BFS
-    row from class c, read through each vertex's class, is the row of every
+    row holds it; a twin-free graph is its own quotient. The quotient's row
+    from class c, read through each vertex's class, is the row of every
     member of c but at the members: any two lie at one distance, 1 in a
     clique class, 2 for open twins with a neighbour and -1 for isolated
     ones. That twin distance goes on the quotient's diagonal, so one gather
     makes the class rows; a member's row is its class's with 0 at itself.
-    Rows are of the narrowest signed type that holds the largest distance.
+
+    A connected zero-divisor graph has diameter at most 3 (Anderson and
+    Livingston, J. Algebra 217, 1999, Thm 2.3), and so has its quotient. On
+    a quotient of ``REACH_MIN_CLASSES`` classes or more whose every pair
+    lies within 3 (``_reach``), the distances are 1 on an edge, 2 in the
+    two-step reach and 3 elsewhere, filled from the unpacked quotient and
+    reach bitsets (``_reach_rows``). Any other quotient, smaller,
+    farther apart or disconnected, takes one BFS per class. Rows are of the
+    narrowest signed type that holds the largest distance.
     """
     k = len(classes)
-    class_of, quotient = range(k), adj
-    if k < len(adj):
-        class_of = [0] * len(adj)
-        for c, cls in enumerate(classes):
-            for v in cls:
-                class_of[v] = c
+    quotient = adj
+    if k == len(adj):
+        class_of = range(k)
+    else:
+        if class_of is None:
+            class_of = [0] * len(adj)
+            for c, cls in enumerate(classes):
+                for v in cls:
+                    class_of[v] = c
         least = sum(1 << cls[0] for cls in classes)
         quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least)) for cls in classes]
+    twins = [1 if _is_clique_class(adj, cls) else 0 if len(cls) == 1 else 2 if nbrs else -1
+             for cls, nbrs in zip(classes, quotient)]
+    reach = _reach(quotient) if k >= REACH_MIN_CLASSES else None
+    if reach is not None:
+        rows, top = _reach_rows(quotient, reach, twins, None if k == len(adj) else class_of)
+        return class_of, quotient, rows, top
     dist, top = _bfs_rows(quotient)
-    for c, (cls, nbrs) in enumerate(zip(classes, quotient)):
-        if len(cls) > 1:
-            dist[c][c] = twin = 1 if _is_clique_class(adj, cls) else 2 if nbrs else -1
-            top = max(top, twin)
+    for c, twin in enumerate(twins):
+        dist[c][c] = twin
+    top = max([top, *twins])
     code = next(code for code in "bhiq" if top < 1 << 8 * array(code).itemsize - 1)
-    if k < len(adj):  # one gather reads every quotient row through each vertex's class
-        wide = np.array(dist, dtype=code)[:, class_of].tobytes()
-        dist = [wide[i:i + len(wide) // k] for i in range(0, len(wide), len(wide) // k)]
-    return class_of, quotient, [array(code, row) for row in dist], top
+    if k == len(adj):
+        return class_of, quotient, [array(code, row) for row in dist], top
+    # one gather reads every quotient row through each vertex's class
+    return class_of, quotient, _array_rows(code, np.array(dist, dtype=code)[:, class_of]), top
+
+
+def _reach_rows(
+    quotient: Sequence[int], reach: Sequence[int], twins: Sequence[int],
+    class_of: Sequence[int] | None,
+) -> tuple[list[array], int]:
+    """The int8 class rows of a quotient whose pairs all lie within 3, each
+    read through ``class_of`` when given, and the largest distance: 1 on an
+    edge, 2 in the two-step reach off it, 3 elsewhere, and the twin
+    distances on the diagonal. A block of ``REACH_BLOCK`` classes is
+    unpacked at a time, so the k x k matrix is never whole."""
+    k = len(quotient)
+    width = (k + 7) // 8
+
+    def unpack(bitsets: Sequence[int]) -> np.ndarray:
+        packed = b"".join(b.to_bytes(width, "little") for b in bitsets)
+        packed = np.frombuffer(packed, dtype=np.uint8).reshape(len(bitsets), width)
+        return np.unpackbits(packed, axis=1, count=k, bitorder="little")
+
+    rows, top = [], 0
+    for lo in range(0, k, REACH_BLOCK):
+        near, dist = unpack(quotient[lo:lo + REACH_BLOCK]), unpack(reach[lo:lo + REACH_BLOCK])
+        dist |= near
+        np.subtract(3, dist, out=dist)
+        dist -= near
+        dist = dist.view(np.int8)
+        dist.flat[lo::k + 1] = twins[lo:lo + REACH_BLOCK]  # entry (c - lo, c) of each class c
+        top = max(top, int(dist.max()))
+        rows += _array_rows("b", dist if class_of is None else dist[:, class_of])
+    return rows, top
+
+
+def _array_rows(code: str, matrix: np.ndarray) -> list[array]:
+    """The rows of a C-contiguous matrix of the numpy type ``code``, as arrays of that typecode."""
+    flat, width = memoryview(matrix.reshape(-1)).cast("B"), matrix.shape[1] * matrix.itemsize
+    rows = [array(code) for _ in range(len(matrix))]
+    for i, row in enumerate(rows):
+        row.frombytes(flat[i * width:(i + 1) * width])
+    return rows
 
 
 def _rows(g: ZDGraph, vertices: Iterable[int]) -> list:
@@ -225,11 +320,14 @@ def _rows(g: ZDGraph, vertices: Iterable[int]) -> list:
     return out
 
 
-def _graph(adj: tuple[int, ...], classes, labels: Sequence[str] | Callable, ids, source: str) -> ZDGraph:
+def _graph(
+    adj: tuple[int, ...], classes, labels: Sequence[str] | Callable, ids, source: str,
+    class_of: Sequence[int] | None = None,
+) -> ZDGraph:
     """The graph on these adjacency bitsets and twin classes, with its twin
     quotient and class rows; its distance rows are made when read."""
     g = ZDGraph(len(adj), labels, tuple(ids), adj, _rows, classes, source)
-    g.__dict__["_twins"] = _twin_quotient(adj, classes)
+    g.__dict__["_twins"] = _twin_quotient(adj, classes, class_of)
     return g
 
 
@@ -260,10 +358,13 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     Members with one associate representative u x (``_associate_reps``)
     share one row of the representatives' zero-product block, computed
     without any order x order table, gathered to the members and packed
-    little-endian so that bit v is column v; each member's own bit is then
-    cleared. Associates are twins (open when x*x != 0, closed when x*x =
-    0), so the twin classes merge the associate classes, keyed by one
-    member's row each. Labels are made on first read.
+    little-endian so that bit v is column v: every member of a class holds
+    that one int, but in a class with x*x = 0, the block's diagonal, whose
+    rows hold their members' own bits, cleared per member. Associates are
+    twins (open when x*x != 0, closed when x*x = 0), so the twin classes
+    merge the associate classes, keyed by one member's row each; when none
+    merge, their class map is the twin quotient's. Labels are made on first
+    read.
     """
     members = zero_divisors(ring).members
     if not members:
@@ -271,15 +372,33 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     at = np.array(members, dtype=np.intp)
     reps: dict[int, int] = {}
     class_of = [reps.setdefault(r, len(reps)) for r in _associate_reps(ring.spec, at).tolist()]
-    block = _zero_products(ring.spec, np.array(list(reps), dtype=np.intp))
-    packed = np.packbits(block.take(class_of, axis=1), axis=1, bitorder="little")
-    rows = [int.from_bytes(row, "little") for row in packed]
-    adj = tuple(rows[c] & ~(1 << v) for v, c in enumerate(class_of))
+    rows, square_zero = _associate_rows(ring.spec, list(reps), class_of)
+    adj = list(map(rows.__getitem__, class_of))
     groups: list[list[int]] = [[] for _ in rows]
     for v, c in enumerate(class_of):
         groups[c].append(v)
-    classes = tuple(tuple(sorted(cls)) for cls in _merge_twins(adj, groups))
+    for c in square_zero:  # each member's own bit is set
+        for v in groups[c]:
+            adj[v] ^= 1 << v
+    adj = tuple(adj)
+    merged = _merge_twins(adj, groups)
+    if len(merged) == len(groups):  # no associate classes merged: their map is the twin classes'
+        return _graph(adj, tuple(map(tuple, groups)), ring.labels_of, members, ring.name, class_of)
+    classes = tuple(tuple(sorted(cls)) for cls in merged)
     return _graph(adj, classes, ring.labels_of, members, ring.name)
+
+
+def _associate_rows(
+    spec: RingSpec, reps: list[int], class_of: list[int]
+) -> tuple[list[int], list[int]]:
+    """Each associate class's row of the representatives' zero-product block,
+    gathered to the members as one bitset, and the classes with x * x = 0,
+    whose rows hold their own members' bits. The block is freed on return,
+    before the distances are made."""
+    block = _zero_products(spec, np.array(reps, dtype=np.intp))
+    packed = np.packbits(block.take(class_of, axis=1), axis=1, bitorder="little")
+    square_zero = np.flatnonzero(block.diagonal()).tolist()
+    return [int.from_bytes(row, "little") for row in packed], square_zero
 
 
 # ---------------------------------------------------------------------------

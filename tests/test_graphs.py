@@ -6,6 +6,7 @@ import sys
 
 import networkx as nx
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from zdrlab.graphs import (
     INF,
@@ -284,12 +285,15 @@ def test_disconnected_distances():
 
 
 @pytest.mark.parametrize("twin", [False, True], ids=["twin-free", "open twins"])
-def test_long_path_gets_wide_rows(twin):
+def test_long_path_gets_wide_rows(twin, monkeypatch):
     # distances up to 299 do not fit a signed byte; a second leaf on vertex
-    # 1 makes {0, 300} an open class, so the rows come through the quotient
+    # 1 makes {0, 300} an open class, so the rows come through the quotient,
+    # from one BFS per class: the path is far past diameter 3
+    runs = _count_bfs(monkeypatch)
     edges = [(i, i + 1) for i in range(299)] + [(1, 300)] * twin
     g = graph_from_edges(300 + twin, edges)
     assert len(g.classes) == 300
+    assert runs == [300]
     assert {row.typecode for row in g.dist} == {"h"}
     nbrs = oracles.neighbor_sets(g)
     for v in range(g.order):
@@ -310,10 +314,8 @@ def test_distances_match_oracle_bfs():
             assert list(row) == oracles.bfs_distances(nbrs, v, g.order)
 
 
-@pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])
-def test_one_bfs_per_twin_class(spec, monkeypatch):
-    # one BFS per class: one pass over the quotient graph of exactly one
-    # vertex per twin class, and none over the members
+def _count_bfs(monkeypatch) -> list[int]:
+    """The order of each graph ``graphs._bfs_rows`` runs on from now on."""
     runs = []
     bfs_rows = graphs._bfs_rows
 
@@ -322,10 +324,40 @@ def test_one_bfs_per_twin_class(spec, monkeypatch):
         return bfs_rows(adj)
 
     monkeypatch.setattr(graphs, "_bfs_rows", counting)
+    return runs
+
+
+def _boolean(k: int) -> str:
+    return "prod:(" * (k - 1) + "Zn:2" + ",Zn:2)" * (k - 1)
+
+
+@pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])
+def test_one_bfs_per_twin_class(spec, monkeypatch):
+    # below the reach gate, one BFS per class: one pass over the quotient
+    # graph of exactly one vertex per twin class, and none over the members
+    runs = _count_bfs(monkeypatch)
     g = build_zdgraph(build_ring(spec))
     k = len(twin_classes(g).classes)
-    assert k < g.order
+    assert k < g.order and k < graphs.REACH_MIN_CLASSES
     assert runs == [k]
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["one block", "blocks of 16"])
+@pytest.mark.parametrize("spec, k", [("prod:(Zn:32,Zn:64)", 40), (_boolean(8), 254)])
+def test_ring_quotients_at_the_gate_take_no_bfs(spec, k, block, monkeypatch):
+    # a connected ring graph has diameter at most 3: its class rows come
+    # from the two-step reach, a block of classes at a time, and match the
+    # BFS oracle
+    if block:
+        monkeypatch.setattr(graphs, "REACH_BLOCK", block)
+    runs = _count_bfs(monkeypatch)
+    g = build_zdgraph(build_ring(spec))
+    assert len(g.classes) == k >= graphs.REACH_MIN_CLASSES
+    assert runs == []
+    nbrs = oracles.neighbor_sets(g)
+    for cls in g.classes:
+        for v in cls[:2]:
+            assert list(g.dist[v]) == oracles.bfs_distances(nbrs, v, g.order)
 
 
 def test_ring_graph_labels_are_made_on_first_read(monkeypatch):
@@ -439,3 +471,68 @@ def test_packed_rows_match_edge_list_build(spec):
         len(members), edges, [ring.labels[x] for x in members], members, ring.name
     )
     assert build_zdgraph(ring) == expected
+
+
+@st.composite
+def reach_graphs(draw):
+    """A connected blow-up of a random base of diameter 2 or 3: each base
+    vertex becomes an open or a closed class of 1 to 3 vertices. A base
+    vertex joined to all others (diameter 2), or each joined to one of two
+    joined hubs (diameter at most 3), keeps the base connected."""
+    b = draw(st.integers(min_value=graphs.REACH_MIN_CLASSES, max_value=20))
+    hubs = draw(st.sampled_from([(0,), (0, 1)]))
+    edges = {(0, 1)} if len(hubs) == 2 else set()
+    for v in range(len(hubs), b):
+        edges.add((draw(st.sampled_from(hubs)), v))
+    ends = st.integers(min_value=0, max_value=b - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=b, max_size=4 * b))
+    edges |= {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=b, max_size=b))
+    closed = draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    first = [sum(sizes[:v]) for v in range(b)]
+    members = [range(first[v], first[v] + sizes[v]) for v in range(b)]
+    blown = [(x, y) for u, v in edges for x in members[u] for y in members[v]]
+    blown += [(x, y) for v in range(b) if closed[v] for x in members[v] for y in members[v] if x < y]
+    return graph_from_edges(sum(sizes), blown)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=reach_graphs())
+def test_reach_rows_match_oracle(g):
+    # class rows from the two-step reach against a BFS from every vertex;
+    # twins in the base may merge classes, so the gate is checked here
+    class_of, quotient, rows, top = g._twins
+    if len(g.classes) < graphs.REACH_MIN_CLASSES:
+        event("merged below the gate")
+        return
+    assert graphs._reach(quotient) is not None
+    nbrs = oracles.neighbor_sets(g)
+    expected = [oracles.bfs_distances(nbrs, v, g.order) for v in range(g.order)]
+    event(f"diameter {max(map(max, expected))}")
+    assert [list(row) for row in g.dist] == expected
+    assert {row.typecode for row in g.dist} == {"b"}
+    assert top == max(map(max, expected)) == graph_invariants(g).diameter
+
+
+# a 5-vertex path through a hub 2 that also carries a 11-vertex path: 16
+# classes, diameter 4; and two disjoint copies of P_10: 20 classes
+FAR_GRAPHS = {
+    "diameter 4": (16, [(i, i + 1) for i in range(4)] + [(i, i + 1) for i in range(5, 15)]
+                   + [(2, v) for v in range(5, 16)]),
+    "two P_10": (20, [(i, i + 1) for i in range(9)] + [(i, i + 1) for i in range(10, 19)]),
+}
+
+
+@pytest.mark.parametrize("name", FAR_GRAPHS)
+def test_far_quotients_fall_back_to_bfs(name, monkeypatch):
+    runs = _count_bfs(monkeypatch)
+    order, edges = FAR_GRAPHS[name]
+    g = graph_from_edges(order, edges)
+    assert len(g.classes) == order >= graphs.REACH_MIN_CLASSES
+    assert graphs._reach(g._twins[1]) is None
+    assert runs == [order]
+    nbrs = oracles.neighbor_sets(g)
+    expected = [oracles.bfs_distances(nbrs, v, order) for v in range(order)]
+    assert [list(row) for row in g.dist] == expected
+    assert graph_invariants(g).diameter == (4 if name == "diameter 4" else INF)
+    assert g._twins[3] == max(map(max, expected))

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from zdrlab.graphs import EmptyGraphError, build_zdgraph, graph_from_edges, graph_invariants
+from zdrlab.graphs import (
+    REACH_MIN_CLASSES, EmptyGraphError, build_zdgraph, graph_from_edges, graph_invariants,
+)
 from zdrlab.rings import (
     CatalogEntry,
     CatalogError,
@@ -300,6 +302,22 @@ def test_ring_operations_build_no_order_squared_array(spec):
     assert peak < 4_000_000
 
 
+def test_boolean_ring_graph_builds_without_a_bfs_matrix():
+    # (Z_2)^11, 2,046 vertices in as many twin classes: a block of reach
+    # rows at a time, past the zero-product block, and the class rows
+    # themselves (4.2 MB); one BFS per class took 44 MB and 2.3 s
+    ring = build_ring("prod:(" * 10 + "Zn:2" + ",Zn:2)" * 10)
+    zero_divisors(ring)
+    tracemalloc.start()
+    try:
+        g = build_zdgraph(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.classes) == g.order == 2046
+    assert peak < 12_000_000
+
+
 def test_gf_arithmetic():
     gf9 = build_ring("GF:9")
     # w^2 = -1 in GF(9) built from x^2 + 1
@@ -388,8 +406,8 @@ _ZPR_PRIMES = [2, 3, 5, 7, 11]
 def ring_specs(draw, max_order: int = 4096, depth: int = 2):
     """Zn 2-400, Zni 2-40, GF, catalog and Zpr.r2 specs, and products of
     them nested up to ``depth`` deep, of order at most ``max_order``. The
-    depth bound keeps out Boolean rings such as (Z_2)^11, whose twin-free
-    graphs take seconds to build."""
+    depth bound keeps the spec trees small; ``wide_ring_specs`` adds the
+    many-factor products it leaves out."""
     if depth and max_order >= 4 and draw(st.integers(min_value=0, max_value=2)) == 0:
         left = draw(ring_specs(max_order // 2, depth - 1))
         rest = max_order // spec_order(parse_ring_spec(left))
@@ -440,8 +458,20 @@ def _full_block_graph(ring):
     )
 
 
+def wide_ring_specs(max_order: int):
+    """``ring_specs``, Boolean rings (Z_2)^k up to k = 8 as the left-nested
+    product the CLI reads, and products of one spec with itself, of order
+    at most ``max_order``: twin-free and twin-rich graphs of many classes."""
+    powers = st.integers(min_value=2, max_value=min(8, max_order.bit_length() - 1))
+    return st.one_of(
+        ring_specs(max_order),
+        powers.map(lambda k: "prod:(" * (k - 1) + "Zn:2" + ",Zn:2)" * (k - 1)),
+        ring_specs(math.isqrt(max_order), depth=1).map(lambda spec: f"prod:({spec},{spec})"),
+    )
+
+
 @settings(max_examples=150, deadline=None)
-@given(spec=ring_specs(max_order=256))
+@given(spec=wide_ring_specs(max_order=256))
 def test_graph_on_associate_classes_matches_full_block(spec):
     # one block row per representative, gathered to the members, and twin
     # classes merged from the associate classes, against the build on the
@@ -455,6 +485,7 @@ def test_graph_on_associate_classes_matches_full_block(spec):
     g = build_zdgraph(ring)
     k = len(set(_associate_reps(ring.spec, np.array(members)).tolist()))
     event("k < n" if k < len(members) else "k = n")
+    event("two-step reach" if len(g.classes) >= REACH_MIN_CLASSES and g.is_connected else "one BFS per class")
     event("twin classes merge associate classes" if len(g.classes) < k else "one per associate class")
     with contextlib.suppress(BudgetExceededError):
         solve_dimensions(g, "all", Budget(max_checks=20_000))
