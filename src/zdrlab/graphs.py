@@ -3,9 +3,11 @@
 A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
 bitsets, its distance-twin classes and its distance matrix (-1 marks
 unreachable pairs), one typed array per row. Twins have equal rows outside
-their own class, so a graph is built with one row per twin class, off the
-twin quotient (one vertex per class); a vertex's row is made from its
-class's row when read, and the full matrix on its first read. A connected
+their own class, so the only distance data a graph stores is one k-entry
+row per twin class: the twin quotient's (one vertex per class), with the
+distance between two members of the class on its diagonal. A vertex's row
+is made from its class's row only when read (``_rows``), and the full
+matrix on its first read. A connected
 zero-divisor graph has diameter at most 3 (Anderson and Livingston, 1999),
 so a quotient of ``REACH_MIN_CLASSES`` classes or more whose pairs all lie
 within 3 takes its distances from each class's two-step bitset reach: 1 on
@@ -49,15 +51,17 @@ class ZDGraph:
     ``classes`` is the distance-twin partition, ordered by least member: of
     a ring graph, merged from its associate classes, and of any other graph,
     keyed by neighbourhood (``neighbourhood_twin_classes``). It is computed
-    once, when the graph is built, with the twin quotient and one distance
-    row per class (from the two-step reach when the quotient has at least
-    ``REACH_MIN_CLASSES`` classes and diameter at most 3, else from one BFS
-    per class), and the invariants and the solvers read them. ``dist[v]``
-    is an ``array.array`` of the narrowest signed type that holds the
-    largest distance: one byte per entry on every zero-divisor graph, whose
-    diameter is at most 3. The program reads single rows off the class rows
-    (``_rows``); ``dist`` makes all n on its first read. Rows are
-    unhashable, so a graph is too.
+    once, when the graph is built, with the twin quotient and one k-entry
+    distance row per class (from the two-step reach when the quotient has
+    at least ``REACH_MIN_CLASSES`` classes and diameter at most 3, else from
+    one BFS per class), and the invariants and the solvers read them: the
+    class rows are the only distance data the graph stores. ``dist[v]`` is
+    an ``array.array`` of the narrowest signed type that holds the largest
+    distance: one byte per entry on every zero-divisor graph, whose
+    diameter is at most 3. Member rows are made off the class rows only
+    when read (``_rows``): by the family recogniser's one row,
+    ``is_resolving``, and ``dist``, which makes all n on its first read.
+    Rows are unhashable, so a graph is too.
     """
 
     order: int
@@ -101,12 +105,21 @@ class ZDGraph:
 
     @property
     def is_connected(self) -> bool:
-        return self.order == 0 or -1 not in _rows(self, [0])[0]
+        """Read off the class row of vertex 0's class: -1 marks a class out
+        of its reach, and on the diagonal, isolated twins."""
+        if self.order == 0:
+            return True
+        class_of, _, rows, _ = self._twins
+        return -1 not in rows[class_of[0]]
 
     @cached_property
-    def _twins(self) -> tuple[Sequence[int], Sequence[int], list[array], int]:
-        """The twin quotient and class rows (``_twin_quotient``): set when
-        the graph is built, and made here for a graph given its rows."""
+    def _twins(self) -> tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]], int]:
+        """The class map, twin quotient, k-entry class rows and largest
+        distance (``_twin_quotient``): set when the graph is built, and made
+        here for a graph given its rows, which are its class rows when it is
+        twin-free."""
+        if len(self.classes) == self.order and "dist" in self.__dict__:
+            return range(self.order), self.adj, self.dist, max(map(max, self.dist), default=0)
         return _twin_quotient(self.adj, self.classes)
 
 
@@ -145,11 +158,14 @@ def _merge_twins(adj: Sequence[int], groups: Iterable[Sequence[int]]) -> list[li
     return classes
 
 
-def _bfs_rows(adj: Sequence[int]) -> tuple[list[list[int]], int]:
+def _bfs_rows(adj: Sequence[int]) -> tuple[list[array], int]:
     """Distances from each vertex by a bitset BFS, -1 where unreachable,
-    and the largest of them. The bit loops are inline: a generator per
-    frontier costs more than the BFS."""
-    order, rows, top = len(adj), [], 1
+    and the largest of them. Each row is packed into an ``array.array`` as
+    soon as it is made, of the narrowest signed type that holds the largest
+    distance so far; a row that needs a wider type widens the rows before
+    it. The bit loops are inline: a generator per frontier costs more than
+    the BFS."""
+    order, rows, top, code = len(adj), [], 1, "b"
     for s in range(order):
         dist = [-1] * order
         dist[s] = 0
@@ -168,10 +184,13 @@ def _bfs_rows(adj: Sequence[int]) -> tuple[list[list[int]], int]:
                 low = nxt & -nxt
                 dist[low.bit_length() - 1] = d
                 nxt ^= low
-        rows.append(dist)
         if d > top:
             top = d
-    return rows, top - 1  # each last level was empty
+            if top - 1 >= 1 << 8 * array(code).itemsize - 1:  # each last level was empty
+                code = next(code for code in "hiq" if top - 1 < 1 << 8 * array(code).itemsize - 1)
+                rows = [array(code, row) for row in rows]
+        rows.append(array(code, dist))
+    return rows, top - 1
 
 
 # The least quotient that takes its distances from the two-step reach. On
@@ -217,16 +236,17 @@ def _twin_quotient(
     adj: Sequence[int], classes: tuple[tuple[int, ...], ...], class_of: Sequence[int] | None = None
 ) -> tuple[Sequence[int], Sequence[int], list[array], int]:
     """Each vertex's class (``class_of`` when the caller has it), the twin
-    quotient (bit d of the c-th bitset when classes c and d are joined), one
-    distance row per class, and the largest distance.
+    quotient (bit d of the c-th bitset when classes c and d are joined), its
+    k-entry class rows, and the largest distance.
 
     Adjacency between two twin classes is all or nothing, so one member's
-    row holds it; a twin-free graph is its own quotient. The quotient's row
-    from class c, read through each vertex's class, is the row of every
-    member of c but at the members: any two lie at one distance, 1 in a
-    clique class, 2 for open twins with a neighbour and -1 for isolated
-    ones. That twin distance goes on the quotient's diagonal, so one gather
-    makes the class rows; a member's row is its class's with 0 at itself.
+    row holds it; a twin-free graph is its own quotient. Entry d of class
+    c's row is the distance between any member of c and any of d, and for
+    d = c any two members lie at one distance too: 1 in a clique class, 2
+    for open twins with a neighbour, -1 for isolated ones and 0 in a class
+    of one. That twin distance goes on the diagonal, so these k rows hold
+    every distance of the graph; a member's row is its class's row read
+    through each vertex's class, with 0 at itself (``_rows``).
 
     A connected zero-divisor graph has diameter at most 3 (Anderson and
     Livingston, J. Algebra 217, 1999, Thm 2.3), and so has its quotient. On
@@ -253,28 +273,21 @@ def _twin_quotient(
              for cls, nbrs in zip(classes, quotient)]
     reach = _reach(quotient) if k >= REACH_MIN_CLASSES else None
     if reach is not None:
-        rows, top = _reach_rows(quotient, reach, twins, None if k == len(adj) else class_of)
-        return class_of, quotient, rows, top
-    dist, top = _bfs_rows(quotient)
+        return class_of, quotient, *_reach_rows(quotient, reach, twins)
+    rows, top = _bfs_rows(quotient)
     for c, twin in enumerate(twins):
-        dist[c][c] = twin
-    top = max([top, *twins])
-    code = next(code for code in "bhiq" if top < 1 << 8 * array(code).itemsize - 1)
-    if k == len(adj):
-        return class_of, quotient, [array(code, row) for row in dist], top
-    # one gather reads every quotient row through each vertex's class
-    return class_of, quotient, _array_rows(code, np.array(dist, dtype=code)[:, class_of]), top
+        rows[c][c] = twin
+    return class_of, quotient, rows, max([top, *twins])
 
 
 def _reach_rows(
-    quotient: Sequence[int], reach: Sequence[int], twins: Sequence[int],
-    class_of: Sequence[int] | None,
+    quotient: Sequence[int], reach: Sequence[int], twins: Sequence[int]
 ) -> tuple[list[array], int]:
-    """The int8 class rows of a quotient whose pairs all lie within 3, each
-    read through ``class_of`` when given, and the largest distance: 1 on an
-    edge, 2 in the two-step reach off it, 3 elsewhere, and the twin
-    distances on the diagonal. A block of ``REACH_BLOCK`` classes is
-    unpacked at a time, so the k x k matrix is never whole."""
+    """The int8 class rows of a quotient whose pairs all lie within 3, and
+    the largest distance: 1 on an edge, 2 in the two-step reach off it, 3
+    elsewhere, and the twin distances on the diagonal. A block of
+    ``REACH_BLOCK`` classes is unpacked at a time, so the k x k matrix is
+    never whole in numpy."""
     k = len(quotient)
     width = (k + 7) // 8
 
@@ -292,7 +305,7 @@ def _reach_rows(
         dist = dist.view(np.int8)
         dist.flat[lo::k + 1] = twins[lo:lo + REACH_BLOCK]  # entry (c - lo, c) of each class c
         top = max(top, int(dist.max()))
-        rows += _array_rows("b", dist if class_of is None else dist[:, class_of])
+        rows += _array_rows("b", dist)
     return rows, top
 
 
@@ -305,15 +318,42 @@ def _array_rows(code: str, matrix: np.ndarray) -> list[array]:
     return rows
 
 
-def _rows(g: ZDGraph, vertices: Iterable[int]) -> list:
-    """Rows ``vertices`` of ``g.dist``, off the class rows until it is made: a vertex with
-    no twin gets its class's row itself, which callers only read, any other a copy with 0 at v."""
+def _rows(g: ZDGraph, vertices: Sequence[int]) -> list:
+    """Rows ``vertices`` of ``g.dist``, off the class rows until it is made:
+    on a twin-free graph, its own quotient, a vertex gets its class's row
+    itself, which callers only read; on any other, ``_member_rows`` makes
+    them."""
     if "dist" in g.__dict__:
         return [g.dist[v] for v in vertices]
     class_of, _, rows, _ = g._twins
+    if len(rows) == g.order:
+        return [rows[v] for v in vertices]
+    return _member_rows(class_of, rows, vertices)
+
+
+def _member_rows(
+    class_of: Sequence[int], rows: Sequence[array], vertices: Sequence[int]
+) -> list[array]:
+    """Rows ``vertices`` of the distance matrix of a graph with twins, made
+    off its k-entry class rows: each class read is widened once to n
+    entries, its row read through each vertex's class, and a vertex with no
+    twin gets that row itself, any other a copy with 0 at itself. r rows
+    take O(r n). With one byte per class and per distance, a widening is
+    one byte-table lookup (``bytes.translate``) over the class map."""
+    if len(rows) <= 256 and rows[0].typecode == "b":
+        by_byte = bytes(class_of)
+
+        def widen(row: array) -> array:
+            return array("b", by_byte.translate(bytes(row).ljust(256, b"\0")))
+    else:
+        def widen(row: array) -> array:
+            return array(row.typecode, map(row.__getitem__, class_of))
+    wide: list[array | None] = [None] * len(rows)
+    for c in set(map(class_of.__getitem__, vertices)):
+        wide[c] = widen(rows[c])
     out = []
     for v in vertices:
-        if (row := rows[class_of[v]])[v]:  # v has twins, at this distance
+        if (row := wide[class_of[v]])[v]:  # v has twins, at this distance
             row = row[:]
             row[v] = 0
         out.append(row)

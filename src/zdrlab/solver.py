@@ -46,6 +46,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -226,11 +227,12 @@ def _shared_cells(g: ZDGraph) -> list[list[int]]:
     lies at distance 0 from itself, so these cells hold tops. Twins lie at
     one distance from every vertex outside their class, and a top at one
     distance from the rest of its class, so a top's distances to the base
-    are read off one member of each class of two or more."""
-    rows = _rows(g, [cls[0] for cls in g.classes if len(cls) > 1])
+    are read off the class rows of the classes of two or more, at the top's
+    class (the graph's k-entry class rows, ``ZDGraph._twins``)."""
+    rows = [row for row, cls in zip(g._twins[2], g.classes) if len(cls) > 1]
     cells: dict[tuple[int, ...], list[int]] = {}
-    for t in sorted(cls[-1] for cls in g.classes):
-        cells.setdefault(tuple(row[t] for row in rows), []).append(t)
+    for t, c in sorted((cls[-1], c) for c, cls in enumerate(g.classes)):
+        cells.setdefault(tuple(row[c] for row in rows), []).append(t)
     return [cell for cell in cells.values() if len(cell) > 1]
 
 
@@ -255,16 +257,32 @@ def _row_ints(rows: np.ndarray, shift: int, which):
         yield int.from_bytes(data[i * width:(i + 1) * width], "little") << shift
 
 
-def _resolve_elements(g: ZDGraph, tops: tuple[int, ...], covers: list[int]):
-    """What a resolving search over ``tops`` needs besides the vertices'
-    ``covers``: the untracked cells, every element's covers (a pair's are
-    None until a search reads its packed vertex bitset from ``pair_rows``),
-    ``pair_rows``, the tracked pairs by cover count, and per top every
-    element bit but the pairs it resolves; element bits as in ``_search``.
-    Each cell's first members take what the cells before it left of the
-    cap on tracked pairs. A top covers a pair when its distances to the two
-    differ; only the pairs' distance rows become an array, compared in
-    slices of ~2**18 entries."""
+def _top_rows(g: ZDGraph, tops: Sequence[int]) -> list:
+    """Each top's distances to the tops, indexed by class (the c-th entry is
+    to class c's top): its class row with 0 on its own column. A twin-free
+    graph's class rows are these rows."""
+    class_of, _, rows, _ = g._twins
+    out = []
+    for t in tops:
+        if (row := rows[c := class_of[t]])[c]:  # t has twins, at this distance
+            row = row[:]
+            row[c] = 0
+        out.append(row)
+    return out
+
+
+def _resolve_elements(g: ZDGraph):
+    """What a resolving search over the tops (each class's largest member)
+    needs: the untracked cells, the element covers (a vertex's 0 until a
+    search opens it, a pair's None until a search reads its packed vertex
+    bitset from ``pair_rows``), ``pair_rows``, the tracked pairs by cover
+    count, and per top every element bit but the pairs it resolves; element
+    bits as in ``_search``. Each cell's first members take what the cells
+    before it left of the cap on tracked pairs. A top covers a pair when its
+    distances to the two differ: only the pairs' ends' distances to the tops
+    become an array, one column per class off the k-entry class rows,
+    compared in slices of ~2**18 entries; with twins, each class's column
+    is then placed at its top's bit."""
     n, cap = g.order, PAIRS_PER_VERTEX * g.order
     untracked, ends, us, vs = [], [], [], []
     for cell in _shared_cells(g):
@@ -280,31 +298,32 @@ def _resolve_elements(g: ZDGraph, tops: tuple[int, ...], covers: list[int]):
         ends += cell[:size]
         cap -= len(i)
     if not ends:
-        return untracked, covers, None, {}, {}
-    rows = np.array(_rows(g, ends), dtype=np.min_scalar_type(-n))
+        return untracked, [0] * n, None, {}, {}
+    rows = np.array(_top_rows(g, ends), dtype=np.min_scalar_type(-n))
     us, vs = np.concatenate(us), np.concatenate(vs)  # pair p joins rows us[p] and vs[p]
-    m = len(us)
-    is_top = np.zeros(n, dtype=bool)
-    is_top[list(tops)] = True
+    m, k = len(us), rows.shape[1]
+    top_of = [cls[-1] for cls in g.classes]
     pair_rows = np.empty((m, (n + 7) // 8), dtype=np.uint8)
     counts = np.empty(m, dtype=np.min_scalar_type(n))
-    by_top = np.empty(((m + 7) // 8, n), dtype=np.uint8)  # pair p: bit p % 8 of row p // 8
+    by_top = np.empty(((m + 7) // 8, k), dtype=np.uint8)  # pair p: bit p % 8 of row p // 8
     step = max(8, (1 << 18) // n // 8 * 8)
     for p in range(0, m, step):
         sep = rows[us[p:p + step]] != rows[vs[p:p + step]]
-        sep &= is_top
-        pair_rows[p:p + step] = np.packbits(sep, axis=1, bitorder="little")
         counts[p:p + step] = sep.view(np.uint8).sum(axis=1, dtype=counts.dtype)
         by_top[p // 8:(p + step) // 8] = np.packbits(sep, axis=0, bitorder="little")
+        if k < n:  # column c is the bit of class c's top
+            sep, cols = np.zeros((len(sep), n), dtype=bool), sep
+            sep[:, top_of] = cols
+        pair_rows[p:p + step] = np.packbits(sep, axis=1, bitorder="little")
     # by_top.T, moved 512 rows at a time: one plain copy of the 12,000 x 3,000
     # bytes of a long path's pairs takes four times as long
-    by_vertex = np.empty((n, len(by_top)), dtype=np.uint8)
+    by_class = np.empty((k, len(by_top)), dtype=np.uint8)
     for i in range(0, len(by_top), 512):
-        by_vertex[:, i:i + 512] = by_top[i:i + 512].T
+        by_class[:, i:i + 512] = by_top[i:i + 512].T
     del by_top, rows, us, vs
     tiers = _tiers(counts, n)  # before the tops' bitsets, so its temporaries set no new peak
-    keep = {t: ~pairs for t, pairs in zip(tops, _row_ints(by_vertex, n, tops))}
-    return untracked, covers + [None] * m, pair_rows, tiers, keep
+    keep = {t: ~pairs for t, pairs in zip(top_of, _row_ints(by_class, n, range(k)))}
+    return untracked, [0] * n + [None] * m, pair_rows, tiers, keep
 
 
 def _search(
@@ -340,55 +359,73 @@ def _search(
     one check, counted before its scan. The stack is explicit. Each node is
     one check, handed to the clock only when a cap is due to be tested.
 
-    A resolving search reads its resolve elements from ``shared``, building
-    them first, on its own clock, when it is empty; ``solve_dimensions``
-    hands dim and ddim one list. Covers a search reads from ``pair_rows``
-    stay converted for the next.
+    The set-up is per top and per open element, not per vertex: ``keep``
+    is made for the tops, a vertex's covers when it is open (every vertex
+    the base leaves undominated, found off one member of each class of two
+    or more), and the max degree off one member per class, since twins
+    have equal degrees. Distances between tops are read off the graph's
+    k-entry class rows (``_top_rows``); no member row is made. A resolving
+    search reads its resolve elements from ``shared``, building them
+    first, on its own clock, when it is empty; ``solve_dimensions`` hands
+    dim and ddim one list. Covers a search reads from ``pair_rows`` stay
+    converted for the next.
     """
-    n = g.order
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    spread = max(map(int.bit_count, closed))  # max degree + 1
+    n, adj = g.order, g.adj
+    spread = max(adj[cls[0]].bit_count() for cls in g.classes) + 1  # max degree + 1
     top_mask = sum(1 << t for t in tops)
     base = [v for cls in g.classes for v in cls[:-1]] if resolve else []
-    keep = [~c for c in closed] if dominate else [-1] * n
-    covers = [c & top_mask for c in closed]
-    untracked, pair_rows, pair_tiers = [], None, {}
+    keep = [-1] * n
+    if dominate:
+        for t in tops:
+            keep[t] = ~(adj[t] | 1 << t)
+    covers, untracked, pair_rows, pair_tiers = [0] * n, [], None, {}
     if resolve:
         shared = [] if shared is None else shared
         if not shared:
-            shared.append(_resolve_elements(g, tops, covers))
+            shared.append(_resolve_elements(g))
         untracked, covers, pair_rows, pair_tiers, resolve_keep = shared[0]
         for t, rest in resolve_keep.items():
-            keep[t] = keep[t] & rest if dominate else rest
+            keep[t] &= rest
     vertices = open_base = (1 << n) - 1 if dominate else 0
-    for v in base:
-        open_base &= keep[v]
+    if dominate and resolve:
+        # the base, every vertex but the tops, dominates itself and the neighbours
+        # of each class of two or more: its first member's, as twins share them
+        open_base &= top_mask
+        for cls in g.classes:
+            if len(cls) > 1:
+                open_base &= ~adj[cls[0]]
     tiers: dict[int, int] = {}  # cover count: the elements with that many covers
     for v in _bits(open_base):
-        count = covers[v].bit_count()
+        covers[v] = cover = (adj[v] | 1 << v) & top_mask
+        count = cover.bit_count()
         tiers[count] = tiers.get(count, 0) | 1 << v
     for count, pairs in pair_tiers.items():
         tiers[count] = tiers.get(count, 0) | pairs
     open_base |= (1 << len(covers) - n) - 1 << n
     rarest = [tiers[count] for count in sorted(tiers)]
-    dist = dict(zip(tops, _rows(g, tops))) if untracked else {}  # the picks' and the cells' rows
+    dist, top_of = {}, []  # the picks' distances to the tops, and the cells, by class
+    if untracked:
+        class_of, top_of = g._twins[0], [cls[-1] for cls in g.classes]
+        dist = dict(zip(tops, _top_rows(g, tops)))
+        untracked = [[class_of[t] for t in cell] for cell in untracked]
 
     def unresolved(picks: list[int]) -> int:
         """The tops separating a pair that the base and ``picks`` leave
-        unresolved, or 0: each pick splits the untracked cells by distance."""
+        unresolved, or 0: each pick splits the untracked cells, held as
+        classes, by distance."""
         split = untracked
         for p in picks:
             row, parts = dist[p], []
             for group in split:
                 by_distance: dict[int, list[int]] = {}
-                for v in group:
-                    by_distance.setdefault(row[v], []).append(v)
+                for c in group:
+                    by_distance.setdefault(row[c], []).append(c)
                 parts += [part for part in by_distance.values() if len(part) > 1]
             split = parts
         if not split:
             return 0
-        du, dv = dist[split[0][0]], dist[split[0][1]]
-        return sum(1 << t for t in tops if du[t] != dv[t])
+        du, dv = dist[top_of[split[0][0]]], dist[top_of[split[0][1]]]
+        return sum(1 << t for t, a, b in zip(top_of, du, dv) if a != b)
 
     checks, due = clock.checks, clock.due()
 

@@ -428,12 +428,16 @@ def _run_console_script(*args: str) -> subprocess.CompletedProcess:
 
 
 # one command of each family whose imports differ: verify and table load the
-# claim registry inside the command, ring and dims never load it
+# claim registry inside the command, ring and dims never load it; and a
+# twin-rich resolving solve, 143 vertices in 14 classes through the two-step
+# reach, whose witness holds 130 of them
 @pytest.mark.parametrize("args, name", [
     (["verify", "run", "--deterministic"], "verify_run.txt"),
     (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
     (["dims", "solve", "Zn:42", "--json", "--deterministic"], "dims_Zn42.json"),
     (["table", "emit", "table2"], "table2.txt"),
+    (["dims", "solve", "prod:(Zn:8,Zn:27)", "--which", "ddim", "--json", "--deterministic"],
+     "dims_prod_Zn8_Zn27_ddim.json"),
 ])
 def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)

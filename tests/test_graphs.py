@@ -3,6 +3,8 @@ import dataclasses
 import json
 import pickle
 import sys
+import tracemalloc
+from array import array
 
 import networkx as nx
 import pytest
@@ -301,6 +303,34 @@ def test_long_path_gets_wide_rows(twin, monkeypatch):
     assert graph_invariants(g).diameter == 299
 
 
+@pytest.mark.parametrize("twin", [False, True], ids=["twin-free", "open twins"])
+def test_long_path_build_packs_rows_as_made(twin):
+    # each BFS row goes into its typed array as it is made: the build peaks
+    # within 2.5 times the 300 x 300 two-byte class rows it keeps; rows kept
+    # as lists of ints until the end took 5.9 and 8.1 times as much
+    edges = [(i, i + 1) for i in range(299)] + [(1, 300)] * twin
+    tracemalloc.start()
+    try:
+        g = graph_from_edges(300 + twin, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(len(row) * row.itemsize for row in g._twins[2])
+    assert kept == 300 * 300 * 2
+    assert peak < 2.5 * kept
+
+
+# isolated twins {3, 4, 5}; pendant twins {1, 2, 3} on a path 0-4-5; two
+# components, the second with the pendant twins {5, 6}; and three isolated
+# vertices, one class whose only distance is its diagonal's -1
+TWIN_EDGE_LISTS = [
+    (6, [(0, 1), (1, 2)]),
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]),
+    (7, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)]),
+    (3, []),
+]
+
+
 def test_distances_match_oracle_bfs():
     # ring graphs have diameter at most 3: one byte per entry, whose bytes
     # are those of the plain integers
@@ -312,6 +342,19 @@ def test_distances_match_oracle_bfs():
             assert row.itemsize == 1
             assert bytes(row) == bytes(tuple(row))
             assert list(row) == oracles.bfs_distances(nbrs, v, g.order)
+    # twins off an edge list, isolated or pendant, in one component or two:
+    # the connectivity test and the member rows made off the class rows
+    for order, edges in TWIN_EDGE_LISTS:
+        g = graph_from_edges(order, edges)
+        assert len(g.classes) < order
+        nbrs = oracles.neighbor_sets(g)
+        expected = [oracles.bfs_distances(nbrs, v, order) for v in range(order)]
+        assert g.is_connected == (-1 not in expected[0])
+        for vs in ([order - 1, 0, order - 1], [2], range(order)):
+            assert [list(row) for row in graphs._rows(g, vs)] == [expected[v] for v in vs]
+        assert "dist" not in vars(g)
+        assert [list(row) for row in g.dist] == expected
+    assert [graph_from_edges(*e).is_connected for e in TWIN_EDGE_LISTS] == [False, True, False, False]
 
 
 def _count_bfs(monkeypatch) -> list[int]:
@@ -407,6 +450,36 @@ def test_solves_and_invariants_leave_the_distance_matrix_unmade():
     solve_dimensions(g, "all")
     graph_invariants(g)
     assert "dist" not in vars(g)
+
+
+@pytest.mark.parametrize("spec", ["Zn:1024", "prod:(Zn:8,Zn:27)"])
+def test_twin_rich_solves_make_no_member_row(spec, monkeypatch):
+    # the solvers read distances between tops off the k-entry class rows and
+    # set up per top and per open element: no member row is ever made
+    def fail(*args):
+        raise AssertionError("a member row was made")
+
+    g = build_zdgraph(build_ring(spec))
+    assert len(g.classes) < g.order
+    monkeypatch.setattr(graphs, "_member_rows", fail)
+    report = solve_dimensions(g, "all")
+    assert report.ddim.method == "twin_reduced"
+    assert g.is_connected and graph_invariants(g).diameter <= 3
+    assert "dist" not in vars(g)
+
+
+def test_read_distance_matrix_leaves_only_class_rows():
+    # once dist is made, the graph keeps no other per-member rows: its class
+    # rows are k entries each, and the function that made dist is gone
+    g = build_zdgraph(build_ring("prod:(Zn:32,Zn:64)"))
+    k = len(g.classes)
+    assert len(g.dist) == g.order == 1535 and k == 40
+    assert "_dist" not in vars(g)
+    rows = [value for name, value in vars(g).items() if name != "dist"]
+    rows += [part for value in rows if isinstance(value, tuple) for part in value]
+    rows = [row for value in rows if isinstance(value, (list, tuple)) for row in value
+            if isinstance(row, array)]
+    assert rows == list(g._twins[2]) and {len(row) for row in rows} == {k}
 
 
 def test_graphs_pickle_before_their_rows_are_read():

@@ -159,8 +159,7 @@ def test_only_untracked_cells_get_the_resolving_test(monkeypatch):
     ])
     assert solver._shared_cells(g) == [[0, 1, 6, 7], [2, 4, 5]]
     monkeypatch.setattr(solver, "PAIRS_PER_VERTEX", 1)
-    tops = tuple(sorted(cls[-1] for cls in g.classes))
-    untracked, _, pair_rows, _, _ = solver._resolve_elements(g, tops, [0] * g.order)
+    untracked, _, pair_rows, _, _ = solver._resolve_elements(g)
     assert untracked == [[2, 4, 5]] and len(pair_rows) == 7
     res = metric_dimension(g)
     assert (res.value, res.witness) == (3, (0, 2, 3)) == oracles.brute_dim(g)
