@@ -5,9 +5,11 @@ bitsets, its distance-twin classes and its distance matrix (-1 marks
 unreachable pairs), one typed array per row. Twins have equal rows outside
 their own class, so the only distance data a graph stores is one k-entry
 row per twin class: the twin quotient's (one vertex per class), with the
-distance between two members of the class on its diagonal. A vertex's row
-is made from its class's row only when read (``_rows``), and the full
-matrix on its first read. A connected
+distance between two members of the class on its diagonal. A graph is
+built with its adjacency and twin classes only: the quotient and its class
+rows are made on their first read (``ZDGraph._twins``), a vertex's row off
+its class's row only when read (``_rows``), and the full matrix on its
+first read. A connected
 zero-divisor graph has diameter at most 3 (Anderson and Livingston, 1999),
 so a quotient of ``REACH_MIN_CLASSES`` classes or more whose pairs all lie
 within 3 takes its distances from each class's two-step bitset reach: 1 on
@@ -28,7 +30,7 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,11 +53,13 @@ class ZDGraph:
     ``classes`` is the distance-twin partition, ordered by least member: of
     a ring graph, merged from its associate classes, and of any other graph,
     keyed by neighbourhood (``neighbourhood_twin_classes``). It is computed
-    once, when the graph is built, with the twin quotient and one k-entry
+    once, when the graph is built. The twin quotient and one k-entry
     distance row per class (from the two-step reach when the quotient has
     at least ``REACH_MIN_CLASSES`` classes and diameter at most 3, else from
-    one BFS per class), and the invariants and the solvers read them: the
-    class rows are the only distance data the graph stores. ``dist[v]`` is
+    one BFS per class) are made on their first read (``_twins``), by the
+    connectivity test, the invariants or a resolving solve, on that
+    reader's clock; a domination solve reads none. The class rows are the
+    only distance data the graph stores. ``dist[v]`` is
     an ``array.array`` of the narrowest signed type that holds the largest
     distance: one byte per entry on every zero-divisor graph, whose
     diameter is at most 3. Member rows are made off the class rows only
@@ -115,9 +119,8 @@ class ZDGraph:
     @cached_property
     def _twins(self) -> tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]], int]:
         """The class map, twin quotient, k-entry class rows and largest
-        distance (``_twin_quotient``): set when the graph is built, and made
-        here for a graph given its rows, which are its class rows when it is
-        twin-free."""
+        distance (``_twin_quotient``), made on first read; a twin-free graph
+        given its rows takes them as its class rows."""
         if len(self.classes) == self.order and "dist" in self.__dict__:
             return range(self.order), self.adj, self.dist, max(map(max, self.dist), default=0)
         return _twin_quotient(self.adj, self.classes)
@@ -233,11 +236,11 @@ def _is_clique_class(adj: Sequence[int], cls: Sequence[int]) -> bool:
 
 
 def _twin_quotient(
-    adj: Sequence[int], classes: tuple[tuple[int, ...], ...], class_of: Sequence[int] | None = None
+    adj: Sequence[int], classes: tuple[tuple[int, ...], ...]
 ) -> tuple[Sequence[int], Sequence[int], list[array], int]:
-    """Each vertex's class (``class_of`` when the caller has it), the twin
-    quotient (bit d of the c-th bitset when classes c and d are joined), its
-    k-entry class rows, and the largest distance.
+    """Each vertex's class, the twin quotient (bit d of the c-th bitset
+    when classes c and d are joined), its k-entry class rows, and the
+    largest distance.
 
     Adjacency between two twin classes is all or nothing, so one member's
     row holds it; a twin-free graph is its own quotient. Entry d of class
@@ -262,11 +265,10 @@ def _twin_quotient(
     if k == len(adj):
         class_of = range(k)
     else:
-        if class_of is None:
-            class_of = [0] * len(adj)
-            for c, cls in enumerate(classes):
-                for v in cls:
-                    class_of[v] = c
+        class_of = [0] * len(adj)
+        for c, cls in enumerate(classes):
+            for v in cls:
+                class_of[v] = c
         least = sum(1 << cls[0] for cls in classes)
         quotient = [sum(1 << class_of[v] for v in _bits(adj[cls[0]] & least)) for cls in classes]
     twins = [1 if _is_clique_class(adj, cls) else 0 if len(cls) == 1 else 2 if nbrs else -1
@@ -305,17 +307,8 @@ def _reach_rows(
         dist = dist.view(np.int8)
         dist.flat[lo::k + 1] = twins[lo:lo + REACH_BLOCK]  # entry (c - lo, c) of each class c
         top = max(top, int(dist.max()))
-        rows += _array_rows("b", dist)
+        rows += [array("b", row.tobytes()) for row in dist]
     return rows, top
-
-
-def _array_rows(code: str, matrix: np.ndarray) -> list[array]:
-    """The rows of a C-contiguous matrix of the numpy type ``code``, as arrays of that typecode."""
-    flat, width = memoryview(matrix.reshape(-1)).cast("B"), matrix.shape[1] * matrix.itemsize
-    rows = [array(code) for _ in range(len(matrix))]
-    for i, row in enumerate(rows):
-        row.frombytes(flat[i * width:(i + 1) * width])
-    return rows
 
 
 def _rows(g: ZDGraph, vertices: Sequence[int]) -> list:
@@ -360,17 +353,6 @@ def _member_rows(
     return out
 
 
-def _graph(
-    adj: tuple[int, ...], classes, labels: Sequence[str] | Callable, ids, source: str,
-    class_of: Sequence[int] | None = None,
-) -> ZDGraph:
-    """The graph on these adjacency bitsets and twin classes, with its twin
-    quotient and class rows; its distance rows are made when read."""
-    g = ZDGraph(len(adj), labels, tuple(ids), adj, _rows, classes, source)
-    g.__dict__["_twins"] = _twin_quotient(adj, classes, class_of)
-    return g
-
-
 def graph_from_edges(
     order: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None,
     external_ids: Sequence[int] | None = None, source: str = "",
@@ -388,7 +370,8 @@ def graph_from_edges(
         adj[v] |= 1 << u
     labels = [str(i) for i in range(order)] if labels is None else labels
     ids = range(order) if external_ids is None else external_ids
-    return _graph(tuple(adj), neighbourhood_twin_classes(adj), labels, ids, source)
+    classes = neighbourhood_twin_classes(adj)
+    return ZDGraph(order, labels, tuple(ids), tuple(adj), _rows, classes, source)
 
 
 def build_zdgraph(ring: FiniteRing) -> ZDGraph:
@@ -402,9 +385,8 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     that one int, but in a class with x*x = 0, the block's diagonal, whose
     rows hold their members' own bits, cleared per member. Associates are
     twins (open when x*x != 0, closed when x*x = 0), so the twin classes
-    merge the associate classes, keyed by one member's row each; when none
-    merge, their class map is the twin quotient's. Labels are made on first
-    read.
+    merge the associate classes, keyed by one member's row each. Labels,
+    the twin quotient and the distances are made on first read.
     """
     members = zero_divisors(ring).members
     if not members:
@@ -421,11 +403,10 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
         for v in groups[c]:
             adj[v] ^= 1 << v
     adj = tuple(adj)
-    merged = _merge_twins(adj, groups)
-    if len(merged) == len(groups):  # no associate classes merged: their map is the twin classes'
-        return _graph(adj, tuple(map(tuple, groups)), ring.labels_of, members, ring.name, class_of)
-    classes = tuple(tuple(sorted(cls)) for cls in merged)
-    return _graph(adj, classes, ring.labels_of, members, ring.name)
+    classes = _merge_twins(adj, groups)
+    if len(classes) < len(groups):  # a merged class lists its groups in order of least member
+        classes = [sorted(cls) for cls in classes]
+    return ZDGraph(len(adj), ring.labels_of, members, adj, _rows, tuple(map(tuple, classes)), ring.name)
 
 
 def _associate_rows(
@@ -433,8 +414,7 @@ def _associate_rows(
 ) -> tuple[list[int], list[int]]:
     """Each associate class's row of the representatives' zero-product block,
     gathered to the members as one bitset, and the classes with x * x = 0,
-    whose rows hold their own members' bits. The block is freed on return,
-    before the distances are made."""
+    whose rows hold their own members' bits. The block is freed on return."""
     block = _zero_products(spec, np.array(reps, dtype=np.intp))
     packed = np.packbits(block.take(class_of, axis=1), axis=1, bitorder="little")
     square_zero = np.flatnonzero(block.diagonal()).tolist()
@@ -460,7 +440,7 @@ class GraphInvariants:
 
 def graph_invariants(g: ZDGraph) -> GraphInvariants:
     """The invariants, each read once per twin class off the twin quotient
-    kept from the build: twins have equal degrees."""
+    (made here if no reader made it before): twins have equal degrees."""
     n = g.order
     if n == 0:
         return GraphInvariants(0, 0, 0, INF, 0, 0, (), ())

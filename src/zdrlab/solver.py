@@ -205,8 +205,10 @@ class TwinPartition:
 
 
 def twin_classes(g: ZDGraph) -> TwinPartition:
-    """The graph's twin classes, ``g.classes``: keyed by open and closed
-    neighbourhood when the graph was built, ordered by least member."""
+    """The graph's twin classes, ``g.classes``, found when the graph was
+    built and ordered by least member: a ring graph's merged from its
+    associate classes, any other graph's keyed by open and closed
+    neighbourhood."""
     return TwinPartition(g.classes)
 
 
@@ -579,13 +581,15 @@ def _resolving(
     g: ZDGraph, budget: Budget | None, dominate: bool, lower: int, shared: list | None
 ) -> QuantityResult:
     """dim, or ddim when ``dominate``: the search over the tops (each twin
-    class's largest member), the base being every member but the top."""
+    class's largest member), the base being every member but the top. The
+    clock starts before the connectivity test, which may make the twin
+    quotient, so its cost counts against the budget."""
     what = "dominant metric dimension" if dominate else "metric dimension"
     if g.order == 0:
         raise ValueError(f"{what} of the empty graph is undefined")
+    clock = _Clock("ddim" if dominate else "dim", budget)
     if not g.is_connected:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
-    clock = _Clock("ddim" if dominate else "dim", budget)
     if g.order == 1:
         return QuantityResult(0, (), "convention" if dominate else "exhaustive", clock.elapsed_ms, 0)
     tops = tuple(sorted(cls[-1] for cls in twin_classes(g).classes))

@@ -17,6 +17,8 @@ from zdrlab.solver import BudgetExceededError
 from zdrlab import cli as cli_mod
 from zdrlab import verify as verify_mod
 
+import oracles
+
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -412,7 +414,7 @@ def test_verify_run_caps_a_gaussian_order_before_factoring(runner, tmp_path, mon
     assert "above the cap 4096" in result.output
 
 
-def _run_console_script(*args: str) -> subprocess.CompletedProcess:
+def _run_console_script(*args: str, timeout: float = 300) -> subprocess.CompletedProcess:
     """Run ``zdrlab`` as its console script does: a fresh interpreter calls
     the entry point that pyproject.toml declares, with the script's name as
     ``sys.argv[0]``, and exits with its return value. The package comes
@@ -424,7 +426,7 @@ def _run_console_script(*args: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "ZDRLAB_BUDGET_MS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
-                          timeout=300)
+                          timeout=timeout)
 
 
 # one command of each family whose imports differ: verify and table load the
@@ -443,6 +445,23 @@ def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_gamma_on_a_long_path_solves_within_its_time_cap(tmp_path):
+    # a domination solve reads no distance, so neither the build nor the
+    # solve makes the twin quotient: a 4,096-vertex path, twin-free and far
+    # past diameter 3, solves gamma inside a 500 ms cap, where the quotient's
+    # one BFS per vertex takes about 18 s
+    n = 4096
+    path_file = tmp_path / "path.txt"
+    path_file.write_text("".join(f"{v} {v + 1}\n" for v in range(n - 1)), encoding="utf-8")
+    result = _run_console_script("dims", "solve", "--graph", str(path_file), "--which", "gamma",
+                                 "--budget-ms", "500", "--json", "--deterministic", timeout=10)
+    assert result.returncode == 0, result.stderr.decode()
+    gamma = json.loads(result.stdout)["gamma"]
+    assert gamma["value"] == len(gamma["witness_ids"]) == 1366
+    nbrs = {v: {u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)}
+    assert oracles.dominating_def(nbrs, n, gamma["witness_ids"])
 
 
 # verify and table import the claim registry when they run, so their callee

@@ -290,10 +290,12 @@ def test_disconnected_distances():
 def test_long_path_gets_wide_rows(twin, monkeypatch):
     # distances up to 299 do not fit a signed byte; a second leaf on vertex
     # 1 makes {0, 300} an open class, so the rows come through the quotient,
-    # from one BFS per class: the path is far past diameter 3
+    # from one BFS per class, run when the quotient is first read: the path
+    # is far past diameter 3
     runs = _count_bfs(monkeypatch)
     edges = [(i, i + 1) for i in range(299)] + [(1, 300)] * twin
     g = graph_from_edges(300 + twin, edges)
+    g._twins
     assert len(g.classes) == 300
     assert runs == [300]
     assert {row.typecode for row in g.dist} == {"h"}
@@ -305,13 +307,15 @@ def test_long_path_gets_wide_rows(twin, monkeypatch):
 
 @pytest.mark.parametrize("twin", [False, True], ids=["twin-free", "open twins"])
 def test_long_path_build_packs_rows_as_made(twin):
-    # each BFS row goes into its typed array as it is made: the build peaks
-    # within 2.5 times the 300 x 300 two-byte class rows it keeps; rows kept
-    # as lists of ints until the end took 5.9 and 8.1 times as much
+    # each BFS row goes into its typed array as it is made: the build and
+    # the first read of the quotient peak within 2.5 times the 300 x 300
+    # two-byte class rows the graph keeps; rows kept as lists of ints until
+    # the end took 5.9 and 8.1 times as much
     edges = [(i, i + 1) for i in range(299)] + [(1, 300)] * twin
     tracemalloc.start()
     try:
         g = graph_from_edges(300 + twin, edges)
+        g._twins
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,10 +380,12 @@ def _boolean(k: int) -> str:
 
 @pytest.mark.parametrize("spec", ["Zn:256", "prod:(Zn:4,Zn:8)"])
 def test_one_bfs_per_twin_class(spec, monkeypatch):
-    # below the reach gate, one BFS per class: one pass over the quotient
-    # graph of exactly one vertex per twin class, and none over the members
+    # below the reach gate, one BFS per class when the quotient is first
+    # read: one pass over the quotient graph of exactly one vertex per twin
+    # class, and none over the members
     runs = _count_bfs(monkeypatch)
     g = build_zdgraph(build_ring(spec))
+    g._twins
     k = len(twin_classes(g).classes)
     assert k < g.order and k < graphs.REACH_MIN_CLASSES
     assert runs == [k]
@@ -396,11 +402,11 @@ def test_ring_quotients_at_the_gate_take_no_bfs(spec, k, block, monkeypatch):
     runs = _count_bfs(monkeypatch)
     g = build_zdgraph(build_ring(spec))
     assert len(g.classes) == k >= graphs.REACH_MIN_CLASSES
-    assert runs == []
     nbrs = oracles.neighbor_sets(g)
     for cls in g.classes:
         for v in cls[:2]:
             assert list(g.dist[v]) == oracles.bfs_distances(nbrs, v, g.order)
+    assert runs == []
 
 
 def test_ring_graph_labels_are_made_on_first_read(monkeypatch):

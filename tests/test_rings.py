@@ -303,14 +303,16 @@ def test_ring_operations_build_no_order_squared_array(spec):
 
 
 def test_boolean_ring_graph_builds_without_a_bfs_matrix():
-    # (Z_2)^11, 2,046 vertices in as many twin classes: a block of reach
-    # rows at a time, past the zero-product block, and the class rows
-    # themselves (4.2 MB); one BFS per class took 44 MB and 2.3 s
+    # (Z_2)^11, 2,046 vertices in as many twin classes, built and its
+    # quotient read: a block of reach rows at a time, past the zero-product
+    # block, and the class rows themselves (4.2 MB); one BFS per class took
+    # 44 MB and 2.3 s
     ring = build_ring("prod:(" * 10 + "Zn:2" + ",Zn:2)" * 10)
     zero_divisors(ring)
     tracemalloc.start()
     try:
         g = build_zdgraph(ring)
+        g._twins
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from zdrlab.families import (
     star,
 )
 from zdrlab.graphs import ZDGraph, build_zdgraph, graph_from_edges
-from zdrlab import solver
+from zdrlab import graphs, solver
 from zdrlab.rings import build_ring
 from zdrlab.solver import (
     Budget,
@@ -347,6 +348,50 @@ def test_time_budget_bounds_a_solve_of_all_three(monkeypatch):
     for quantity in ("gamma", "dim", "ddim"):
         res, want = getattr(report, quantity), getattr(expected, quantity)
         assert (res.value, res.witness, res.checks) == (want.value, want.witness, want.checks)
+
+
+# a 5-cycle with vertex 0 blown up into an open class {0, 5} and vertex 2
+# into a clique class {2, 6}
+TWIN_CYCLE = (7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 1), (5, 4), (6, 1), (6, 3), (6, 2)])
+
+
+def test_gamma_never_makes_the_twin_quotient(monkeypatch):
+    # a domination search reads the adjacency and the twin classes only:
+    # neither the build nor a gamma solve makes the quotient or its rows
+    def fail(*_args):
+        raise AssertionError("the twin quotient was made")
+
+    monkeypatch.setattr(graphs, "_twin_quotient", fail)
+    for make in (lambda: build_zdgraph(build_ring("Zn:240")),
+                 lambda: build_zdgraph(build_ring("prod:(Zn:10,Zn:12)")),
+                 lambda: graph_from_edges(*TWIN_CYCLE)):
+        g = make()
+        assert len(g.classes) < g.order
+        res = solve_dimensions(g, "gamma").gamma
+        assert oracles.dominating_def(oracles.neighbor_sets(g), g.order, res.witness)
+        assert "_twins" not in vars(g)
+
+
+@pytest.mark.parametrize("make", [lambda: build_zdgraph(build_ring("Zn:42")),
+                                  lambda: graph_from_edges(*TWIN_CYCLE)], ids=["ring", "edgelist"])
+def test_resolving_solve_pays_for_the_twin_quotient(make, monkeypatch):
+    # the quotient is made on its first read, the connectivity test's, once
+    # the dim clock runs: a quotient that takes 1 s spends a 500 ms cap
+    # before the first check, and counts in an unbudgeted solve's time
+    late = [0.0]
+    twin_quotient = graphs._twin_quotient
+
+    def slow(*args):
+        late[0] += 1.0
+        return twin_quotient(*args)
+
+    monkeypatch.setattr(graphs, "_twin_quotient", slow)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + late[0]))
+    with pytest.raises(BudgetExceededError) as err:
+        metric_dimension(make(), Budget(max_ms=500))
+    assert (err.value.quantity, err.value.checks) == ("dim", 0)
+    assert metric_dimension(make()).elapsed_ms >= 1000
+    assert late == [2.0]
 
 
 def _long_path(n: int) -> ZDGraph:

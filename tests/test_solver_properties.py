@@ -198,8 +198,10 @@ def test_all_matches_the_separate_solves(g, per_vertex):
 def test_solve_dimensions_leaves_nothing_on_the_graph():
     # twin-free with 325 pairs in one cell, all tracked: the shared set-up
     # lives only as long as one call, so a second call on the same graph
-    # object does the same work, also after a budget ran out inside dim
+    # object does the same work, also after a budget ran out inside dim.
+    # The graph's own twin quotient, made on its first read, is not set-up
     g = oracles.random_connected_graph(random.Random(16), 26)
+    g.is_connected
     keys = set(vars(g))
     first = solve_dimensions(g, "all")
     expected = _outputs(first.gamma, first.dim, first.ddim)
