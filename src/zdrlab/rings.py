@@ -595,21 +595,27 @@ def zero_divisors(ring: FiniteRing) -> ZeroDivisorSet:
 def _nonunits(ring: FiniteRing) -> np.ndarray:
     """Whether each element is a non-unit (0 always is).
 
-    x in Zn:n when gcd(x, n) > 1; a + bi in Zni:n when its norm a^2 + b^2,
-    a unit exactly when a + bi is, shares a factor with n; only 0 in a
-    field; (a, b) in a product when a or b is; in a catalog ring, x with a
-    nonzero partner y, x * y = 0, from the zero products of all elements, a
-    chunk of rows at a time, each reduced as it is made.
+    From the primes p of n, with no test per element: x in Zn:n when some
+    p divides it (``_zn_nonunits``); a + bi in Zni:n when some p divides
+    its norm a^2 + b^2 (a unit exactly when a + bi is), that is a^2 = -b^2
+    mod p, one equality table of the squares mod p; only 0 in a field;
+    (a, b) in a product when a or b is; in a catalog ring, x with a nonzero
+    partner y, x * y = 0, from the zero products of all elements, a chunk
+    of rows at a time, each reduced as it is made.
     """
     spec = ring.spec
     if ring.factors:
         left, right = ring.factors
         return (_nonunits(left)[:, None] | _nonunits(right)[None, :]).ravel()
     if spec.family is Family.ZN:
-        return np.gcd(np.arange(spec.n, dtype=np.int64), np.int64(spec.n)) > 1
+        return _zn_nonunits(spec.n)
     if spec.family is Family.ZN_GAUSS:
-        a = np.arange(spec.n, dtype=np.int64) ** 2  # index b * n + a: rows b, columns a
-        return (np.gcd(a[:, None] + a[None, :], np.int64(spec.n)) > 1).ravel()
+        nonunit = np.zeros((spec.n, spec.n), dtype=bool)  # index b * n + a: rows b, columns a
+        for p, _ in factorize(spec.n):
+            square = np.arange(spec.n) % p
+            square = square * square % p
+            nonunit |= np.equal.outer((p - square) % p, square)
+        return nonunit.ravel()
     if spec.family is Family.GF:
         return np.arange(ring.order) == 0
     xs = np.arange(ring.order)
@@ -619,12 +625,29 @@ def _nonunits(ring: FiniteRing) -> np.ndarray:
     return nonunit
 
 
+def _zn_nonunits(n: int) -> np.ndarray:
+    """The non-units of Zn:n, the multiples of the primes p of n: every
+    p-th element from 0."""
+    nonunit = np.zeros(n, dtype=bool)
+    for p, _ in factorize(n):
+        nonunit[::p] = True
+    return nonunit
+
+
 def _associate_reps(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
     """An associate u x (u a unit) of each element x of ``xs``, shared by
     the associates the family's rule sees: gcd(x, n) in Zn:n, 1 for x != 0
     in a field, the least index of c x and c i x over the units c of Z_n
     in Zni:n, componentwise in a product, x itself in a catalog ring. Since
-    x u = 0 iff x = 0, x y = 0 iff the representatives multiply to 0."""
+    x u = 0 iff x = 0, x y = 0 iff the representatives multiply to 0.
+
+    For x = a + bi in Zni:n, c x = ca + cb i and c i x = -cb + ca i (-1 is
+    a unit c, so c i^2 x and c i^3 x add nothing), read from one table of
+    c a mod n over the units c and the residues a; the row of the unit
+    -c = n - c is the row of c in reverse order. Indices are below
+    n^2 <= ``ORDER_CAP`` = 4096, so the table, the keys and their scalars
+    are int16, which numpy promotes alike with or without NEP 50.
+    """
     if spec.family is Family.PRODUCT:
         left, right = spec.children
         o2 = spec_order(right)
@@ -636,11 +659,19 @@ def _associate_reps(spec: RingSpec, xs: np.ndarray) -> np.ndarray:
         return np.minimum(xs, 1)
     if spec.family is Family.CATALOG:
         return xs
-    # c x = ca + cb i and c i x = -cb + ca i; -1 is a unit c, so k < 2 will do
-    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
+    n16 = np.int16(n)
+    residues = np.arange(n, dtype=np.int16)
+    table = residues[~_zn_nonunits(n), None] * residues  # (n - 1)^2 < 2^15
+    table %= n16
     b, a = np.divmod(xs, n)
-    ca, cb = units * a % n, units * b % n
-    return np.minimum(ca + cb * n, (n - cb) % n + ca * n).min(axis=0)
+    key = table[:, b]
+    key *= n16
+    key += table[:, a]  # c x
+    turned = table[:, a]
+    turned *= n16
+    turned += table[::-1, b]  # c i x
+    np.minimum(key, turned, out=key)
+    return key.min(axis=0)
 
 
 def _zero_products(spec: RingSpec, xs: np.ndarray) -> np.ndarray:

@@ -254,6 +254,41 @@ def zero_block(ring, members) -> np.ndarray:
     return (op_tables(ring)[1].take(at, axis=0) == 0).take(at, axis=1)
 
 
+def gcd_nonunits(n: int, gaussian: bool) -> np.ndarray:
+    """The non-units of Zn:n (x with gcd(x, n) > 1) or, with ``gaussian``,
+    of Zni:n (a + bi at index b * n + a with gcd(a^2 + b^2, n) > 1), one gcd
+    per element."""
+    if not gaussian:
+        return np.gcd(np.arange(n, dtype=np.int64), np.int64(n)) > 1
+    a = np.arange(n, dtype=np.int64) ** 2
+    return (np.gcd(a[:, None] + a[None, :], np.int64(n)) > 1).ravel()
+
+
+def modulo_associate_reps(spec, xs: np.ndarray) -> np.ndarray:
+    """The associate representative rules of ``rings._associate_reps`` in
+    int64 arithmetic: gcd(x, n) in Zn:n, 1 for x != 0 in a field, in Zni:n
+    the least index of c x and c i x over the units c of Z_n with units * a % n
+    per element, componentwise in a product, x in a catalog ring."""
+    from zdrlab.rings import Family, spec_order
+
+    xs = np.asarray(xs, dtype=np.int64)
+    if spec.family is Family.PRODUCT:
+        left, right = spec.children
+        o2 = spec_order(right)
+        return modulo_associate_reps(left, xs // o2) * o2 + modulo_associate_reps(right, xs % o2)
+    n = spec.n
+    if spec.family is Family.ZN:
+        return np.gcd(xs, n) % n
+    if spec.family is Family.GF:
+        return np.minimum(xs, 1)
+    if spec.family is Family.CATALOG:
+        return xs
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
+    b, a = np.divmod(xs, n)
+    ca, cb = units * a % n, units * b % n
+    return np.minimum(ca + cb * n, (n - cb) % n + ca * n).min(axis=0)
+
+
 def ring_properties(ring) -> tuple[bool, bool, bool, tuple[int, ...]]:
     """is_field, is_local, is_reduced and the nilpotents by scans of the
     op tables: local when the non-units are closed under addition, and x

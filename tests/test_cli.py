@@ -432,7 +432,8 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
 # one command of each family whose imports differ: verify and table load the
 # claim registry inside the command, ring and dims never load it; and a
 # twin-rich resolving solve, 143 vertices in 14 classes through the two-step
-# reach, whose witness holds 130 of them
+# reach, whose witness holds 130 of them; and every quantity on a Gaussian
+# ring, whose classes come from its associate representatives
 @pytest.mark.parametrize("args, name", [
     (["verify", "run", "--deterministic"], "verify_run.txt"),
     (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
@@ -440,6 +441,7 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
     (["table", "emit", "table2"], "table2.txt"),
     (["dims", "solve", "prod:(Zn:8,Zn:27)", "--which", "ddim", "--json", "--deterministic"],
      "dims_prod_Zn8_Zn27_ddim.json"),
+    (["dims", "solve", "Zni:45", "--which", "all", "--json", "--deterministic"], "dims_Zni45.json"),
 ])
 def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)

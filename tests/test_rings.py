@@ -31,7 +31,7 @@ from zdrlab.rings import (
     unregister_catalog_entry,
     zero_divisors,
 )
-from zdrlab.rings import FiniteRing, _associate_reps, _products, _zero_products
+from zdrlab.rings import FiniteRing, _associate_reps, _nonunits, _products, _zero_products
 from zdrlab.solver import Budget, BudgetExceededError, solve_dimensions
 
 import oracles
@@ -523,6 +523,49 @@ def test_associate_reps_are_unit_multiples(spec):
     if "Zni" not in spec and "cat" not in spec:
         classes = {frozenset(mul[units, x].tolist()) for x in range(ring.order)}
         assert len(set(reps)) == len(classes)
+
+
+def test_zn_nonunits_match_gcd():
+    # the strides of the primes of n mark exactly the x with gcd(x, n) > 1
+    for n in range(2, 4097):
+        nonunit = _nonunits(build_ring(RingSpec(Family.ZN, n=n)))
+        assert np.array_equal(nonunit, oracles.gcd_nonunits(n, gaussian=False)), n
+
+
+def test_gaussian_nonunits_match_gcd():
+    # a^2 = -b^2 mod some prime p of n exactly when gcd(a^2 + b^2, n) > 1
+    for n in range(2, 65):
+        nonunit = _nonunits(build_ring(RingSpec(Family.ZN_GAUSS, n=n)))
+        assert np.array_equal(nonunit, oracles.gcd_nonunits(n, gaussian=True)), n
+
+
+GAUSSIAN_REP_SPECS = [f"Zni:{n}" for n in range(2, 65)] + [
+    "prod:(Zni:3,Zn:4)", "prod:(GF:4,Zni:5)", "prod:(Zni:2,Zni:4)", "prod:(Zn:6,Zni:6)",
+    "prod:(Zni:8,GF:8)",
+]
+
+
+@pytest.mark.parametrize("spec", GAUSSIAN_REP_SPECS)
+def test_gaussian_associate_reps_match_modulo_rule(spec):
+    # the same representative as the int64 rule, element by element: the
+    # least index of c x and c i x over the units c of Z_n
+    spec = parse_ring_spec(spec)
+    xs = np.arange(spec_order(spec))
+    assert _associate_reps(spec, xs).tolist() == oracles.modulo_associate_reps(spec, xs).tolist()
+
+
+def test_gaussian_associate_reps_peak_below_one_megabyte():
+    # one int16 units x n table and two int16 units x members keys; int64
+    # products per member would take 2.65 MB on Zni:64
+    ring = build_ring("Zni:64")
+    members = np.array(zero_divisors(ring).members)
+    tracemalloc.start()
+    try:
+        _associate_reps(ring.spec, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_zero_product_sums_widen_past_int32():
