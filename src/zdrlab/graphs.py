@@ -30,11 +30,11 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rings import ORDER_CAP, FiniteRing, RingSpec, _associate_reps, _zero_products, zero_divisors
+from .rings import ORDER_CAP, FiniteRing, RingSpec, _associate_reps, _nonunits, _zero_products
 
 INF = math.inf
 
@@ -58,7 +58,8 @@ class ZDGraph:
     at least ``REACH_MIN_CLASSES`` classes and diameter at most 3, else from
     one BFS per class) are made on their first read (``_twins``), by the
     connectivity test, the invariants or a resolving solve, on that
-    reader's clock; a domination solve reads none. The class rows are the
+    reader's clock, which a solve tests between BFS sources
+    (``_made_twins``); a domination solve reads none. The class rows are the
     only distance data the graph stores. ``dist[v]`` is
     an ``array.array`` of the narrowest signed type that holds the largest
     distance: one byte per entry on every zero-divisor graph, whose
@@ -117,13 +118,25 @@ class ZDGraph:
         return -1 not in rows[class_of[0]]
 
     @cached_property
-    def _twins(self) -> tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]], int]:
+    def _twins(self) -> tuple[Sequence[int], Sequence[int], Sequence[array], int]:
         """The class map, twin quotient, k-entry class rows and largest
-        distance (``_twin_quotient``), made on first read; a twin-free graph
-        given its rows takes them as its class rows."""
-        if len(self.classes) == self.order and "dist" in self.__dict__:
-            return range(self.order), self.adj, self.dist, max(map(max, self.dist), default=0)
-        return _twin_quotient(self.adj, self.classes)
+        distance (``_twin_quotient``), made on first read (``_made_twins``)."""
+        return _made_twins(self)
+
+
+def _made_twins(g: ZDGraph, deadline: Callable[[], None] | None = None) -> tuple:
+    """``g._twins``, made now if no reader has made it: a solve passes its
+    clock's ``deadline``, called before each source of the quotient's BFS,
+    which may raise; then nothing is kept. A twin-free graph given its rows
+    takes them as its class rows, as arrays of one type."""
+    if "_twins" not in g.__dict__:
+        if len(g.classes) == g.order and "dist" in g.__dict__:
+            top = max(map(max, g.dist), default=0)
+            rows = [array(_typecode(top), row) for row in g.dist]
+            g.__dict__["_twins"] = range(g.order), g.adj, rows, top
+        else:
+            g.__dict__["_twins"] = _twin_quotient(g.adj, g.classes, deadline)
+    return g.__dict__["_twins"]
 
 
 def _bits(mask: int):
@@ -161,15 +174,24 @@ def _merge_twins(adj: Sequence[int], groups: Iterable[Sequence[int]]) -> list[li
     return classes
 
 
-def _bfs_rows(adj: Sequence[int]) -> tuple[list[array], int]:
+def _typecode(top: int) -> str:
+    """The narrowest signed ``array`` typecode that holds ``top``."""
+    return next(code for code in "bhiq" if top < 1 << 8 * array(code).itemsize - 1)
+
+
+def _bfs_rows(
+    adj: Sequence[int], deadline: Callable[[], None] | None = None
+) -> tuple[list[array], int]:
     """Distances from each vertex by a bitset BFS, -1 where unreachable,
-    and the largest of them. Each row is packed into an ``array.array`` as
-    soon as it is made, of the narrowest signed type that holds the largest
-    distance so far; a row that needs a wider type widens the rows before
-    it. The bit loops are inline: a generator per frontier costs more than
-    the BFS."""
+    and the largest of them; ``deadline``, when given, is called before
+    each source. Each row is packed into an ``array.array`` as soon as it
+    is made, of the narrowest signed type that holds the largest distance
+    so far; a row that needs a wider type widens the rows before it. The
+    bit loops are inline: a generator per frontier costs more than the BFS."""
     order, rows, top, code = len(adj), [], 1, "b"
     for s in range(order):
+        if deadline:
+            deadline()
         dist = [-1] * order
         dist[s] = 0
         seen = frontier = 1 << s
@@ -189,8 +211,8 @@ def _bfs_rows(adj: Sequence[int]) -> tuple[list[array], int]:
                 nxt ^= low
         if d > top:
             top = d
-            if top - 1 >= 1 << 8 * array(code).itemsize - 1:  # each last level was empty
-                code = next(code for code in "hiq" if top - 1 < 1 << 8 * array(code).itemsize - 1)
+            if _typecode(top - 1) != code:  # each last level was empty
+                code = _typecode(top - 1)
                 rows = [array(code, row) for row in rows]
         rows.append(array(code, dist))
     return rows, top - 1
@@ -236,7 +258,8 @@ def _is_clique_class(adj: Sequence[int], cls: Sequence[int]) -> bool:
 
 
 def _twin_quotient(
-    adj: Sequence[int], classes: tuple[tuple[int, ...], ...]
+    adj: Sequence[int], classes: tuple[tuple[int, ...], ...],
+    deadline: Callable[[], None] | None = None,
 ) -> tuple[Sequence[int], Sequence[int], list[array], int]:
     """Each vertex's class, the twin quotient (bit d of the c-th bitset
     when classes c and d are joined), its k-entry class rows, and the
@@ -257,8 +280,9 @@ def _twin_quotient(
     lies within 3 (``_reach``), the distances are 1 on an edge, 2 in the
     two-step reach and 3 elsewhere, filled from the unpacked quotient and
     reach bitsets (``_reach_rows``). Any other quotient, smaller,
-    farther apart or disconnected, takes one BFS per class. Rows are of the
-    narrowest signed type that holds the largest distance.
+    farther apart or disconnected, takes one BFS per class, calling
+    ``deadline`` (when given) before each. Rows are of the narrowest signed
+    type that holds the largest distance.
     """
     k = len(classes)
     quotient = adj
@@ -276,7 +300,7 @@ def _twin_quotient(
     reach = _reach(quotient) if k >= REACH_MIN_CLASSES else None
     if reach is not None:
         return class_of, quotient, *_reach_rows(quotient, reach, twins)
-    rows, top = _bfs_rows(quotient)
+    rows, top = _bfs_rows(quotient, deadline)
     for c, twin in enumerate(twins):
         rows[c][c] = twin
     return class_of, quotient, rows, max([top, *twins])
@@ -388,13 +412,13 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     merge the associate classes, keyed by one member's row each. Labels,
     the twin quotient and the distances are made on first read.
     """
-    members = zero_divisors(ring).members
-    if not members:
+    at = np.flatnonzero(_nonunits(ring))[1:]  # the zero divisors, as ``zero_divisors`` lists them
+    if not len(at):
         raise EmptyGraphError(f"{ring.name} is an integral domain; its zero-divisor graph is empty")
-    at = np.array(members, dtype=np.intp)
-    reps: dict[int, int] = {}
-    class_of = [reps.setdefault(r, len(reps)) for r in _associate_reps(ring.spec, at).tolist()]
-    rows, square_zero = _associate_rows(ring.spec, list(reps), class_of)
+    reps = _associate_reps(ring.spec, at).tolist()
+    number = {r: c for c, r in enumerate(dict.fromkeys(reps))}  # classes by first member
+    class_of = list(map(number.__getitem__, reps))
+    rows, square_zero = _associate_rows(ring.spec, list(number), class_of)
     adj = list(map(rows.__getitem__, class_of))
     groups: list[list[int]] = [[] for _ in rows]
     for v, c in enumerate(class_of):
@@ -406,6 +430,7 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     classes = _merge_twins(adj, groups)
     if len(classes) < len(groups):  # a merged class lists its groups in order of least member
         classes = [sorted(cls) for cls in classes]
+    members = tuple(at.tolist())
     return ZDGraph(len(adj), ring.labels_of, members, adj, _rows, tuple(map(tuple, classes)), ring.name)
 
 

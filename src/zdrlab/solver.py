@@ -46,11 +46,11 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import ZDGraph, _bits, _is_clique_class, _rows
+from .graphs import ZDGraph, _bits, _is_clique_class, _made_twins, _rows
 
 BUDGET_ENV_VAR = "ZDRLAB_BUDGET_MS"
 
@@ -97,14 +97,20 @@ class _Clock:
         self.checks = 0
         self.start = time.monotonic()
         self.cardinality = 0
+        # for the set-up to call between steps (BFS sources, slices of pairs)
+        self.deadline = None if self.budget.max_ms is None else self.tick
 
     def begin(self, cardinality: int) -> None:
         """Start a cardinality; the time cap is tested here as well as
         every 1024 checks, so short searches honour it too."""
         self.cardinality = cardinality
+        self.tick()
+
+    def tick(self) -> None:
+        """Raise if the time cap is exceeded."""
         b = self.budget
         if b.max_ms is not None and self.elapsed_ms > b.max_ms:
-            raise BudgetExceededError(self.quantity, cardinality, self.checks)
+            raise BudgetExceededError(self.quantity, self.cardinality, self.checks)
 
     def due(self) -> int:
         """The next check count at which a cap must be tested: one past
@@ -225,38 +231,31 @@ PAIRS_PER_VERTEX = 32
 
 def _shared_cells(g: ZDGraph) -> list[list[int]]:
     """The cells of the base's distance partition with two or more members,
-    each in index order. A base member is a cell of its own, since only it
-    lies at distance 0 from itself, so these cells hold tops. Twins lie at
-    one distance from every vertex outside their class, and a top at one
-    distance from the rest of its class, so a top's distances to the base
-    are read off the class rows of the classes of two or more, at the top's
-    class (the graph's k-entry class rows, ``ZDGraph._twins``)."""
+    each in index order, by least member. A base member is a cell of its
+    own, since only it lies at distance 0 from itself, so these cells hold
+    tops. Twins lie at one distance from every vertex outside their class,
+    and a top at one distance from the rest of its class, so a top's key is
+    its class's column of the k-entry class rows (``ZDGraph._twins``) of
+    the classes of two or more: one transposed pass; with none, one key."""
     rows = [row for row, cls in zip(g._twins[2], g.classes) if len(cls) > 1]
     cells: dict[tuple[int, ...], list[int]] = {}
-    for t, c in sorted((cls[-1], c) for c, cls in enumerate(g.classes)):
-        cells.setdefault(tuple(row[c] for row in rows), []).append(t)
-    return [cell for cell in cells.values() if len(cell) > 1]
+    for key, cls in zip(zip(*rows) if rows else [()] * len(g.classes), g.classes):
+        cells.setdefault(key, []).append(cls[-1])
+    return sorted(sorted(cell) for cell in cells.values() if len(cell) > 1)
 
 
-def _tiers(counts: np.ndarray, shift: int) -> dict[int, int]:
-    """Pairs by their number of covers (cover count: pair bitset, shifted),
-    one byte row per count: pair p sets bit p % 8 of byte p // 8 in its
-    count's row, in one pass over the pairs."""
-    width = (len(counts) + 7) // 8
-    start = np.bincount(counts)  # then, per count, where its row starts
-    values = np.flatnonzero(start)
-    start[values] = np.arange(0, len(values) * width, width)
-    p = np.arange(len(counts))
-    rows = np.zeros(len(values) * width, dtype=np.uint8)
-    np.bitwise_or.at(rows, start[counts] + (p >> 3), (1 << np.arange(8, dtype=np.uint8))[p & 7])
-    return dict(zip(values.tolist(), _row_ints(rows.reshape(-1, width), shift, range(len(values)))))
-
-
-def _row_ints(rows: np.ndarray, shift: int, which):
-    """Rows ``which`` of a C-ordered 2-D uint8 array as little-endian ints, shifted."""
-    data, width = memoryview(rows).cast("B"), rows.shape[1]
-    for i in which:
-        yield int.from_bytes(data[i * width:(i + 1) * width], "little") << shift
+def _tiers(counts: np.ndarray, step: int, shift: int) -> dict[int, int]:
+    """Pairs by their number of covers (cover count: pair bitset, shifted):
+    one bit row per count present, packed from the counts ``step`` pairs at
+    a time, and read as ints off one copy of the rows' bytes."""
+    values = np.flatnonzero(np.bincount(counts)).astype(counts.dtype)
+    rows = np.empty((len(values), (len(counts) + 7) // 8), dtype=np.uint8)
+    for p in range(0, len(counts), step):
+        rows[:, p // 8:(p + step) // 8] = np.packbits(counts[p:p + step] == values[:, None], axis=1,
+                                                      bitorder="little")
+    data, width = rows.tobytes(), rows.shape[1]
+    return {count: int.from_bytes(data[i:i + width], "little") << shift
+            for count, i in zip(values.tolist(), range(0, len(data), width))}
 
 
 def _top_rows(g: ZDGraph, tops: Sequence[int]) -> list:
@@ -273,7 +272,7 @@ def _top_rows(g: ZDGraph, tops: Sequence[int]) -> list:
     return out
 
 
-def _resolve_elements(g: ZDGraph):
+def _resolve_elements(g: ZDGraph, deadline: Callable[[], None] | None = None):
     """What a resolving search over the tops (each class's largest member)
     needs: the untracked cells, the element covers (a vertex's 0 until a
     search opens it, a pair's None until a search reads its packed vertex
@@ -281,10 +280,11 @@ def _resolve_elements(g: ZDGraph):
     count, and per top every element bit but the pairs it resolves; element
     bits as in ``_search``. Each cell's first members take what the cells
     before it left of the cap on tracked pairs. A top covers a pair when its
-    distances to the two differ: only the pairs' ends' distances to the tops
-    become an array, one column per class off the k-entry class rows,
-    compared in slices of ~2**18 entries; with twins, each class's column
-    is then placed at its top's bit."""
+    distances to the two differ: the ends' rows (``_top_rows``) are one
+    array over their joined bytes, compared in slices of ~2**18 entries,
+    ``deadline`` (when given) called before each. A slice is packed by pair
+    into ``pair_rows``, each class's column at its top's bit, and by class
+    into one byte row per top; the keep masks are read off one copy of it."""
     n, cap = g.order, PAIRS_PER_VERTEX * g.order
     untracked, ends, us, vs = [], [], [], []
     for cell in _shared_cells(g):
@@ -301,30 +301,30 @@ def _resolve_elements(g: ZDGraph):
         cap -= len(i)
     if not ends:
         return untracked, [0] * n, None, {}, {}
-    rows = np.array(_top_rows(g, ends), dtype=np.min_scalar_type(-n))
+    rows = np.frombuffer(b"".join(_top_rows(g, ends)), g._twins[2][0].typecode).reshape(len(ends), -1)
     us, vs = np.concatenate(us), np.concatenate(vs)  # pair p joins rows us[p] and vs[p]
     m, k = len(us), rows.shape[1]
     top_of = [cls[-1] for cls in g.classes]
     pair_rows = np.empty((m, (n + 7) // 8), dtype=np.uint8)
     counts = np.empty(m, dtype=np.min_scalar_type(n))
-    by_top = np.empty(((m + 7) // 8, k), dtype=np.uint8)  # pair p: bit p % 8 of row p // 8
+    by_class = np.empty((k, (m + 7) // 8), dtype=np.uint8)  # pair p: bit p % 8 of byte p // 8
     step = max(8, (1 << 18) // n // 8 * 8)
     for p in range(0, m, step):
-        sep = rows[us[p:p + step]] != rows[vs[p:p + step]]
+        if deadline:
+            deadline()
+        sep = rows.take(us[p:p + step], 0) != rows.take(vs[p:p + step], 0)
         counts[p:p + step] = sep.view(np.uint8).sum(axis=1, dtype=counts.dtype)
-        by_top[p // 8:(p + step) // 8] = np.packbits(sep, axis=0, bitorder="little")
+        by_class[:, p // 8:(p + step) // 8] = np.packbits(sep.T.copy(), axis=1, bitorder="little")
         if k < n:  # column c is the bit of class c's top
             sep, cols = np.zeros((len(sep), n), dtype=bool), sep
             sep[:, top_of] = cols
         pair_rows[p:p + step] = np.packbits(sep, axis=1, bitorder="little")
-    # by_top.T, moved 512 rows at a time: one plain copy of the 12,000 x 3,000
-    # bytes of a long path's pairs takes four times as long
-    by_class = np.empty((k, len(by_top)), dtype=np.uint8)
-    for i in range(0, len(by_top), 512):
-        by_class[:, i:i + 512] = by_top[i:i + 512].T
-    del by_top, rows, us, vs
-    tiers = _tiers(counts, n)  # before the tops' bitsets, so its temporaries set no new peak
-    keep = {t: ~pairs for t, pairs in zip(top_of, _row_ints(by_class, n, range(k)))}
+    del rows, us, vs, sep
+    tiers = _tiers(counts, step, n)  # before the tops' bitsets, so its temporaries set no new peak
+    data, width = by_class.tobytes(), by_class.shape[1]
+    del by_class
+    keep = {t: ~(int.from_bytes(data[i:i + width], "little") << n)
+            for t, i in zip(top_of, range(0, len(data), width))}
     return untracked, [0] * n + [None] * m, pair_rows, tiers, keep
 
 
@@ -362,10 +362,10 @@ def _search(
     one check, handed to the clock only when a cap is due to be tested.
 
     The set-up is per top and per open element, not per vertex: ``keep``
-    is made for the tops, a vertex's covers when it is open (every vertex
-    the base leaves undominated, found off one member of each class of two
-    or more), and the max degree off one member per class, since twins
-    have equal degrees. Distances between tops are read off the graph's
+    is made for the tops, a vertex's covers when it is open, and one pass
+    over the classes takes the max degree, the base and the vertices it
+    dominates off one member each, as twins have equal degrees and share
+    their neighbours. Distances between tops are read off the graph's
     k-entry class rows (``_top_rows``); no member row is made. A resolving
     search reads its resolve elements from ``shared``, building them
     first, on its own clock, when it is empty; ``solve_dimensions`` hands
@@ -373,9 +373,16 @@ def _search(
     converted for the next.
     """
     n, adj = g.order, g.adj
-    spread = max(adj[cls[0]].bit_count() for cls in g.classes) + 1  # max degree + 1
     top_mask = sum(1 << t for t in tops)
-    base = [v for cls in g.classes for v in cls[:-1]] if resolve else []
+    spread, base, dominated = 0, [], 0  # max degree; the base and its neighbours
+    for cls in g.classes:
+        nbrs = adj[cls[0]]
+        if nbrs.bit_count() > spread:
+            spread = nbrs.bit_count()
+        if resolve and len(cls) > 1:
+            base += cls[:-1]
+            dominated |= nbrs
+    spread += 1  # max degree + 1
     keep = [-1] * n
     if dominate:
         for t in tops:
@@ -384,25 +391,17 @@ def _search(
     if resolve:
         shared = [] if shared is None else shared
         if not shared:
-            shared.append(_resolve_elements(g))
+            shared.append(_resolve_elements(g, clock.deadline))
         untracked, covers, pair_rows, pair_tiers, resolve_keep = shared[0]
         for t, rest in resolve_keep.items():
             keep[t] &= rest
-    vertices = open_base = (1 << n) - 1 if dominate else 0
-    if dominate and resolve:
-        # the base, every vertex but the tops, dominates itself and the neighbours
-        # of each class of two or more: its first member's, as twins share them
-        open_base &= top_mask
-        for cls in g.classes:
-            if len(cls) > 1:
-                open_base &= ~adj[cls[0]]
-    tiers: dict[int, int] = {}  # cover count: the elements with that many covers
+    vertices = (1 << n) - 1 if dominate else 0
+    open_base = vertices & top_mask & ~dominated if resolve else vertices
+    tiers = dict(pair_tiers)  # cover count: the elements with that many covers
     for v in _bits(open_base):
         covers[v] = cover = (adj[v] | 1 << v) & top_mask
         count = cover.bit_count()
         tiers[count] = tiers.get(count, 0) | 1 << v
-    for count, pairs in pair_tiers.items():
-        tiers[count] = tiers.get(count, 0) | pairs
     open_base |= (1 << len(covers) - n) - 1 << n
     rarest = [tiers[count] for count in sorted(tiers)]
     dist, top_of = {}, []  # the picks' distances to the tops, and the cells, by class
@@ -582,12 +581,13 @@ def _resolving(
 ) -> QuantityResult:
     """dim, or ddim when ``dominate``: the search over the tops (each twin
     class's largest member), the base being every member but the top. The
-    clock starts before the connectivity test, which may make the twin
-    quotient, so its cost counts against the budget."""
+    clock starts first: the twin quotient, if not yet made, is made on it,
+    its time cap tested between BFS sources, before the connectivity test."""
     what = "dominant metric dimension" if dominate else "metric dimension"
     if g.order == 0:
         raise ValueError(f"{what} of the empty graph is undefined")
     clock = _Clock("ddim" if dominate else "dim", budget)
+    _made_twins(g, clock.deadline)
     if not g.is_connected:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
     if g.order == 1:

@@ -396,3 +396,91 @@ def distance_cells(g, base) -> list[list[int]]:
     for v in range(g.order):
         cells.setdefault(tuple(g.dist[b][v] for b in base), []).append(v)
     return sorted(cells.values())
+
+
+# The resolve set-up as it was built before the array-pass version in
+# ``zdrlab.solver``: cells keyed by one tuple per top, the ends' rows made by
+# ``np.array`` over a list of rows, the tiers scattered by ``np.bitwise_or.at``
+# and every bitset read one row at a time. The solver's set-up must give the
+# same cells, covers, pair bytes, tiers and keep masks.
+
+
+def keyed_shared_cells(g) -> list[list[int]]:
+    """The cells of the base's distance partition with two or more members,
+    each in index order: each top keyed by its entries in the class rows of
+    the classes of two or more, in top order."""
+    rows = [row for row, cls in zip(g._twins[2], g.classes) if len(cls) > 1]
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for t, c in sorted((cls[-1], c) for c, cls in enumerate(g.classes)):
+        cells.setdefault(tuple(row[c] for row in rows), []).append(t)
+    return [cell for cell in cells.values() if len(cell) > 1]
+
+
+def scattered_tiers(counts: np.ndarray, shift: int) -> dict[int, int]:
+    """Pairs by cover count: pair p sets bit p % 8 of byte p // 8 in its
+    count's row, scattered with ``np.bitwise_or.at``; each row as an int,
+    shifted."""
+    width = (len(counts) + 7) // 8
+    start = np.bincount(counts)
+    values = np.flatnonzero(start)
+    start[values] = np.arange(0, len(values) * width, width)
+    p = np.arange(len(counts))
+    rows = np.zeros(len(values) * width, dtype=np.uint8)
+    np.bitwise_or.at(rows, start[counts] + (p >> 3), (1 << np.arange(8, dtype=np.uint8))[p & 7])
+    return dict(zip(values.tolist(), _row_ints(rows.reshape(-1, width), shift)))
+
+
+def _row_ints(rows: np.ndarray, shift: int):
+    """Each row of a C-ordered 2-D uint8 array as a little-endian int, shifted."""
+    data, width = memoryview(rows).cast("B"), rows.shape[1]
+    for i in range(rows.shape[0]):
+        yield int.from_bytes(data[i * width:(i + 1) * width], "little") << shift
+
+
+def row_list_resolve_elements(g, per_vertex: int):
+    """(untracked cells, covers, pair_rows, tiers, keep) with at most
+    ``per_vertex`` tracked pairs per vertex, one row per pair end made from
+    a list of the ends' class rows, each with 0 at its own class."""
+    n, cap = g.order, per_vertex * g.order
+    untracked, ends, us, vs = [], [], [], []
+    for cell in keyed_shared_cells(g):
+        size = min(len(cell), (1 + math.isqrt(1 + 8 * cap)) // 2)
+        if size < len(cell):
+            untracked.append(cell)
+        if size < 2:
+            continue
+        a = np.arange(size)
+        i, j = np.nonzero(a[:, None] < a)
+        us.append(i + len(ends))
+        vs.append(j + len(ends))
+        ends += cell[:size]
+        cap -= len(i)
+    if not ends:
+        return untracked, [0] * n, None, {}, {}
+    class_of, _, class_rows, _ = g._twins
+    top_rows = []
+    for t in ends:
+        if (row := class_rows[c := class_of[t]])[c]:
+            row = row[:]
+            row[c] = 0
+        top_rows.append(row)
+    rows = np.array(top_rows, dtype=np.min_scalar_type(-n))
+    us, vs = np.concatenate(us), np.concatenate(vs)
+    m, k = len(us), rows.shape[1]
+    top_of = [cls[-1] for cls in g.classes]
+    pair_rows = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    counts = np.empty(m, dtype=np.min_scalar_type(n))
+    by_top = np.empty(((m + 7) // 8, k), dtype=np.uint8)
+    step = max(8, (1 << 18) // n // 8 * 8)
+    for p in range(0, m, step):
+        sep = rows[us[p:p + step]] != rows[vs[p:p + step]]
+        counts[p:p + step] = sep.view(np.uint8).sum(axis=1, dtype=counts.dtype)
+        by_top[p // 8:(p + step) // 8] = np.packbits(sep, axis=0, bitorder="little")
+        if k < n:
+            sep, cols = np.zeros((len(sep), n), dtype=bool), sep
+            sep[:, top_of] = cols
+        pair_rows[p:p + step] = np.packbits(sep, axis=1, bitorder="little")
+    by_class = np.ascontiguousarray(by_top.T)
+    tiers = scattered_tiers(counts, n)
+    keep = {t: ~pairs for t, pairs in zip(top_of, _row_ints(by_class, n))}
+    return untracked, [0] * n + [None] * m, pair_rows, tiers, keep

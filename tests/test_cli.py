@@ -418,7 +418,7 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
     """Run ``zdrlab`` as its console script does: a fresh interpreter calls
     the entry point that pyproject.toml declares, with the script's name as
     ``sys.argv[0]``, and exits with its return value. The package comes
-    from this checkout's ``src``."""
+    from this checkout's ``src``, and the command runs in its root."""
     declared = re.search(r'^zdrlab = "([\w.]+):(\w+)"$',
                          (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
     module, func = declared.groups()
@@ -426,14 +426,16 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
     env = {k: v for k, v in os.environ.items() if k != "ZDRLAB_BUDGET_MS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, cwd=ROOT)
 
 
 # one command of each family whose imports differ: verify and table load the
 # claim registry inside the command, ring and dims never load it; and a
 # twin-rich resolving solve, 143 vertices in 14 classes through the two-step
 # reach, whose witness holds 130 of them; and every quantity on a Gaussian
-# ring, whose classes come from its associate representatives
+# ring, whose classes come from its associate representatives; and every
+# quantity on an edge-list file, a twin-free graph of 22 vertices whose 231
+# pairs are all tracked. Each runs from the checkout's root, as CI does
 @pytest.mark.parametrize("args, name", [
     (["verify", "run", "--deterministic"], "verify_run.txt"),
     (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
@@ -442,6 +444,8 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
     (["dims", "solve", "prod:(Zn:8,Zn:27)", "--which", "ddim", "--json", "--deterministic"],
      "dims_prod_Zn8_Zn27_ddim.json"),
     (["dims", "solve", "Zni:45", "--which", "all", "--json", "--deterministic"], "dims_Zni45.json"),
+    (["dims", "solve", "--graph", "tests/golden/random22.edges", "--which", "all", "--json",
+      "--deterministic"], "dims_random22.json"),
 ])
 def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)
@@ -464,6 +468,22 @@ def test_gamma_on_a_long_path_solves_within_its_time_cap(tmp_path):
     assert gamma["value"] == len(gamma["witness_ids"]) == 1366
     nbrs = {v: {u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)}
     assert oracles.dominating_def(nbrs, n, gamma["witness_ids"])
+
+
+def test_dim_on_a_long_path_stops_within_its_time_cap(tmp_path):
+    # a resolving solve makes the twin quotient, here one BFS per vertex of
+    # a 4,096-vertex path (16 to 31 s in all), and then the pairs; the solve's
+    # clock is tested before each BFS source and each slice of pairs, so a
+    # 500 ms cap ends the run with exit 4 in well under 5 s
+    n = 4096
+    path_file = tmp_path / "path.txt"
+    path_file.write_text("".join(f"{v} {v + 1}\n" for v in range(n - 1)), encoding="utf-8")
+    start = time.monotonic()
+    result = _run_console_script("dims", "solve", "--graph", str(path_file), "--which", "dim",
+                                 "--budget-ms", "500", timeout=60)
+    assert time.monotonic() - start < 5
+    assert result.returncode == 4, result.stderr.decode()
+    assert b"budget exceeded while solving dim" in result.stderr + result.stdout
 
 
 # verify and table import the claim registry when they run, so their callee

@@ -366,9 +366,9 @@ def _count_bfs(monkeypatch) -> list[int]:
     runs = []
     bfs_rows = graphs._bfs_rows
 
-    def counting(adj):
+    def counting(adj, *deadline):
         runs.append(len(adj))
-        return bfs_rows(adj)
+        return bfs_rows(adj, *deadline)
 
     monkeypatch.setattr(graphs, "_bfs_rows", counting)
     return runs

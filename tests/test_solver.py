@@ -320,10 +320,11 @@ def test_time_budget_is_tested_every_1024_checks(monkeypatch):
     assert res.checks > 2048
     timed = metric_dimension(g, Budget(max_ms=60_000))
     assert (timed.value, timed.witness, timed.checks) == (res.value, res.witness, res.checks)
+    # the pairs' set-up reads the clock once, for its one slice, and
     # cardinalities 1 to 5 start at checks 0, 1, 9, 64 and 412, so with a
-    # clock that reads an hour late from its seventh reading on, the start
-    # and those five pass and the test at 1024 checks fails
-    readings = iter([0.0] * 6)
+    # clock that reads an hour late from its eighth reading on, the start,
+    # the slice and those five pass and the test at 1024 checks fails
+    readings = iter([0.0] * 7)
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(readings, 3600.0)))
     with pytest.raises(BudgetExceededError) as err:
         metric_dimension(g, Budget(max_ms=1_000))
@@ -392,6 +393,60 @@ def test_resolving_solve_pays_for_the_twin_quotient(make, monkeypatch):
     assert (err.value.quantity, err.value.checks) == ("dim", 0)
     assert metric_dimension(make()).elapsed_ms >= 1000
     assert late == [2.0]
+
+
+def _late_clock(monkeypatch, on_time: int) -> list[int]:
+    """Make the solver's clock read 0 for its first ``on_time`` readings and
+    an hour from then on; the returned list counts the readings taken."""
+    taken = [0]
+
+    def monotonic():
+        taken[0] += 1
+        return 0.0 if taken[0] <= on_time else 3600.0
+
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=monotonic))
+    return taken
+
+
+def test_time_cap_stops_the_quotient_bfs_between_sources(monkeypatch):
+    # a 60-vertex path is twin-free and wider than diameter 3, so a dim
+    # solve makes its quotient by one BFS per vertex, on the solve's clock:
+    # read at the start and before each source, it stops the BFS at the
+    # eleventh source with nothing kept, and an unbudgeted solve is unchanged
+    g = graph_from_edges(60, [(v, v + 1) for v in range(59)])
+    expected = metric_dimension(graph_from_edges(60, [(v, v + 1) for v in range(59)]))
+    sources = []
+    bfs_rows = graphs._bfs_rows
+
+    def counting(adj, deadline):
+        def tick():
+            sources.append(len(sources))
+            deadline()
+        return bfs_rows(adj, tick)
+
+    monkeypatch.setattr(graphs, "_bfs_rows", counting)
+    taken = _late_clock(monkeypatch, 11)
+    with pytest.raises(BudgetExceededError) as err:
+        metric_dimension(g, Budget(max_ms=500))
+    assert (err.value.quantity, err.value.cardinality, err.value.checks) == ("dim", 0, 0)
+    assert taken == [12] and len(sources) == 11
+    assert "_twins" not in vars(g)
+    monkeypatch.undo()
+    res = metric_dimension(g)
+    assert (res.value, res.witness, res.checks) == (expected.value, expected.witness, expected.checks)
+
+
+def test_time_cap_stops_the_pair_set_up_between_slices(monkeypatch):
+    # a 200-vertex path tracks 6,328 pairs, five slices of 1,304; with its
+    # quotient made, a dim solve reads the clock at its start and before
+    # each slice, so a clock late from its fourth reading stops the third
+    g = graph_from_edges(200, [(v, v + 1) for v in range(199)])
+    g.is_connected
+    taken = _late_clock(monkeypatch, 3)
+    with pytest.raises(BudgetExceededError) as err:
+        metric_dimension(g, Budget(max_ms=500))
+    assert (err.value.quantity, err.value.cardinality, err.value.checks) == ("dim", 0, 0)
+    assert taken == [4]
 
 
 def _long_path(n: int) -> ZDGraph:

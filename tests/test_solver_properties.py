@@ -4,6 +4,7 @@ import random
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -364,3 +365,72 @@ def test_gamma_on_random_disconnected_graphs():
         g = graph_from_edges(a.order + b.order, edges)
         res = domination_number(g)
         assert (res.value, res.witness) == oracles.brute_gamma(g)
+
+
+def _assert_set_up_matches_oracle(g, per_vertex):
+    """The cells, untracked cells, covers, ``pair_rows`` bytes, tiers and
+    keep masks of the resolve set-up equal the row-list oracle's."""
+    assert solver._shared_cells(g) == oracles.keyed_shared_cells(g)
+    with mock.patch.object(solver, "PAIRS_PER_VERTEX", per_vertex):
+        untracked, covers, pair_rows, tiers, keep = solver._resolve_elements(g)
+    want = oracles.row_list_resolve_elements(g, per_vertex)
+    assert (untracked, covers, tiers, keep) == (want[0], want[1], want[3], want[4])
+    if want[2] is None:
+        assert pair_rows is None
+    else:
+        assert (pair_rows.dtype, pair_rows.shape) == (want[2].dtype, want[2].shape)
+        assert pair_rows.tobytes() == want[2].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.one_of(connected_graphs(max_n=12), sparse_connected_graphs(), gnp_graphs(min_n=1),
+                blown_up_graphs(), disconnected_blown_up_graphs()),
+    per_vertex=st.sampled_from([0, 1, solver.PAIRS_PER_VERTEX]),
+)
+def test_resolve_set_up_matches_the_oracle(g, per_vertex):
+    _assert_set_up_matches_oracle(g, per_vertex)
+
+
+@pytest.mark.parametrize("per_vertex", [0, 1, solver.PAIRS_PER_VERTEX])
+@pytest.mark.parametrize("spec", ["Zn:42", "Zn:60", "Zn:128", "Zni:25", "prod:(Zn:3,Zn:27)",
+                                  "prod:(Zn:8,Zn:27)", "Zn:1024", "Zn:2310"])
+def test_resolve_set_up_matches_the_oracle_on_rings(spec, per_vertex):
+    from zdrlab.graphs import build_zdgraph
+    from zdrlab.rings import build_ring
+
+    _assert_set_up_matches_oracle(build_zdgraph(build_ring(spec)), per_vertex)
+
+
+def _chunked_graphs():
+    """A path of 200 vertices (twin-free) and G(180, 0.1) on a random tree
+    with an open twin added to vertex 0: both track more pairs than one
+    slice of ~2**18 entries holds."""
+    path = graph_from_edges(200, [(v, v + 1) for v in range(199)])
+    rng, n = random.Random(180), 180
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1}
+    edges |= {(n, w) for w in range(n) if (0, w) in edges or (w, 0) in edges}
+    return [path, graph_from_edges(n + 1, sorted(edges))]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["path", "open-twin"])
+def test_resolve_set_up_matches_the_oracle_over_several_slices(which):
+    g = _chunked_graphs()[which]
+    step = max(8, (1 << 18) // g.order // 8 * 8)  # pairs per slice
+    pairs = len(solver._resolve_elements(g)[1]) - g.order
+    assert pairs > 3 * step
+    assert (len(g.classes) < g.order) == bool(which)
+    _assert_set_up_matches_oracle(g, solver.PAIRS_PER_VERTEX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=200),
+    step=st.sampled_from([8, 16, 64, 1 << 18]),
+    shift=st.integers(min_value=0, max_value=70),
+)
+def test_tiers_match_the_scattered_oracle(counts, step, shift):
+    # the tier rows, packed a slice of pairs at a time, read as ints
+    counts = np.array(counts, dtype=np.uint8)
+    assert solver._tiers(counts, step, shift) == oracles.scattered_tiers(counts, shift)
