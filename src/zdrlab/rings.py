@@ -11,9 +11,9 @@ per family, so a graph evaluates one row per associate class. One kernel,
 ``_structure_totals``, evaluates the structure constants on the digits of
 any elements: the zero products among the representatives (among all
 elements, a chunk of rows at a time, for a catalog ring's non-units), the
-products that square the non-units for the nilpotents, the products of
-the basis elements for the axiom check, and the products of one element
-for ``mul_of`` and ``annihilator``. Addition is digit-wise modulo the
+products that square the non-units for the nilpotents, and the products
+of one element for ``mul_of`` and ``annihilator``; the axiom check reads
+the structure tensor of the basis elements. Addition is digit-wise modulo the
 moduli; the one sum a program path takes, 1 + x for the local test,
 moves digit 0 only.
 """
@@ -442,10 +442,18 @@ def _resolve_catalog(entry_id: str) -> CatalogEntry | None:
         if tail.isascii() and tail.isdigit():
             p = _parse_int(tail, 0)[0]
             _check_order(f"cat:{entry_id}", p * p)
-            if _prime_power(p) == (p, 1):
-                return CatalogEntry(entry_id, (p, p), ("1", "r"), {(1, 1): _z(2)},
-                                    note=f"Z{p} adjoin r with r^2 = 0")
+            return _square_zero_entry(entry_id, p)
     return None
+
+
+@lru_cache(maxsize=1024)
+def _square_zero_entry(entry_id: str, p: int) -> CatalogEntry | None:
+    """``Zpr.r2:p`` for a prime p, else None; cached like ``_family_entry``,
+    so every read of one ring takes one entry and its ``_sum_terms``."""
+    if _prime_power(p) != (p, 1):
+        return None
+    return CatalogEntry(entry_id, (p, p), ("1", "r"), {(1, 1): _z(2)},
+                        note=f"Z{p} adjoin r with r^2 = 0")
 
 
 def _structure_entry(spec: RingSpec) -> CatalogEntry:
@@ -557,23 +565,26 @@ def ring_axiom_failures(ring: FiniteRing) -> list[str]:
     unity ``one`` iff m_i (b_i b_j) = 0 for every i, j (else x = b_i and
     (m_i - 1) b_i sum to 0 while their products with b_j do not, and
     otherwise the product is bilinear), ``one`` b_j = b_j for every j, and
-    (b_i b_j) b_k = b_i (b_j b_k) for every basis triple. A product ring is
-    one iff its factors are.
+    (b_i b_j) b_l = b_i (b_j b_l) for every basis triple, all read off the
+    int64 structure tensor T, T[i, j] the digits of b_i b_j, made once from
+    the entry's structure constants. A product ring is one iff its factors are.
     """
     if ring.factors:
         return [failure for factor in ring.factors for failure in ring_axiom_failures(factor)]
-    moduli = ring.moduli
-    basis = np.cumprod((1,) + moduli[:-1])
-    products = _products(ring.spec, basis[:, None], basis)
+    m = np.array(ring.moduli, dtype=np.int64)
+    tensor = np.zeros((len(m),) * 3, dtype=np.int64)
+    for t, coordinate in enumerate(_structure_entry(ring.spec)._sum_terms[1]):
+        for i, j, w in coordinate:
+            tensor[i, j, t] = w
+    tensor %= m
     failures: list[str] = []
-    m_i = np.array(moduli, dtype=np.int64)[:, None]
-    if any((d * m_i % m).any() for d, m in zip(_digits(moduli, products), moduli)):
+    if (tensor * m[:, None, None] % m).any():
         failures.append("distributivity fails")
-    if not np.array_equal(_products(ring.spec, np.array(ring.one), basis), basis):
+    one = np.array(_digits(ring.moduli, np.array(ring.one)), dtype=np.int64)
+    if not np.array_equal(np.einsum("a,ajt->jt", one, tensor) % m, np.eye(len(m), dtype=np.int64)):
         failures.append("designated unity is not a multiplicative identity")
-    left = _products(ring.spec, products[:, :, None], basis)
-    right = _products(ring.spec, basis[:, None, None], products)
-    if not np.array_equal(left, right):
+    left = np.einsum("ija,alt->ijlt", tensor, tensor) % m
+    if not np.array_equal(left, np.einsum("jla,iat->ijlt", tensor, tensor) % m):
         failures.append("multiplication not associative")
     return failures
 

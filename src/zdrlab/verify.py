@@ -49,7 +49,7 @@ from .rings import (
     ring_properties,
     zero_divisors,
 )
-from .solver import Budget, solve_dimensions
+from .solver import Budget, dominant_metric_dimension, metric_dimension
 
 PASS = "PASS"
 ERRATUM = "ERRATUM"
@@ -235,13 +235,15 @@ def _override_type(key: str):
 
 
 class _Workbench:
-    """One suite run: its config, its budget, and each case field computed so
-    far, keyed by field name and subject and shared by all cases."""
+    """One suite run: its config, its budget, each case field computed so
+    far, keyed by field name and subject and shared by all cases, and the
+    resolve elements a dim solve leaves for its subject's ddim to take."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.budget = config.budget()
         self.shared: dict[tuple[str, str | fam.FamilyId], object] = {}
+        self.resolve: dict[str | fam.FamilyId, list] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +306,10 @@ _CASE_FIELDS: dict[str, Callable[[_Case], object]] = {
     "graph": lambda c: (fam.generate_family(c.subject) if isinstance(c.subject, fam.FamilyId)
                         else build_zdgraph(c.ring)),
     "empty": _is_empty,
-    "dim": lambda c: solve_dimensions(c.graph, "dim", c.wb.budget).dim.value,
-    "ddim": lambda c: solve_dimensions(c.graph, "ddim", c.wb.budget).ddim.value,
+    "dim": lambda c: metric_dimension(c.graph, c.wb.budget, _shared=(
+        None if ("ddim", c.subject) in c.wb.shared else c.wb.resolve.setdefault(c.subject, []))).value,
+    "ddim": lambda c: dominant_metric_dimension(
+        c.graph, c.wb.budget, _shared=c.wb.resolve.pop(c.subject, None)).value,
     "closed_dim": lambda c: fam.closed_form_dims(c.subject).dim,
     "closed_ddim": lambda c: fam.closed_form_dims(c.subject).ddim,
     "inv": lambda c: graph_invariants(c.graph),

@@ -333,6 +333,31 @@ def table_axiom_failures(ring) -> list[str]:
     return failures
 
 
+def broadcast_axiom_failures(ring) -> list[str]:
+    """The axiom check on the basis products, each product through the
+    ring's broadcast ``_products``: the basis products, the unity times each
+    basis element, and both bracketings of every basis triple. Fails as
+    ``rings.ring_axiom_failures`` does, in the same order."""
+    from zdrlab.rings import _digits, _products
+
+    if ring.factors:
+        return [failure for factor in ring.factors for failure in broadcast_axiom_failures(factor)]
+    moduli = ring.moduli
+    basis = np.cumprod((1,) + moduli[:-1])
+    products = _products(ring.spec, basis[:, None], basis)
+    failures: list[str] = []
+    m_i = np.array(moduli, dtype=np.int64)[:, None]
+    if any((d * m_i % m).any() for d, m in zip(_digits(moduli, products), moduli)):
+        failures.append("distributivity fails")
+    if not np.array_equal(_products(ring.spec, np.array(ring.one), basis), basis):
+        failures.append("designated unity is not a multiplicative identity")
+    left = _products(ring.spec, products[:, :, None], basis)
+    right = _products(ring.spec, basis[:, None, None], products)
+    if not np.array_equal(left, right):
+        failures.append("multiplication not associative")
+    return failures
+
+
 def structure_tables(entry) -> tuple[list[list[int]], list[list[int]]]:
     """Add and mul tables of a ring given by structure constants, one element
     pair at a time from the digits of the mixed-radix indices, in Python

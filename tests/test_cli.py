@@ -435,7 +435,8 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
 # reach, whose witness holds 130 of them; and every quantity on a Gaussian
 # ring, whose classes come from its associate representatives; and every
 # quantity on an edge-list file, a twin-free graph of 22 vertices whose 231
-# pairs are all tracked. Each runs from the checkout's root, as CI does
+# pairs are all tracked; and the suite report as JSON. Each runs from the
+# checkout's root, as CI does
 @pytest.mark.parametrize("args, name", [
     (["verify", "run", "--deterministic"], "verify_run.txt"),
     (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
@@ -446,6 +447,7 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
     (["dims", "solve", "Zni:45", "--which", "all", "--json", "--deterministic"], "dims_Zni45.json"),
     (["dims", "solve", "--graph", "tests/golden/random22.edges", "--which", "all", "--json",
       "--deterministic"], "dims_random22.json"),
+    (["verify", "run", "--json", "--deterministic"], "verify_run.json"),
 ])
 def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)

@@ -17,6 +17,7 @@ from zdrlab.rings import (
     CatalogEntry,
     CatalogError,
     Family,
+    OrderCapError,
     RingSpec,
     annihilator,
     build_ring,
@@ -31,7 +32,9 @@ from zdrlab.rings import (
     unregister_catalog_entry,
     zero_divisors,
 )
-from zdrlab.rings import FiniteRing, _associate_reps, _nonunits, _products, _zero_products
+from zdrlab.rings import (
+    FiniteRing, _associate_reps, _nonunits, _products, _structure_entry, _zero_products,
+)
 from zdrlab.solver import Budget, BudgetExceededError, solve_dimensions
 
 import oracles
@@ -258,6 +261,48 @@ def test_broken_catalog_entry_above_order_256_rejected():
             build_ring("cat:testBROKEN296")
     finally:
         unregister_catalog_entry("testBROKEN296")
+
+
+PRIMES_TO_61 = [p for p in range(2, 62) if next(factorize(p)) == (p, 1)]
+
+
+@pytest.mark.parametrize(
+    "spec", [f"cat:{i}" for i in catalog_ids()] + [f"cat:Zpr.r2:{p}" for p in PRIMES_TO_61]
+)
+def test_catalog_axioms_match_broadcast_oracle(spec):
+    ring = build_ring(spec)
+    assert ring_axiom_failures(ring) == oracles.broadcast_axiom_failures(ring) == []
+
+
+def test_replaced_entry_is_checked_again():
+    # the axiom check reads the entry registered under the id at build time
+    register_catalog_entry(CatalogEntry("testSWAP", (3, 3), ("1", "r"), {(1, 1): (0, 0)}))
+    try:
+        assert build_ring("cat:testSWAP").order == 9
+        register_catalog_entry(CatalogEntry("testSWAP", (2, 4), ("1", "r"), {(1, 1): (0, 0)}))
+        with pytest.raises(CatalogError, match="distributivity fails"):
+            build_ring("cat:testSWAP")
+    finally:
+        unregister_catalog_entry("testSWAP")
+
+
+def test_parametric_entry_is_made_once_and_registry_first():
+    def entry():
+        return _structure_entry(build_ring("cat:Zpr.r2:5").spec)
+
+    parametric = entry()
+    assert entry() is parametric
+    # r^2 = 1: Z5[r]/(r^2 - 1) is Z5 x Z5, with 8 zero divisors to 4
+    register_catalog_entry(CatalogEntry("Zpr.r2:5", (5, 5), ("1", "r"), {(1, 1): (1, 0)}))
+    try:
+        assert entry() is not parametric
+        assert len(zero_divisors(build_ring("cat:Zpr.r2:5")).members) == 8
+    finally:
+        unregister_catalog_entry("Zpr.r2:5")
+    assert entry() is parametric
+    assert len(zero_divisors(build_ring("cat:Zpr.r2:5")).members) == 4
+    with pytest.raises(OrderCapError):
+        build_ring("cat:Zpr.r2:67")
 
 
 def test_large_catalog_ring_builds_no_table():
@@ -596,29 +641,33 @@ def test_zero_products_at_the_int32_edge(n):
 
 @st.composite
 def structure_entries(draw):
-    """A basis of 1 to 3 elements with coefficients modulo 2..7 and random
+    """A basis of 1 to 4 elements with coefficients modulo 2..9 and random
     products; associativity is not needed to build the tables."""
-    moduli = tuple(draw(st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=3)))
+    moduli = tuple(draw(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=4)))
     k = len(moduli)
     table = {
         (i, j): tuple(draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
         for i in range(1, k)
         for j in range(i, k)
     }
-    return CatalogEntry("testRANDOM", moduli, ("1", "r", "s")[:k], table)
+    return CatalogEntry("testRANDOM", moduli, ("1", "r", "s", "t")[:k], table)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(entry=structure_entries())
 def test_structure_tables_match_digit_oracle(entry):
     # the ring is made directly, past build_ring's axiom check, which a
-    # random entry may fail; the check on the basis fails exactly when the
+    # random entry may fail; the tensor check fails as the broadcast one
+    # does, in order, and the check on the basis fails exactly when the
     # check of every triple on the tables does, and only where it does
     register_catalog_entry(entry)
     try:
         spec = RingSpec(Family.CATALOG, catalog_id=entry.entry_id)
         ring = FiniteRing(spec, math.prod(entry.moduli), 1, entry.moduli)
         failures = ring_axiom_failures(ring)
+        assert failures == oracles.broadcast_axiom_failures(ring)
+        if ring.order > 343:  # the pure-Python tables are quadratic
+            return
         add_ref, mul_ref = oracles.structure_tables(entry)
         add, mul = oracles.op_tables(ring)
         assert mul.tolist() == mul_ref and add.tolist() == add_ref

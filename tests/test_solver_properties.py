@@ -196,6 +196,18 @@ def test_all_matches_the_separate_solves(g, per_vertex):
     assert _outputs(report.gamma, report.dim, report.ddim) == _outputs(gamma, dim, ddim)
 
 
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(connected_graphs(max_n=10), sparse_connected_graphs(), blown_up_graphs()))
+def test_ddim_given_the_dim_list_matches_a_fresh_ddim(g):
+    # the suite hands a subject's dim list to its ddim without a lower
+    # bound: the ddim search is then the fresh one, checks and all
+    shared = []
+    metric_dimension(g, _shared=shared)
+    assert len(shared) == (g.order > 1)
+    handed = dominant_metric_dimension(g, _shared=shared)
+    assert _outputs(handed) == _outputs(dominant_metric_dimension(g))
+
+
 def test_solve_dimensions_leaves_nothing_on_the_graph():
     # twin-free with 325 pairs in one cell, all tracked: the shared set-up
     # lives only as long as one call, so a second call on the same graph

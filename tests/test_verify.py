@@ -294,7 +294,7 @@ def test_claim_runner_calls_traceable_module_names(monkeypatch):
     # module's names at call time, so tools that rebind those names see them
     calls = {}
     names = ("build_ring", "build_zdgraph", "graph_invariants", "ring_properties",
-             "zero_divisors", "solve_dimensions")
+             "zero_divisors", "metric_dimension", "dominant_metric_dimension")
     for name in names:
         original = getattr(verify_mod, name)
 
@@ -303,9 +303,33 @@ def test_claim_runner_calls_traceable_module_names(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(verify_mod, name, counted)
-    for claim in ("T2.1", "T2.2", "T2.3", "T2.4", "TAB1"):
+    for claim in ("T2.1", "T2.2", "T2.3", "T2.4", "TAB1", "TAB2"):
         verify_theorem(claim)
     assert set(calls) == set(names)
+
+
+def test_suite_hands_dim_resolve_elements_to_ddim(monkeypatch):
+    # a subject's dim solve leaves its list for the subject's ddim, which
+    # takes it out: a ddim read first gets none, and no list outlives the
+    # run's pairs, as every subject of the suite that reads dim reads ddim
+    handed = []
+    benches = []
+    original = verify_mod.dominant_metric_dimension
+    original_bench = verify_mod._Workbench
+
+    def spy(g, budget=None, *, _shared=None):
+        handed.append(_shared is not None)
+        return original(g, budget, _shared=_shared)
+
+    def bench(config):
+        benches.append(original_bench(config))
+        return benches[-1]
+
+    monkeypatch.setattr(verify_mod, "dominant_metric_dimension", spy)
+    monkeypatch.setattr(verify_mod, "_Workbench", bench)
+    run_suite()
+    assert (len(handed), sum(handed)) == (204, 51)
+    assert [wb.resolve for wb in benches] == [{}]
 
 
 def test_suite_builds_no_ring_tables(monkeypatch):
