@@ -1,15 +1,15 @@
 """Zero-divisor graphs and their classical invariants.
 
-A :class:`ZDGraph` is a simple undirected graph with per-vertex adjacency
-bitsets, its distance-twin classes and its distance matrix (-1 marks
-unreachable pairs), one typed array per row. Twins have equal rows outside
-their own class, so the only distance data a graph stores is one k-entry
-row per twin class: the twin quotient's (one vertex per class), with the
-distance between two members of the class on its diagonal. A graph is
-built with its adjacency and twin classes only: the quotient and its class
-rows are made on their first read (``ZDGraph._twins``), a vertex's row off
-its class's row only when read (``_rows``), and the full matrix on its
-first read. A connected
+A :class:`ZDGraph` holds what it is built from: per-vertex adjacency
+bitsets, its distance-twin classes, labels, external ids and source. Its
+distances are derived: the distance matrix ``ZDGraph.dist`` (-1 marks
+unreachable pairs, one typed array per row) is not compared and is made on
+its first read. Twins have equal rows outside their own class, so the only
+distance data a graph stores until then is one k-entry row per twin class:
+the twin quotient's (one vertex per class), with the distance between two
+members of the class on its diagonal. The quotient and its class rows are
+made on their first read (``ZDGraph._twins``), a vertex's row off its
+class's row only when read (``_rows``). A connected
 zero-divisor graph has diameter at most 3 (Anderson and Livingston, 1999),
 so a quotient of ``REACH_MIN_CLASSES`` classes or more whose pairs all lie
 within 3 takes its distances from each class's two-step bitset reach: 1 on
@@ -60,39 +60,36 @@ class ZDGraph:
     connectivity test, the invariants or a resolving solve, on that
     reader's clock, which a solve tests between BFS sources
     (``_made_twins``); a domination solve reads none. The class rows are the
-    only distance data the graph stores. ``dist[v]`` is
-    an ``array.array`` of the narrowest signed type that holds the largest
-    distance: one byte per entry on every zero-divisor graph, whose
-    diameter is at most 3. Member rows are made off the class rows only
-    when read (``_rows``): by the family recogniser's one row,
-    ``is_resolving``, and ``dist``, which makes all n on its first read.
-    Rows are unhashable, so a graph is too.
+    only distance data the graph stores until ``dist`` is read. ``dist`` is
+    derived, not a field: equality, hashing and ``repr`` read only the
+    fields, so they make no distance. ``dist[v]`` is an ``array.array`` of
+    the narrowest signed type that holds the largest distance: one byte per
+    entry on every zero-divisor graph, whose diameter is at most 3. Member
+    rows are made off the class rows only when read (``_rows``): by the
+    family recogniser's one row, ``is_resolving``, and ``dist``, which
+    makes all n on its first read.
     """
 
     order: int
     labels: tuple[str, ...]
     external_ids: tuple[int, ...]
     adj: tuple[int, ...]
-    dist: tuple[array, ...]
     classes: tuple[tuple[int, ...], ...]
     source: str = ""
 
     def __post_init__(self):
-        for name in ("labels", "dist"):
-            if callable(value := self.__dict__[name]):  # kept to make the value on first read
-                self.__dict__["_" + name] = self.__dict__.pop(name)
-            else:
-                self.__dict__[name] = tuple(value)
+        if callable(labels := self.labels):  # kept to make the labels on first read
+            self.__dict__["_labels"] = self.__dict__.pop("labels")
+        else:
+            self.__dict__["labels"] = tuple(labels)
 
     def __getattr__(self, name: str):
-        """``labels`` or ``dist`` on first read, made by the function given in its place: a
-        ring's ``labels_of`` from the external ids, or ``_rows`` for every vertex. Later reads
-        find the value itself."""
-        if name not in ("labels", "dist") or "_" + name not in self.__dict__:
+        """``labels`` on first read, made from the external ids by the function given in
+        their place, a ring's ``labels_of``. Later reads find the value itself."""
+        if name != "labels" or "_labels" not in self.__dict__:
             raise AttributeError(name)
-        args = (self.external_ids,) if name == "labels" else (self, range(self.order))
-        value = self.__dict__[name] = tuple(self.__dict__["_" + name](*args))
-        del self.__dict__["_" + name]
+        value = self.__dict__["labels"] = tuple(self.__dict__["_labels"](self.external_ids))
+        del self.__dict__["_labels"]
         return value
 
     def degree(self, v: int) -> int:
@@ -118,6 +115,12 @@ class ZDGraph:
         return -1 not in rows[class_of[0]]
 
     @cached_property
+    def dist(self) -> tuple[array, ...]:
+        """Every vertex's distance row, -1 where unreachable, made on first
+        read off the class rows (``_rows``)."""
+        return tuple(_rows(self, range(self.order)))
+
+    @cached_property
     def _twins(self) -> tuple[Sequence[int], Sequence[int], Sequence[array], int]:
         """The class map, twin quotient, k-entry class rows and largest
         distance (``_twin_quotient``), made on first read (``_made_twins``)."""
@@ -127,15 +130,9 @@ class ZDGraph:
 def _made_twins(g: ZDGraph, deadline: Callable[[], None] | None = None) -> tuple:
     """``g._twins``, made now if no reader has made it: a solve passes its
     clock's ``deadline``, called before each source of the quotient's BFS,
-    which may raise; then nothing is kept. A twin-free graph given its rows
-    takes them as its class rows, as arrays of one type."""
+    which may raise; then nothing is kept."""
     if "_twins" not in g.__dict__:
-        if len(g.classes) == g.order and "dist" in g.__dict__:
-            top = max(map(max, g.dist), default=0)
-            rows = [array(_typecode(top), row) for row in g.dist]
-            g.__dict__["_twins"] = range(g.order), g.adj, rows, top
-        else:
-            g.__dict__["_twins"] = _twin_quotient(g.adj, g.classes, deadline)
+        g.__dict__["_twins"] = _twin_quotient(g.adj, g.classes, deadline)
     return g.__dict__["_twins"]
 
 
@@ -395,7 +392,7 @@ def graph_from_edges(
     labels = [str(i) for i in range(order)] if labels is None else labels
     ids = range(order) if external_ids is None else external_ids
     classes = neighbourhood_twin_classes(adj)
-    return ZDGraph(order, labels, tuple(ids), tuple(adj), _rows, classes, source)
+    return ZDGraph(order, labels, tuple(ids), tuple(adj), classes, source)
 
 
 def build_zdgraph(ring: FiniteRing) -> ZDGraph:
@@ -431,7 +428,7 @@ def build_zdgraph(ring: FiniteRing) -> ZDGraph:
     if len(classes) < len(groups):  # a merged class lists its groups in order of least member
         classes = [sorted(cls) for cls in classes]
     members = tuple(at.tolist())
-    return ZDGraph(len(adj), ring.labels_of, members, adj, _rows, tuple(map(tuple, classes)), ring.name)
+    return ZDGraph(len(adj), ring.labels_of, members, adj, tuple(map(tuple, classes)), ring.name)
 
 
 def _associate_rows(

@@ -435,8 +435,9 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
 # reach, whose witness holds 130 of them; and every quantity on a Gaussian
 # ring, whose classes come from its associate representatives; and every
 # quantity on an edge-list file, a twin-free graph of 22 vertices whose 231
-# pairs are all tracked; and the suite report as JSON. Each runs from the
-# checkout's root, as CI does
+# pairs are all tracked; and the suite report as JSON; and a ring graph
+# built and exported, which reads its lazy labels, its external ids and its
+# invariants. Each runs from the checkout's root, as CI does
 @pytest.mark.parametrize("args, name", [
     (["verify", "run", "--deterministic"], "verify_run.txt"),
     (["ring", "describe", "cat:cvA3", "--json"], "ring_describe_cat_cvA3.json"),
@@ -448,6 +449,9 @@ def _run_console_script(*args: str, timeout: float = 300) -> subprocess.Complete
     (["dims", "solve", "--graph", "tests/golden/random22.edges", "--which", "all", "--json",
       "--deterministic"], "dims_random22.json"),
     (["verify", "run", "--json", "--deterministic"], "verify_run.json"),
+    (["graph", "build", "prod:(Zn:4,Zni:3)", "--format", "json"],
+     "graph_build_prod_Zn4_Zni3.json"),
+    (["graph", "build", "prod:(Zn:4,Zni:3)", "--format", "dot"], "graph_build_prod_Zn4_Zni3.dot"),
 ])
 def test_console_script_matches_golden(args, name):
     result = _run_console_script(*args)

@@ -389,6 +389,11 @@ def test_one_bfs_per_twin_class(spec, monkeypatch):
     k = len(twin_classes(g).classes)
     assert k < g.order and k < graphs.REACH_MIN_CLASSES
     assert runs == [k]
+    # later readers, a resolving solve on its own clock among them, find the
+    # quotient made
+    graph_invariants(g)
+    solve_dimensions(g, "dim")
+    assert runs == [k]
 
 
 @pytest.mark.parametrize("block", [None, 16], ids=["one block", "blocks of 16"])
@@ -476,11 +481,10 @@ def test_twin_rich_solves_make_no_member_row(spec, monkeypatch):
 
 def test_read_distance_matrix_leaves_only_class_rows():
     # once dist is made, the graph keeps no other per-member rows: its class
-    # rows are k entries each, and the function that made dist is gone
+    # rows are k entries each
     g = build_zdgraph(build_ring("prod:(Zn:32,Zn:64)"))
     k = len(g.classes)
     assert len(g.dist) == g.order == 1535 and k == 40
-    assert "_dist" not in vars(g)
     rows = [value for name, value in vars(g).items() if name != "dist"]
     rows += [part for value in rows if isinstance(value, tuple) for part in value]
     rows = [row for value in rows if isinstance(value, (list, tuple)) for row in value
@@ -493,6 +497,21 @@ def test_graphs_pickle_before_their_rows_are_read():
         data = pickle.dumps(g)
         assert "dist" not in vars(g)
         assert pickle.loads(data) == g
+
+
+def test_equality_makes_no_distance():
+    # a graph compares and hashes by what it was built from: its distances
+    # are derived, so == makes neither the twin quotient nor any row
+    pairs = [(build_zdgraph(build_ring("prod:(Zn:32,Zn:64)")),
+              build_zdgraph(build_ring("prod:(Zn:32,Zn:64)"))),
+             (parse_edgelist(TWIN_EDGELIST), parse_edgelist(TWIN_EDGELIST))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        for g in (a, b):
+            assert "dist" not in vars(g) and "_twins" not in vars(g)
+    one_edge_less = parse_edgelist(TWIN_EDGELIST.removesuffix("6 2\n"))
+    assert one_edge_less.order == pairs[1][0].order
+    assert one_edge_less != pairs[1][0]
 
 
 @pytest.mark.parametrize("make, keyed, merged", [

@@ -263,6 +263,18 @@ def test_broken_catalog_entry_above_order_256_rejected():
         unregister_catalog_entry("testBROKEN296")
 
 
+def test_catalog_entry_whose_unity_is_no_identity_rejected():
+    # with a first modulus of 1, element index 1 is basis element 1, r, and
+    # not basis element 0: r times b_0 is r, not b_0, so the unity check of
+    # a non-product entry can fail
+    register_catalog_entry(CatalogEntry("testUNITY", (1, 2), ("1", "r"), {(1, 1): (0, 1)}))
+    try:
+        with pytest.raises(CatalogError, match="designated unity is not a multiplicative identity"):
+            build_ring("cat:testUNITY")
+    finally:
+        unregister_catalog_entry("testUNITY")
+
+
 PRIMES_TO_61 = [p for p in range(2, 62) if next(factorize(p)) == (p, 1)]
 
 

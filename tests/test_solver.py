@@ -4,6 +4,7 @@ import json
 import random
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -450,15 +451,13 @@ def test_time_cap_stops_the_pair_set_up_between_slices(monkeypatch):
 
 
 def _long_path(n: int) -> ZDGraph:
-    # distances from the formula: all-pairs BFS on a long path is slow
-    return ZDGraph(
-        order=n,
-        labels=tuple(map(str, range(n))),
-        external_ids=tuple(range(n)),
-        adj=tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n)),
-        dist=tuple(tuple(range(v, 0, -1)) + tuple(range(n - v)) for v in range(n)),
-        classes=tuple((v,) for v in range(n)),
-    )
+    # the twin quotient of a path is the path itself, seeded here with its
+    # class rows from the formula |u - v|: one BFS per vertex on a long path
+    # is slow
+    g = graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    rows = [array("h", [*range(v, 0, -1), *range(n - v)]) for v in range(n)]
+    g.__dict__["_twins"] = range(n), g.adj, rows, n - 1
+    return g
 
 
 def test_deep_ddim_on_long_path():
